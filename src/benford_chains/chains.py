@@ -6,7 +6,9 @@ with independent unit-scale draws Xi_m and cumulative exponents R_m, so
 the Fourier coefficients of Y_n = log_B X_n mod 1 factor into a product
 of per-family Mellin values (the chain spectrum).
 
-Three consumers of the spectrum live here:
+Three consumers of the spectrum live here.  Each call evaluates c_1..c_L
+once (c_{-l} = conj(c_l)) and the majorant tails at most once; a digit
+table shares one spectrum across its intervals and computes no tail.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and dominating the rest with
@@ -25,12 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .families import FAMILY_NAMES, ScaleFamily, get_family, mellin_at
 from .specfun import gamma_real, zeta_minus_one
 
 __all__ = [
     "ChainSpecError",
+    "SpectrumCheckError",
     "ChainLink",
     "ChainSpec",
     "FoldInterval",
@@ -49,11 +53,13 @@ __all__ = [
     "uniform_chain_cdf_bound",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 
 class ChainSpecError(ValueError):
     """A chain description failed validation."""
+
+
+class SpectrumCheckError(RuntimeError):
+    """A computed spectrum failed an internal consistency check."""
 
 
 def _check_int(value, what: str) -> int:
@@ -107,6 +113,14 @@ class ChainSpec:
         """Resolved family objects; a benford link adopts the chain base."""
         return tuple(get_family(link.family, self.base) for link in self.links)
 
+    @cached_property
+    def _factors(self) -> tuple[tuple[ScaleFamily, int], ...]:
+        # Each resolved family paired with its cumulative exponent, sorted by
+        # a canonical key so products over links are order-independent bit
+        # for bit (reordering links with equal powers must not move them).
+        pairs = zip(self.families(), cumulative_powers(self))
+        return tuple(sorted(pairs, key=lambda fr: (fr[0].name, fr[1])))
+
 
 def parse_chain(obj) -> ChainSpec:
     """Build a ChainSpec from a decoded chain-spec JSON object."""
@@ -114,7 +128,6 @@ def parse_chain(obj) -> ChainSpec:
         raise ChainSpecError("chain spec must be a JSON object")
     if "base" not in obj or "links" not in obj:
         raise ChainSpecError("chain spec needs 'base' and 'links' fields")
-    base = _check_int(obj["base"], "base")
     raw_links = obj["links"]
     if not isinstance(raw_links, list) or not raw_links:
         raise ChainSpecError("'links' must be a nonempty list")
@@ -123,21 +136,12 @@ def parse_chain(obj) -> ChainSpec:
         if not isinstance(entry, dict):
             raise ChainSpecError(f"links[{i}]: must be an object")
         try:
-            family = entry["family"]
-            power = entry["power"]
+            links.append(ChainLink(entry["family"], entry["power"]))
         except KeyError as exc:
             raise ChainSpecError(f"links[{i}]: missing field {exc.args[0]!r}") from None
-        if family not in FAMILY_NAMES:
-            raise ChainSpecError(
-                f"links[{i}]: unknown family {family!r}; expected one of {FAMILY_NAMES}"
-            )
-        _check_int(power, f"links[{i}]: power")
-        if power == 0:
-            raise ChainSpecError(f"links[{i}]: power must be nonzero")
-        if i == 0 and power != 1:
-            raise ChainSpecError(f"links[0]: first power must be 1, got {power}")
-        links.append(ChainLink(family, power))
-    return ChainSpec(base, tuple(links))
+        except ChainSpecError as exc:
+            raise ChainSpecError(f"links[{i}]: {exc}") from None
+    return ChainSpec(obj["base"], tuple(links))
 
 
 def load_chain(path) -> ChainSpec:
@@ -197,21 +201,12 @@ def cumulative_powers(chain: ChainSpec) -> list[int]:
     return out
 
 
-def _factor_table(chain: ChainSpec) -> list[tuple[ScaleFamily, int]]:
-    # Pair each resolved family with its cumulative exponent, sorted by a
-    # canonical key so products over links are order-independent bit for
-    # bit (reordering links with equal powers must not move the result).
-    table = list(zip(chain.families(), cumulative_powers(chain)))
-    table.sort(key=lambda fr: (fr[0].name, fr[1]))
-    return table
-
-
 def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
     """Fourier coefficient of the folded chain at frequency l."""
     if ell == 0:
         return 1.0 + 0.0j
     out = 1.0 + 0.0j
-    for family, r in _factor_table(chain):
+    for family, r in chain._factors:
         out *= mellin_at(family, r * ell, chain.base)
         if out == 0.0:
             break
@@ -223,54 +218,48 @@ def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
     if ell == 0:
         return 1.0
     out = 1.0
-    for family, r in _factor_table(chain):
+    for family, r in chain._factors:
         out *= family.majorant(abs(r * ell), chain.base)
         if out == 0.0:
             break
     return out
 
 
-def _majorant_tail(chain: ChainSpec, L: int, harmonic: bool) -> float:
-    """One-sided bound on sum_{l > L} of the majorant product.
+def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
+    """Two-sided bounds (plain, weighted) on the spectrum beyond |l| = L.
 
-    With harmonic=True each term carries the extra 1/(pi*l) factor that
-    bounds the fold integral |I_l|.  Terms up to L2 = max(2L, 256) are
-    summed explicitly; beyond that each family contributes a per-step
-    ratio bound g * (l/(l+1))**p, closing the sum geometrically when the
+    plain bounds sum_{|l| > L} |c_l|; weighted bounds the same sum with
+    each term carrying the extra 1/(pi*|l|) that bounds the fold integral
+    |I_l|.  Terms up to L2 = max(2L, 256) are summed explicitly, in one
+    pass for both; beyond that each family contributes a per-step ratio
+    bound g * (l/(l+1))**p, closing the sum geometrically when the
     combined g < 1, by integral comparison when the combined polynomial
     degree is >= 2, and honestly reporting infinity otherwise.
     """
     L2 = max(2 * L, 256)
-    table = _factor_table(chain)
-
-    def term(ell: int) -> float:
-        t = 1.0
-        for family, r in table:
-            t *= family.majorant(abs(r * ell), chain.base)
-            if t == 0.0:
-                return 0.0
-        if harmonic:
-            t /= math.pi * ell
-        return t
-
-    explicit = math.fsum(term(ell) for ell in range(L + 1, L2 + 1))
+    plain = [spectrum_majorant(chain, ell) for ell in range(L + 1, L2 + 1)]
+    weighted = [t / (math.pi * ell) for ell, t in enumerate(plain, L + 1)]
 
     g_total = 1.0
-    p_total = 1 if harmonic else 0
-    for family, r in table:
+    p_total = 0
+    for family, r in chain._factors:
         g, p = family.majorant_tail_profile(r, chain.base, L2)
         g_total *= g
         p_total += p
-    last = term(L2)
-    if g_total < 1.0:
-        rest = last * g_total / (1.0 - g_total)
-    elif p_total >= 2:
-        rest = last * L2 / (p_total - 1)
-    elif last == 0.0:
-        rest = 0.0
-    else:
-        rest = math.inf
-    return explicit + rest
+
+    def close(terms: list[float], p: int) -> float:
+        last = terms[-1]
+        if g_total < 1.0:
+            rest = last * g_total / (1.0 - g_total)
+        elif p >= 2:
+            rest = last * L2 / (p - 1)
+        elif last == 0.0:
+            rest = 0.0
+        else:
+            rest = math.inf
+        return 2.0 * (math.fsum(terms) + rest)
+
+    return close(plain, p_total), close(weighted, p_total + 1)
 
 
 def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> BoundResult:
@@ -278,27 +267,54 @@ def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> Bo
 
     The bound is (b-a) * (sum of |spectrum(l)| over 0 < |l| <= L + tail),
     the triangle inequality applied to the folded Fourier series.  Both
-    signs of l enter; the tail field likewise covers both signs.
+    signs of l enter, with |c_{-l}| = |c_l|; the tail likewise covers both.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     width = interval.width
-    per_term = []
-    for ell in range(1, L + 1):
-        per_term.append((ell, abs(chain_spectrum(chain, ell))))
-        per_term.append((-ell, abs(chain_spectrum(chain, -ell))))
+    moduli = [abs(chain_spectrum(chain, ell)) for ell in range(1, L + 1)]
     # All family moduli decrease strictly in |l|, so the retained terms
     # must too; a violation means the spectrum code is wrong.
-    for i in range(2, len(per_term)):
-        assert per_term[i][1] <= per_term[i - 2][1] * (1.0 + 1e-12) + 1e-305, (
-            "spectrum moduli must be nonincreasing in |l|"
-        )
-    tail = 2.0 * _majorant_tail(chain, L, harmonic=False)
+    for ell in range(2, L + 1):
+        if not moduli[ell - 1] <= moduli[ell - 2] * (1.0 + 1e-12) + 1e-305:
+            raise SpectrumCheckError(f"spectrum modulus grows from |l| = {ell - 1} to {ell}")
+    per_term = tuple((sgn, m) for ell, m in enumerate(moduli, 1) for sgn in (ell, -ell))
+    tail, _ = _majorant_tails(chain, L)
     if width == 0.0:
         value = 0.0
     else:
         value = width * (math.fsum(m for _, m in per_term) + tail)
-    return BoundResult(value=value, truncation_L=L, per_term=tuple(per_term), tail=tail)
+    return BoundResult(value=value, truncation_L=L, per_term=per_term, tail=tail)
+
+
+def _fold_series(chain: ChainSpec, intervals: list[FoldInterval], L: int) -> list[float]:
+    """Truncated fold series for each interval, sharing one c_1..c_L.
+
+    Each l adds z = c_l * I_l and then c_{-l} * I_{-l} = conj(z), in that
+    order and not as 2*Re(z), which rounds differently.  Widths 0 and 1
+    are exact (every l != 0 integral vanishes) and need no c_l.
+    """
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    coeffs = None
+    out = []
+    for interval in intervals:
+        a, b, width = interval.a, interval.b, interval.width
+        if width in (0.0, 1.0):
+            out.append(width)
+            continue
+        if coeffs is None:
+            coeffs = [chain_spectrum(chain, ell) for ell in range(1, L + 1)]
+        acc = 0.0 + 0.0j
+        for ell, c in enumerate(coeffs, 1):
+            i_ell = (
+                cmath.exp(2j * math.pi * b * ell) - cmath.exp(2j * math.pi * a * ell)
+            ) / (2j * math.pi * ell)
+            z = c * i_ell
+            acc += z
+            acc += z.conjugate()
+        out.append(width + acc.real)
+    return out
 
 
 def fold_probability(
@@ -306,48 +322,25 @@ def fold_probability(
 ) -> tuple[float, float]:
     """P(Y_n mod 1 in [a,b]) from the truncated Fourier series.
 
-    Returns (probability, truncation_error).  The +-l contributions are
-    conjugate pairs, so the accumulated imaginary part must vanish; a
-    residual above 1e-14 is an implementation fault, not bad input.  The
-    truncation error is the smaller of two rigorous majorant tails: the
-    width-scaled plain tail and the tail weighted by |I_l| <= 1/(pi*l).
+    Returns (probability, truncation_error).  The truncation error is the
+    smaller of two rigorous majorant tails: the width-scaled plain tail
+    and the tail weighted by |I_l| <= 1/(pi*l).
     """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    a, b = interval.a, interval.b
-    width = interval.width
-    if width == 0.0:
-        return 0.0, 0.0
-    if width == 1.0:
-        # Every l != 0 integral vanishes identically; no truncation at all.
-        return 1.0, 0.0
-
-    acc = 0.0 + 0.0j
-    for ell in range(1, L + 1):
-        for sgn_ell in (ell, -ell):
-            i_ell = (
-                cmath.exp(2j * math.pi * b * sgn_ell) - cmath.exp(2j * math.pi * a * sgn_ell)
-            ) / (2j * math.pi * sgn_ell)
-            acc += chain_spectrum(chain, sgn_ell) * i_ell
-    assert abs(acc.imag) <= 1e-14, (
-        f"fold series imaginary residual {acc.imag:.3e} exceeds 1e-14"
-    )
-    tail_plain = 2.0 * _majorant_tail(chain, L, harmonic=False)
-    tail_weighted = 2.0 * _majorant_tail(chain, L, harmonic=True)
-    err = min(width * tail_plain, tail_weighted)
-    return width + acc.real, err
+    [prob] = _fold_series(chain, [interval], L)
+    if interval.width in (0.0, 1.0):
+        return prob, 0.0
+    tail_plain, tail_weighted = _majorant_tails(chain, L)
+    return prob, min(interval.width * tail_plain, tail_weighted)
 
 
 def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
     """Leading-digit probabilities: fold over [log_B d, log_B(d+1)]."""
     log_base = math.log(chain.base)
-    out = []
-    for d in range(1, chain.base):
-        lo = math.log(d) / log_base
-        hi = math.log(d + 1) / log_base
-        prob, _ = fold_probability(chain, FoldInterval(lo, hi), L)
-        out.append(prob)
-    return out
+    intervals = [
+        FoldInterval(math.log(d) / log_base, math.log(d + 1) / log_base)
+        for d in range(1, chain.base)
+    ]
+    return _fold_series(chain, intervals, L)
 
 
 def exponential_chain_bound(n: int, base: int) -> float:

@@ -9,7 +9,7 @@ round-trip doubles exactly and identical command lines give byte-
 identical bytes.
 
 Exit codes: 0 success, 2 invalid input or chain spec, 3 numerical
-non-convergence.
+non-convergence or a failed internal spectrum check.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import sys
 from .chains import (
     ChainSpecError,
     FoldInterval,
+    SpectrumCheckError,
     deviation_bound,
     exponential_chain_bound,
     first_digit_probabilities,
@@ -343,7 +344,7 @@ def main(argv=None, out=None) -> int:
         out = sys.stdout
     try:
         return _DISPATCH[args.command](args, out)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, SpectrumCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ChainSpecError, ValueError, OSError) as exc:

@@ -22,7 +22,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .specfun import complex_gamma, gamma_abs_on_line
 
@@ -336,6 +335,8 @@ def mellin_numeric(
     handled by adaptive oscillatory quadrature.  Raises NonConvergenceError
     when the combined error estimate exceeds tol.
     """
+    from scipy import integrate  # only this quadrature oracle needs it
+
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     w = _omega(ell, base)

@@ -242,6 +242,8 @@ def first_digit(x: float, base: int = 10) -> int:
 
 def batch_mantissas(values: np.ndarray, base: int = 10) -> np.ndarray:
     """Vectorized mantissa for sample arrays (same algorithm as mantissa)."""
+    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
+        raise ValueError(f"base must be an integer >= 2, got {base!r}")
     x = np.asarray(values, dtype=float)
     if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
         raise ValueError("mantissa requires finite positive values")

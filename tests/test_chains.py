@@ -3,6 +3,7 @@ probabilities, and the closed forms for pure chains."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from benford_chains.chains import (
     ChainSpec,
     ChainSpecError,
     FoldInterval,
+    SpectrumCheckError,
     chain_spectrum,
     cumulative_powers,
     deviation_bound,
@@ -26,7 +28,7 @@ from benford_chains.chains import (
     uniform_chain_cdf_terms,
     uniform_chain_density,
 )
-from benford_chains.families import get_family, mellin_at
+from benford_chains.families import FAMILY_NAMES, Uniform, get_family, mellin_at
 from benford_chains.montecarlo import sample_batch
 
 SEED = 20260814
@@ -79,6 +81,25 @@ def test_parse_chain_reports_offending_link():
         parse_chain({"links": [{"family": "uniform", "power": 1}]})
     with pytest.raises(ChainSpecError):
         parse_chain([1, 2, 3])
+
+
+def test_parse_chain_prefixes_link_errors_once():
+    def message(links):
+        with pytest.raises(ChainSpecError) as info:
+            parse_chain({"base": 10, "links": links})
+        return str(info.value)
+
+    first = {"family": "uniform", "power": 1}
+    assert message([{"family": "uniform", "power": 3}]) == "links[0]: first power must be 1, got 3"
+    assert message([first, {"family": "uniform", "power": 0}]).startswith("links[1]: power must be")
+    assert message([first, first, {"family": "uniform", "power": True}]).startswith(
+        "links[2]: power must be an integer"
+    )
+    assert message([first, {"family": "cauchy", "power": 1}]).startswith(
+        "links[1]: unknown family 'cauchy'"
+    )
+    with pytest.raises(ChainSpecError, match="^base must be an integer"):
+        parse_chain({"base": "10", "links": [first]})
 
 
 def test_load_chain_round_trip(tmp_path):
@@ -148,6 +169,22 @@ def test_spectrum_is_permutation_invariant_bitwise():
             assert vals == ref  # bitwise, not approx
 
 
+def test_spectrum_negative_frequency_is_the_conjugate_bitwise():
+    # The fold series adds conj(c_l * I_l) for -l instead of evaluating
+    # c_{-l}; that is exact only if the spectrum is conjugate-symmetric
+    # bit for bit, for every family, sign of power and base.
+    rng = random.Random(SEED)
+    ells = list(range(1, 65)) + sorted(rng.sample(range(65, 1025), 64))
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        fams = [rng.choice(FAMILY_NAMES) for _ in range(n)]
+        powers = [1] + [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n - 1)]
+        ch = chain(*fams, base=rng.choice((2, 3, 10, 16, 1000)), powers=powers)
+        for ell in ells:
+            c = chain_spectrum(ch, ell)
+            assert chain_spectrum(ch, -ell) == c.conjugate(), (ch, ell)
+
+
 def test_spectrum_majorant_dominates():
     chains = [
         chain("exponential", "uniform"),
@@ -194,6 +231,14 @@ def test_deviation_bound_degenerate_and_benford():
     assert res.value == 0.0
     assert res.tail == 0.0
     assert all(m == 0.0 for _, m in res.per_term)
+
+
+def test_deviation_bound_rejects_a_growing_spectrum(monkeypatch):
+    # A family whose modulus grows in |l| breaks the triangle-inequality
+    # bookkeeping; the check must raise a named error, also under -O.
+    monkeypatch.setattr(Uniform, "mellin_exact", lambda self, ell, base: complex(abs(ell), 0.0))
+    with pytest.raises(SpectrumCheckError, match=r"\|l\| = 1 to 2"):
+        deviation_bound(chain("uniform"), FoldInterval(0.0, 0.5), L=4)
 
 
 def test_deviation_bound_validates_L():

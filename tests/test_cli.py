@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from benford_chains import cli
-from benford_chains.chains import exponential_chain_bound, uniform_chain_density
-from benford_chains.families import NonConvergenceError
+from benford_chains.chains import SpectrumCheckError, exponential_chain_bound, uniform_chain_density
+from benford_chains.families import NonConvergenceError, Uniform
 from benford_chains.montecarlo import RNG_ALGORITHM
 
 SEED = 20260814
@@ -255,13 +255,24 @@ def test_argparse_failures_return_two():
 
 
 def test_nonconvergence_maps_to_exit_three(monkeypatch, capsys):
-    def boom(args, out):
-        raise NonConvergenceError("quadrature stalled")
+    for exc in (NonConvergenceError("quadrature stalled"), SpectrumCheckError("modulus grows")):
+        def boom(args, out, exc=exc):
+            raise exc
 
-    monkeypatch.setitem(cli._DISPATCH, "bound-exp", boom)
-    code, _ = run(["bound-exp", "--n", "2"])
+        monkeypatch.setitem(cli._DISPATCH, "bound-exp", boom)
+        code, _ = run(["bound-exp", "--n", "2"])
+        assert code == 3
+        assert str(exc) in capsys.readouterr().err
+
+
+def test_bound_exits_three_when_the_spectrum_check_fails(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "u1.json"
+    spec.write_text(UNIF1)
+    monkeypatch.setattr(Uniform, "mellin_exact", lambda self, ell, base: complex(abs(ell), 0.0))
+    code, text = run(["bound", "--chain", str(spec)])
     assert code == 3
-    assert "quadrature stalled" in capsys.readouterr().err
+    assert text == ""
+    assert "spectrum modulus grows" in capsys.readouterr().err
 
 
 def test_module_entry_point_smoke():

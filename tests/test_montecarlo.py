@@ -294,3 +294,6 @@ def test_batch_mantissas_other_base_and_empty():
         batch_mantissas(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         batch_mantissas(np.array([1.0, np.nan]))
+    for bad_base in (2.5, 1, True):
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            batch_mantissas(np.array([5.0, 20.0]), base=bad_base)
