@@ -38,6 +38,13 @@ from .montecarlo import RNG_ALGORITHM, batch_mantissas, sample_batch
 
 __all__ = ["main"]
 
+# Input limits, checked before anything is allocated.  simulate holds about
+# 32 bytes per draw (values, block copies, mantissas, digits), so 10**8
+# draws need about 3.2 GB; digit_stats builds the audit grid in a Python
+# list.
+_MAX_SAMPLES = 10**8
+_MAX_GRID = 10**6
+
 
 def _fmt(x: float) -> str:
     if math.isinf(x):
@@ -229,9 +236,11 @@ def _cmd_density_uniform(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    chain = load_chain(args.chain)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
+    chain = load_chain(args.chain)
     batch = sample_batch(chain, args.samples, args.seed)
     mants = batch_mantissas(batch.values, chain.base)
     digits = mants.astype(int)
@@ -293,6 +302,10 @@ def _read_csv_column(path: str, column: str | None, col_index: int | None, heade
 
 
 def _cmd_audit(args, out) -> int:
+    if args.col_index is not None and args.col_index < 0:
+        raise ValueError(f"--col-index must be >= 0, got {args.col_index}")
+    if args.grid > _MAX_GRID:
+        raise ValueError(f"--grid must be at most {_MAX_GRID}, got {args.grid}")
     values = _read_csv_column(args.input, args.column, args.col_index, args.header)
     report = audit_dataset(values, args.base, args.bound, args.grid)
     _print_json(

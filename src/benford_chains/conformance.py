@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .montecarlo import batch_mantissas
+from .montecarlo import _check_base, batch_mantissas
 
 __all__ = [
     "DigitStats",
@@ -81,12 +81,6 @@ class ConformanceReport:
             "bound_context": self.bound_context,
             "bound_consistent": self.bound_consistent,
         }
-
-
-def _check_base(base: int) -> int:
-    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
-    return base
 
 
 def benford_cdf(s: float, base: int = 10) -> float:

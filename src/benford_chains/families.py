@@ -55,7 +55,7 @@ def _omega(ell: int, base: int) -> float:
 
 
 class ScaleFamily:
-    """One scale family: density, CDF, samplers, Mellin values, majorant."""
+    """One scale family: density, CDF, sampler, Mellin values, majorant."""
 
     name: str = ""
 
@@ -89,10 +89,6 @@ class ScaleFamily:
         # True when majorant(|scaled_power| * ell0) is still clipped at 1,
         # in which case no decay ratio below 1 may be claimed yet.
         return self.majorant(abs(scaled_power) * ell0, base) >= 1.0
-
-    def sample_unit(self, rng) -> float:
-        """One unit-scale draw."""
-        raise NotImplementedError
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         """Vector of n unit-scale draws, consuming rng once per element."""
@@ -134,9 +130,6 @@ class Exponential(ScaleFamily):
         slack = (1.0 + 1.0 / ell0) / -math.expm1(-2.0 * y1)
         return min(math.sqrt(slack) * math.exp(-lam), 1.0), 0
 
-    def sample_unit(self, rng) -> float:
-        return -math.log1p(-rng.random())
-
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         return -np.log1p(-rng.random(n))
 
@@ -165,9 +158,6 @@ class Uniform(ScaleFamily):
         if self._cap_binds(scaled_power, base, ell0):
             return 1.0, 0
         return 1.0, 1
-
-    def sample_unit(self, rng) -> float:
-        return rng.random()
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         return rng.random(n)
@@ -206,9 +196,6 @@ class HalfGaussian(ScaleFamily):
             return 1.0, 0
         lam = 0.5 * math.pi**2 * abs(scaled_power) / math.log(base)
         return math.exp(-lam), 0
-
-    def sample_unit(self, rng) -> float:
-        return abs(rng.standard_normal()) / math.sqrt(2.0)
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         return np.abs(rng.standard_normal(n)) / math.sqrt(2.0)
@@ -260,9 +247,6 @@ class Benford(ScaleFamily):
         if self._cap_binds(scaled_power, base, ell0):
             return 1.0, 0
         return 1.0, 1
-
-    def sample_unit(self, rng) -> float:
-        return float(self.base) ** rng.random()
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         return np.power(float(self.base), rng.random(n))

@@ -7,11 +7,14 @@ counts.  Batches are cut into fixed blocks of 65536 lanes and every
 block draws from its own counter-based generator, keyed as
 SeedSequence(entropy=seed, spawn_key=(stream, block)) over Philox4x64.
 Any scheduler that assigns whole blocks to workers reproduces the same
-values in the same positions.
+values in the same positions.  The two block kernels (chain walk and
+product form) are the only samplers; a single draw is a batch of one.
 
-Scales that leave [1e-300, 1e300] while walking a chain are aborted and
-counted as failures rather than silently flushed to zero or infinity,
-which would corrupt digit statistics.
+Scales that leave [1e-300, 1e300] while walking a chain mark their lane
+as failed; failed lanes are dropped and counted rather than silently
+flushed to zero or infinity, which would corrupt digit statistics.
+Mantissas come from one array kernel that mantissa and batch_mantissas
+share.
 """
 
 from __future__ import annotations
@@ -22,18 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainSpec, cumulative_powers
-from .families import ScaleFamily
 
 __all__ = [
     "RNG_ALGORITHM",
     "BLOCK_SIZE",
     "RngSeed",
     "SampleBatch",
-    "SampleFailure",
     "make_rng",
-    "sample_family",
-    "sample_chain",
-    "sample_product",
     "sample_batch",
     "product_batch",
     "mantissa",
@@ -47,10 +45,6 @@ BLOCK_SIZE = 65536
 
 _SCALE_MIN = 1e-300
 _SCALE_MAX = 1e300
-
-
-class SampleFailure(RuntimeError):
-    """A single draw aborted because the running scale left [1e-300, 1e300]."""
 
 
 @dataclass(frozen=True)
@@ -89,59 +83,6 @@ def make_rng(seed: int, stream: int = 0, block: int = 0) -> np.random.Generator:
     RngSeed(seed, stream)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_family(family: ScaleFamily, theta: float, rng) -> float:
-    """One draw from the family at scale theta (inverse-CDF samplers)."""
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError(f"scale must be positive, got {theta}")
-    return theta * family.sample_unit(rng)
-
-
-def _checked_power(x: float, power: int) -> float:
-    # x**power as the next link's scale; anything outside the safe window
-    # (or a pow overflow, which Python raises instead of returning inf)
-    # aborts the sample.
-    try:
-        theta = x**power
-    except (OverflowError, ZeroDivisionError):
-        raise SampleFailure(f"scale {x!r}**{power} left the representable range")
-    if not _SCALE_MIN <= theta <= _SCALE_MAX:
-        raise SampleFailure(f"scale {theta!r} outside [1e-300, 1e300]")
-    return theta
-
-
-def sample_chain(chain: ChainSpec, rng) -> float:
-    """Walk the chain once: each draw becomes the next link's scale."""
-    families = chain.families()
-    x = sample_family(families[0], 1.0, rng)
-    for link, family in zip(chain.links[1:], families[1:]):
-        if not x > 0.0 or math.isinf(x):
-            raise SampleFailure(f"draw {x!r} cannot seed the next scale")
-        theta = _checked_power(x, link.power)
-        x = sample_family(family, theta, rng)
-    if not x > 0.0 or not math.isfinite(x):
-        raise SampleFailure(f"final draw {x!r} is not a positive real")
-    return x
-
-
-def sample_product(chain: ChainSpec, rng) -> float:
-    """Equivalent product form: independent unit draws raised to R_m."""
-    powers = cumulative_powers(chain)
-    out = 1.0
-    for family, r in zip(chain.families(), powers):
-        xi = family.sample_unit(rng)
-        if not xi > 0.0:
-            raise SampleFailure(f"unit draw {xi!r} is not positive")
-        try:
-            factor = xi**r
-        except (OverflowError, ZeroDivisionError):
-            raise SampleFailure(f"factor {xi!r}**{r} left the representable range")
-        out *= factor
-        if not _SCALE_MIN <= out <= _SCALE_MAX:
-            raise SampleFailure(f"partial product {out!r} outside [1e-300, 1e300]")
-    return out
 
 
 def _batch(chain: ChainSpec, count: int, seed: int, stream: int, kernel) -> SampleBatch:
@@ -198,41 +139,65 @@ def product_batch(chain: ChainSpec, count: int, seed: int, stream: int = 0) -> S
     return _batch(chain, count, seed, stream, _product_kernel)
 
 
-def mantissa(x: float, base: int = 10) -> float:
-    """The M in x = M * base**k with M in [1, base) and integer k.
+def _check_base(base) -> None:
+    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
+        raise ValueError(f"base must be an integer >= 2, got {base!r}")
 
-    Log-based exponent estimate plus one correction step, so exact powers
-    of the base land exactly on 1.0 instead of drifting across the decade
-    boundary.
+
+def _mantissas(x: np.ndarray, base: int) -> np.ndarray:
+    """M in x = M * base**e, M in [1, base), for a 1-D array of finite positive doubles.
+
+    A log-based exponent estimate e, then one division (e >= 0) or
+    multiplication (e < 0) by base**|e| taken as an exact integer and
+    rounded once to a double, then one correction step, so exact powers of
+    the base land exactly on 1.0 instead of drifting across the boundary;
+    np.power would drift a ulp at extreme exponents and flip boundary
+    digits.  The scale factors come from one table over 0..max|e|.
     """
+    if base == 10:
+        e = np.log10(x)
+    else:
+        e = np.log(x)
+        e /= math.log(base)
+    np.floor(e, out=e)
+    neg = e < 0.0
+    k = np.abs(e, out=e).astype(np.intp)
+    del e
+    table, power = [], 1
+    for _ in range(int(k.max(initial=0)) + 1):
+        try:
+            table.append(float(power))
+        except OverflowError:  # only deep subnormals (and x near the max in bases 2**j)
+            table.append(math.inf)
+        power *= base
+    m = np.array(table)[k]
+    staged = np.isinf(m)
+    np.divide(x, m, out=m, where=~neg)
+    np.multiply(x, m, out=m, where=neg)
+    if staged.any():
+        # Where the factor overflows a double, scale in base**cap steps
+        # first, then by the remaining power (negative for x near the max).
+        cap = max(1, int(300.0 / math.log10(base)))
+        y = x[staged]
+        s = np.where(neg[staged], k[staged], -k[staged])
+        while (over := s > cap).any():
+            y[over] *= float(base**cap)
+            s[over] -= cap
+        lo = int(s.min())
+        rest = np.array([float(base**j) for j in range(lo, int(s.max()) + 1)])
+        m[staged] = y * rest[s - lo]
+    np.multiply(m, base, out=m, where=m < 1.0)
+    np.divide(m, base, out=m, where=m >= base)
+    return m
+
+
+def mantissa(x: float, base: int = 10) -> float:
+    """The M in x = M * base**k with M in [1, base) and integer k."""
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise ValueError(f"mantissa requires finite x > 0, got {x!r}")
-    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
-    if base == 10:
-        e = math.floor(math.log10(x))
-    else:
-        e = math.floor(math.log(x) / math.log(base))
-    # Scale by base**|e| as an exact integer; only for deep subnormals can
-    # the float conversion overflow, and then the scaling is staged.
-    try:
-        if e >= 0:
-            m = x / float(base**e)
-        else:
-            m = x * float(base**-e)
-    except OverflowError:
-        cap = max(1, int(300.0 / math.log10(base)))
-        k = -e
-        while k > cap:
-            x *= float(base**cap)
-            k -= cap
-        m = x * float(base**k)
-    if m < 1.0:
-        m *= base
-    elif m >= base:
-        m /= base
-    return m
+    _check_base(base)
+    return float(_mantissas(np.array([x]), base)[0])
 
 
 def first_digit(x: float, base: int = 10) -> int:
@@ -241,30 +206,9 @@ def first_digit(x: float, base: int = 10) -> int:
 
 
 def batch_mantissas(values: np.ndarray, base: int = 10) -> np.ndarray:
-    """Vectorized mantissa for sample arrays (same algorithm as mantissa)."""
-    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+    """mantissa of every element of a sample array."""
+    _check_base(base)
     x = np.asarray(values, dtype=float)
     if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
         raise ValueError("mantissa requires finite positive values")
-    if base == 10:
-        e = np.floor(np.log10(x))
-    else:
-        e = np.floor(np.log(x) / math.log(base))
-    # Group lanes by exponent and scale with the same exact integer power
-    # the scalar path uses, so both paths agree bit for bit; np.power
-    # would drift a ulp at extreme exponents and flip boundary digits.
-    m = np.empty_like(x)
-    for u in np.unique(e):
-        mask = e == u
-        iu = int(u)
-        try:
-            if iu >= 0:
-                m[mask] = x[mask] / float(base**iu)
-            else:
-                m[mask] = x[mask] * float(base**-iu)
-        except OverflowError:
-            m[mask] = [mantissa(v, base) for v in x[mask]]
-    m = np.where(m < 1.0, m * base, m)
-    m = np.where(m >= base, m / base, m)
-    return m
+    return _mantissas(x.ravel(), base).reshape(x.shape)

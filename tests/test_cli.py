@@ -181,7 +181,7 @@ def test_simulate_is_byte_identical(tmp_path):
     assert bytes1 == bytes2
 
 
-def test_simulate_validates_flags(tmp_path):
+def test_simulate_validates_flags(tmp_path, capsys):
     spec = tmp_path / "exp2.json"
     spec.write_text(EXP2)
     code, _ = run(["simulate", "--chain", str(spec), "--samples", "10", "--out", "x.csv"])
@@ -189,6 +189,12 @@ def test_simulate_validates_flags(tmp_path):
     code, _ = run(["simulate", "--chain", str(spec), "--samples", "0",
                    "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    capsys.readouterr()
+    code, _ = run(["simulate", "--chain", str(spec), "--samples", str(10**8 + 1),
+                   "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--samples must be at most 100000000" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_audit_round_trip(tmp_path):
@@ -243,6 +249,16 @@ def test_audit_input_errors(tmp_path, capsys):
     empty.write_text("# only a comment\n")
     code, _ = run(["audit", "--input", str(empty), "--col-index", "0"])
     assert code == 2
+    capsys.readouterr()
+
+    # a negative index would silently address the last column
+    code, _ = run(["audit", "--input", str(data), "--col-index", "-1", "--header"])
+    assert code == 2
+    assert "--col-index must be >= 0" in capsys.readouterr().err
+
+    code, _ = run(["audit", "--input", str(data), "--col-index", "0", "--grid", str(10**6 + 1)])
+    assert code == 2
+    assert "--grid must be at most 1000000" in capsys.readouterr().err
 
 
 def test_argparse_failures_return_two():

@@ -1,10 +1,14 @@
 """Reproducible sampling, failure accounting, and mantissa extraction."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from benford_chains import montecarlo
 from benford_chains.chains import ChainLink, ChainSpec
 from benford_chains.conformance import two_sample_ks
 from benford_chains.montecarlo import (
@@ -12,16 +16,12 @@ from benford_chains.montecarlo import (
     RNG_ALGORITHM,
     RngSeed,
     SampleBatch,
-    SampleFailure,
     batch_mantissas,
     first_digit,
     make_rng,
     mantissa,
     product_batch,
     sample_batch,
-    sample_chain,
-    sample_family,
-    sample_product,
 )
 from benford_chains.families import get_family
 
@@ -79,47 +79,51 @@ def test_make_rng_is_deterministic_and_keyed():
 
 # ----------------------------------------------------------------- sampling
 
+def fake_rng(monkeypatch, uniforms):
+    """Make every block generator replay the given uniforms."""
+    monkeypatch.setattr(montecarlo, "make_rng", lambda *key: FakeRng(uniforms))
+
+
 def test_sample_family_inverse_cdf_paths():
     u = get_family("uniform")
-    assert sample_family(u, 2.0, FakeRng([0.25])) == 0.5
+    assert 2.0 * u.sample_unit_batch(FakeRng([0.25]), 1)[0] == 0.5
     e = get_family("exponential")
-    assert sample_family(e, 3.0, FakeRng([0.5])) == 3.0 * -math.log1p(-0.5)
+    assert 3.0 * e.sample_unit_batch(FakeRng([0.5]), 1)[0] == 3.0 * -math.log1p(-0.5)
     b = get_family("benford", 10)
-    assert sample_family(b, 1.0, FakeRng([0.5])) == 10.0**0.5
+    assert b.sample_unit_batch(FakeRng([0.5]), 1)[0] == 10.0**0.5
     h = get_family("half_gaussian")
-    assert sample_family(h, 2.0, FakeRng(normals=[-1.0])) == 2.0 / math.sqrt(2.0)
-    with pytest.raises(ValueError):
-        sample_family(u, 0.0, FakeRng([0.5]))
-    with pytest.raises(ValueError):
-        sample_family(u, -1.0, FakeRng([0.5]))
+    assert 2.0 * h.sample_unit_batch(FakeRng(normals=[-1.0]), 1)[0] == 2.0 / math.sqrt(2.0)
 
 
-def test_sample_chain_walks_scales():
-    ch = chain("uniform", "uniform")
-    assert sample_chain(ch, FakeRng([0.5, 0.5])) == 0.25
+def test_sample_chain_walks_scales(monkeypatch):
+    fake_rng(monkeypatch, [0.5, 0.5])
+    got = sample_batch(chain("uniform", "uniform"), 1, SEED)
+    assert (got.values[0], got.count, got.failures) == (0.25, 1, 0)
     # power applies to the previous draw before it becomes the next scale
-    ch2 = chain("uniform", "uniform", powers=[1, 2])
-    assert sample_chain(ch2, FakeRng([0.5, 0.5])) == 0.5**2 * 0.5
+    fake_rng(monkeypatch, [0.5, 0.5])
+    got = sample_batch(chain("uniform", "uniform", powers=[1, 2]), 1, SEED)
+    assert got.values[0] == 0.5**2 * 0.5
 
 
-def test_sample_chain_zero_draw_aborts():
-    ch = chain("uniform", "uniform")
-    with pytest.raises(SampleFailure):
-        sample_chain(ch, FakeRng([0.0, 0.5]))
+def test_sample_chain_zero_draw_aborts(monkeypatch):
+    fake_rng(monkeypatch, [0.0, 0.5])
+    got = sample_batch(chain("uniform", "uniform"), 1, SEED)
+    assert (got.count, got.failures) == (0, 1)
 
 
-def test_sample_chain_scale_window_aborts():
+def test_sample_chain_scale_window_aborts(monkeypatch):
     # 1e-200 squared leaves [1e-300, 1e300]
-    ch = chain("uniform", "uniform", powers=[1, 2])
-    with pytest.raises(SampleFailure):
-        sample_chain(ch, FakeRng([1e-200, 0.5]))
+    fake_rng(monkeypatch, [1e-200, 0.5])
+    got = sample_batch(chain("uniform", "uniform", powers=[1, 2]), 1, SEED)
+    assert (got.count, got.failures) == (0, 1)
 
 
-def test_sample_product_matches_product_of_unit_draws():
+def test_sample_product_matches_product_of_unit_draws(monkeypatch):
     ch = chain("uniform", "uniform", "uniform", powers=[1, 2, 3])
     # R = (6, 3, 1)
-    got = sample_product(ch, FakeRng([0.5, 0.5, 0.5]))
-    assert got == 0.5**6 * 0.5**3 * 0.5
+    fake_rng(monkeypatch, [0.5, 0.5, 0.5])
+    got = product_batch(ch, 1, SEED)
+    assert got.values[0] == 0.5**6 * 0.5**3 * 0.5
 
 
 def test_batch_determinism_and_block_scheduling():
@@ -264,6 +268,16 @@ def test_mantissa_extremes_stay_in_range():
     assert first_digit(5e-324) == 4  # 4.9406564584124654e-324
 
 
+def test_mantissa_of_the_largest_double_in_power_of_two_bases():
+    # log2 of the largest double rounds up to 1024, so base**e overflows a
+    # double and the scaling goes through the staged path
+    top = sys.float_info.max  # (2 - 2**-52) * 2**1023
+    for base in (2, 4, 16, 256):
+        want = base * (1.0 - 2.0**-53)
+        assert mantissa(top, base) == want, base
+        assert batch_mantissas(np.array([top, 1.0]), base)[0] == want, base
+
+
 def test_mantissa_shift_error_within_ulps():
     rng = make_rng(SEED, stream=401)
     ms = 1.0 + 9.0 * rng.random(300)
@@ -290,6 +304,11 @@ def test_batch_mantissas_other_base_and_empty():
     x = np.array([5.0, 20.0, 0.75])
     assert np.array_equal(batch_mantissas(x, base=2), np.array([1.25, 1.25, 1.5]))
     assert batch_mantissas(np.array([])).size == 0
+    # any shape, a 0-d array included, comes back in that shape
+    assert batch_mantissas(np.float64(250.0)).shape == ()
+    assert batch_mantissas(250.0) == 2.5
+    grid = batch_mantissas(np.array([[5.0, 1e-320], [0.03, 7.0]]))
+    assert np.array_equal(grid, [[5.0, mantissa(1e-320)], [3.0, 7.0]])
     with pytest.raises(ValueError):
         batch_mantissas(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
@@ -297,3 +316,20 @@ def test_batch_mantissas_other_base_and_empty():
     for bad_base in (2.5, 1, True):
         with pytest.raises(ValueError, match="base must be an integer >= 2"):
             batch_mantissas(np.array([5.0, 20.0]), base=bad_base)
+
+
+positive_doubles = st.lists(
+    st.floats(min_value=5e-324, max_value=sys.float_info.max, allow_subnormal=True), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=positive_doubles, b=positive_doubles, base=st.integers(2, 1000))
+def test_batch_mantissas_do_not_depend_on_batch_neighbours(a, b, base):
+    # the scale table spans the largest exponent in the batch; no lane's
+    # result may depend on which other values share its batch
+    x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+    whole = batch_mantissas(np.concatenate([x, y]), base)
+    parts = np.concatenate([batch_mantissas(x, base), batch_mantissas(y, base)])
+    assert whole.tobytes() == parts.tobytes()
+    assert np.all((whole >= 1.0) & (whole < base))

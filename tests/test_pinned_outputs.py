@@ -1,16 +1,20 @@
-"""Bitwise regression guard for the analytic outputs and CLI stdout.
+"""Bitwise regression guard for the analytic and empirical outputs and CLI output.
 
-Every expected value below was taken from the implementation before the
+The analytic values below were taken from the implementation before the
 spectrum was shared across consumers; any later rewrite of the analytic
 core must reproduce them bit for bit (float.hex for scalars, sha256 over
 float.hex for sequences, sha256 over the exact stdout bytes for the CLI).
+The empirical values further down are frozen the same way.
 """
 
 import hashlib
 import io
 import json
 import math
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from benford_chains import cli
@@ -22,6 +26,7 @@ from benford_chains.chains import (
     first_digit_probabilities,
     fold_probability,
 )
+from benford_chains.montecarlo import BLOCK_SIZE, batch_mantissas, product_batch, sample_batch
 
 # name -> (base, [(family, power), ...])
 CHAINS = {
@@ -225,3 +230,108 @@ def test_digit_table_equals_fold_on_each_digit_bitwise(name, L):
     for d, p in enumerate(probs, start=1):
         iv = FoldInterval(math.log(d) / log_base, math.log(d + 1) / log_base)
         assert p == fold_probability(ch, iv, L)[0], d
+
+
+# ------------------------------------------------------------ empirical path
+#
+# Frozen from the implementation that still had scalar samplers and a
+# per-exponent mask loop in batch_mantissas; the single block-kernel and
+# mantissa-kernel implementations must reproduce every bit.
+
+MANTISSA_BASES = (2, 3, 10, 16, 1000)
+
+# base -> sha256 of the little-endian mantissa bytes of mantissa_sweep(base)
+MANTISSA_PINNED = {
+    2: "a015b329a4d8b2cb4c368ebb4221c9fb14c69280c0550e9b2e3b19171b894438",
+    3: "8d3ff3f7028166d7b5d3c88df6f01d3c24a776b8f2803651850fd316614c08e3",
+    10: "c7869cc81960138a5f468ea3769b9b69e4fc403458f50605f65493f81ae560c9",
+    16: "91381c83bddb55d7c7e874031625682f34721270bd725137f671414ef28e633c",
+    1000: "4d509c37eb60c0d2e163b232b6f6992d14993c203da3021fdad0a869ea76b6a9",
+}
+
+# name -> (base, [(family, power), ...]) for the sampling pins
+SAMPLING_CHAINS = {
+    "mixed": (10, [("exponential", 1), ("uniform", -2), ("half_gaussian", 3)]),
+    "benford16": (16, [("half_gaussian", 1), ("benford", -1), ("exponential", 2)]),
+    "uniform_199": (10, [("uniform", 1), ("uniform", 9), ("uniform", 9)]),
+}
+
+# (chain, sampler) -> (sha256 of the values' bytes, count, failures) at
+# count BLOCK_SIZE + 4321, seed 20260814, stream 3
+SAMPLING_PINNED = {
+    ("benford16", "sample_batch"): ("0d1a2b2d64c8eea0e95eb3a36c610cc56b46fb865d17e611ee37399efc6d594d", 69857, 0),
+    ("benford16", "product_batch"): ("46eca701e5db223b76ab3e388aa7ca876f04df6260b7d2ba866adcbee1a4dc71", 69857, 0),
+    ("mixed", "sample_batch"): ("e9ccbeb9f9ec0e39e8efbef4502229358d56e5c60bf2b3a1df2e8925158aca94", 69857, 0),
+    ("mixed", "product_batch"): ("8535afe8e635a2e3f2892091f03bf547350324752970d788a1894b268c78b9dc", 69857, 0),
+    ("uniform_199", "sample_batch"): ("a693d82eaaaf11eed7eef92eb4824c8cd29285a68a26063c3dd20651614b59d8", 69840, 17),
+    ("uniform_199", "product_batch"): ("97b7525c0726e22fd1e825a3dfd635ce29bfb7445a7ee6d40df84821756c9252", 69840, 17),
+}
+
+# chain -> (sha256 of the simulate CSV, of simulate stdout, of audit stdout)
+SIMULATE_PINNED = {
+    "mixed_negative": (
+        "c32a8d2526ed52d5f50cb64789087fe18b25528d0c4df66bcbc92f22ff5fa738",
+        "2a0bf0c16f09fb538a55624bbc43d565480970d48888ba9d1f5354a226f93c52",
+        "9c233872e0d38d08d073fecf4cf31b5f8386bb99fc1b0d056ed5547a596b2eb6",
+    ),
+    "uniform_pair": (
+        "15992a1a725a46e77f2f7b4c15e5217a0bcc5ea550cfe01c9c09a46716257b8a",
+        "2a0bf0c16f09fb538a55624bbc43d565480970d48888ba9d1f5354a226f93c52",
+        "f9ddd4ea042ebbf4d8d85acd077009da6136194ff52456e349fd390311f896ea",
+    ),
+}
+
+
+def sha(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+def mantissa_sweep(base):
+    """200k positive finite doubles drawn from their bit patterns (subnormals
+    included), then the doubles nearest base**k for every k they reach."""
+    rng = np.random.default_rng(20260814)
+    bits = rng.integers(1, 0x7FF0000000000000, size=200_000, dtype=np.int64)
+    powers, k = [], 0
+    while base**k <= sys.float_info.max:
+        powers.append(float(base**k))
+        k += 1
+    k = 1
+    while float(Fraction(1, base**k)) > 0.0:
+        powers.append(float(Fraction(1, base**k)))
+        k += 1
+    return np.concatenate([bits.view(np.float64), np.array(powers)])
+
+
+@pytest.mark.parametrize("base", MANTISSA_BASES)
+def test_batch_mantissas_are_bitwise_pinned(base):
+    assert sha(batch_mantissas(mantissa_sweep(base), base)) == MANTISSA_PINNED[base]
+
+
+@pytest.mark.parametrize("sampler", ["sample_batch", "product_batch"])
+@pytest.mark.parametrize("name", sorted(SAMPLING_CHAINS))
+def test_batches_are_bitwise_pinned(name, sampler):
+    base, links = SAMPLING_CHAINS[name]
+    ch = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+    draw = {"sample_batch": sample_batch, "product_batch": product_batch}[sampler]
+    got = draw(ch, BLOCK_SIZE + 4321, 20260814, stream=3)
+    assert (sha(got.values), got.count, got.failures) == SAMPLING_PINNED[name, sampler]
+
+
+@pytest.mark.parametrize("name", ["mixed_negative", "uniform_pair"])
+def test_simulate_and_audit_are_bytewise_pinned(tmp_path, monkeypatch, name):
+    base, links = CHAINS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(
+        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
+    )
+    sim, audit = io.StringIO(), io.StringIO()
+    argv = ["simulate", "--chain", "chain.json", "--samples", "5000", "--seed", "7", "--out", "draws.csv"]
+    assert cli.main(argv, out=sim) == 0
+    argv = ["audit", "--input", "draws.csv", "--column", "value", "--base", str(base)]
+    assert cli.main(argv, out=audit) == 0
+    got = (
+        hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(sim.getvalue().encode()).hexdigest(),
+        hashlib.sha256(audit.getvalue().encode()).hexdigest(),
+    )
+    assert got == SIMULATE_PINNED[name]
