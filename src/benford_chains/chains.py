@@ -384,7 +384,8 @@ def uniform_chain_density(n: int, k: float, x: float) -> float:
     x = float(x)
     if not 0.0 < x <= k:
         raise ValueError(f"x must lie in (0, k], got {x}")
-    return math.log(k / x) ** (n - 1) / (k * gamma_real(n))
+    gamma_n = gamma_real(n)  # checks n before the power can overflow
+    return math.log(k / x) ** (n - 1) / (k * gamma_n)
 
 
 def uniform_chain_cdf_terms(n: int, k: float, s: float) -> tuple[float, float]:
@@ -398,7 +399,8 @@ def uniform_chain_cdf_terms(n: int, k: float, s: float) -> tuple[float, float]:
         raise ValueError(f"k must lie in [1, 10), got {k}")
     if not 1.0 <= s < 10.0:
         raise ValueError(f"s must lie in [1, 10), got {s}")
-    head = (k / s) * math.log(k) ** (n - 1) / gamma_real(n)
+    gamma_n = gamma_real(n)  # checks n before the power can overflow
+    head = (k / s) * math.log(k) ** (n - 1) / gamma_n
     spectral = (2.9**-n + zeta_minus_one(n) * 2.7**-n) * 2.0 * math.log10(s)
     return head, spectral
 

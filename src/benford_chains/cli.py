@@ -38,12 +38,20 @@ from .montecarlo import RNG_ALGORITHM, batch_mantissas, sample_batch
 
 __all__ = ["main"]
 
-# Input limits, checked before anything is allocated.  simulate holds about
-# 32 bytes per draw (values, block copies, mantissas, digits), so 10**8
-# draws need about 3.2 GB; digit_stats builds the audit grid in a Python
-# list.
-_MAX_SAMPLES = 10**8
-_MAX_GRID = 10**6
+# Integer flag limits (lo, hi) by argparse dest, checked in main before any
+# file is read.  The library checks the rest (--grid >= 2, --n, --base,
+# --seed).  simulate holds about 32 bytes per draw (values, block copies,
+# mantissas, digits), so 10**8 draws need about 3.2 GB; digit_stats builds
+# the audit grid in a Python list; a density row costs about 3 us and 40
+# bytes; --lmax 65536 on a 3-link base-16 chain takes up to about 2.2 s
+# and 91 MiB.
+_LIMITS = {
+    "lmax": (1, 65536),
+    "points": (2, 10**6),
+    "samples": (1, 10**8),
+    "col_index": (0, math.inf),
+    "grid": (-math.inf, 10**6),
+}
 
 
 def _fmt(x: float) -> str:
@@ -77,6 +85,11 @@ def _to_json(obj) -> str:
 
 def _print_json(obj, out) -> None:
     out.write(_to_json(obj) + "\n")
+
+
+def _config(args) -> dict:
+    """Every parsed flag (command first, parser order), plus the RNG id."""
+    return {**vars(args), "rng": RNG_ALGORITHM}
 
 
 def _csv_header(config: dict, columns: str, out) -> None:
@@ -151,7 +164,7 @@ def _cmd_bound(args, out) -> int:
             "truncation_L": result.truncation_L,
             "tail": result.tail,
             "per_term": [[ell, m] for ell, m in result.per_term],
-            "config": _config(args, chain=args.chain, a=args.a, b=args.b, lmax=args.lmax),
+            "config": _config(args),
         },
         out,
     )
@@ -166,7 +179,7 @@ def _cmd_bound_exp(args, out) -> int:
             "envelope": 0.057**args.n,
             "n": args.n,
             "base": args.base,
-            "config": _config(args, n=args.n, base=args.base),
+            "config": _config(args),
         },
         out,
     )
@@ -183,7 +196,7 @@ def _cmd_bound_uniform(args, out) -> int:
             "n": args.n,
             "k": args.k,
             "s": args.s,
-            "config": _config(args, n=args.n, k=args.k, s=args.s),
+            "config": _config(args),
         },
         out,
     )
@@ -197,7 +210,7 @@ def _cmd_fold(args, out) -> int:
         {
             "probability": prob,
             "truncation_error": err,
-            "config": _config(args, chain=args.chain, a=args.a, b=args.b, lmax=args.lmax),
+            "config": _config(args),
         },
         out,
     )
@@ -207,11 +220,7 @@ def _cmd_fold(args, out) -> int:
 def _cmd_digits(args, out) -> int:
     chain = load_chain(args.chain)
     probs = first_digit_probabilities(chain, args.lmax)
-    _csv_header(
-        _config(args, chain=args.chain, lmax=args.lmax),
-        "d,probability,benford,delta",
-        out,
-    )
+    _csv_header(_config(args), "d,probability,benford,delta", out)
     for d, p in enumerate(probs, start=1):
         bp = benford_digit_prob(d, chain.base)
         out.write(f"{d},{_fmt(p)},{_fmt(bp)},{_fmt(p - bp)}\n")
@@ -219,13 +228,7 @@ def _cmd_digits(args, out) -> int:
 
 
 def _cmd_density_uniform(args, out) -> int:
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
-    _csv_header(
-        _config(args, n=args.n, k=args.k, points=args.points),
-        "x,f",
-        out,
-    )
+    _csv_header(_config(args), "x,f", out)
     # Geometric grid over three decades up to k, endpoint included.
     p = args.points
     for j in range(1, p + 1):
@@ -236,21 +239,19 @@ def _cmd_density_uniform(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.samples > _MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
     chain = load_chain(args.chain)
     batch = sample_batch(chain, args.samples, args.seed)
     mants = batch_mantissas(batch.values, chain.base)
     digits = mants.astype(int)
-    config = _config(
-        args, chain=args.chain, samples=args.samples, seed=args.seed, out=args.out
-    )
+    config = _config(args)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         _csv_header(config, "index,value,mantissa,first_digit", fh)
-        for i in range(batch.count):
-            fh.write(f"{i},{_fmt(batch.values[i])},{_fmt(mants[i])},{digits[i]}\n")
+        # tolist() hands out Python numbers faster than indexing the arrays
+        # per row; chunks keep those lists from raising the peak memory.
+        for lo in range(0, batch.count, 4096):
+            cols = (a[lo : lo + 4096].tolist() for a in (batch.values, mants, digits))
+            for i, (value, mant, digit) in enumerate(zip(*cols), lo):
+                fh.write(f"{i},{_fmt(value)},{_fmt(mant)},{digit}\n")
     _print_json(
         {
             "requested": args.samples,
@@ -269,27 +270,21 @@ def _read_csv_column(path: str, column: str | None, col_index: int | None, heade
     """One numeric column from a CSV file; unparsable cells become NaN.
 
     Lines starting with '#' (our own config echo) and blank lines are
-    skipped before CSV parsing.
+    skipped before CSV parsing.  A column name needs header=True.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(
             line for line in fh if line.strip() and not line.lstrip().startswith("#")
         )
-        idx = 0
+        idx = col_index or 0
+        head = next(rows, None) if header else None
         if column is not None:
-            try:
-                head = next(rows)
-            except StopIteration:
-                raise ValueError(f"{path}: empty input") from None
+            if head is None:
+                raise ValueError(f"{path}: empty input")
             names = [c.strip() for c in head]
             if column not in names:
                 raise ValueError(f"{path}: no column named {column!r} in {names}")
             idx = names.index(column)
-        else:
-            if col_index is not None:
-                idx = col_index
-            if header:
-                next(rows, None)
         values = []
         for row in rows:
             try:
@@ -302,24 +297,12 @@ def _read_csv_column(path: str, column: str | None, col_index: int | None, heade
 
 
 def _cmd_audit(args, out) -> int:
-    if args.col_index is not None and args.col_index < 0:
-        raise ValueError(f"--col-index must be >= 0, got {args.col_index}")
-    if args.grid > _MAX_GRID:
-        raise ValueError(f"--grid must be at most {_MAX_GRID}, got {args.grid}")
+    args.header = args.header or args.column is not None
     values = _read_csv_column(args.input, args.column, args.col_index, args.header)
     report = audit_dataset(values, args.base, args.bound, args.grid)
     _print_json(
         {
-            "config": _config(
-                args,
-                input=args.input,
-                column=args.column,
-                col_index=args.col_index,
-                header=bool(args.header or args.column is not None),
-                base=args.base,
-                bound=args.bound,
-                grid=args.grid,
-            ),
+            "config": _config(args),
             "report": report.to_json_dict(),
         },
         out,
@@ -327,11 +310,16 @@ def _cmd_audit(args, out) -> int:
     return 0
 
 
-def _config(args, **flags) -> dict:
-    cfg = {"command": args.command}
-    cfg.update(flags)
-    cfg["rng"] = RNG_ALGORITHM
-    return cfg
+def _check_limits(args) -> None:
+    for dest, (lo, hi) in _LIMITS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if value < lo:
+            raise ValueError(f"{flag} must be >= {lo}, got {value}")
+        if value > hi:
+            raise ValueError(f"{flag} must be at most {hi}, got {value}")
 
 
 _DISPATCH = {
@@ -356,6 +344,7 @@ def main(argv=None, out=None) -> int:
     if out is None:
         out = sys.stdout
     try:
+        _check_limits(args)
         return _DISPATCH[args.command](args, out)
     except (NonConvergenceError, SpectrumCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,7 +64,13 @@ def zeta_minus_one(n: int) -> float:
 
 
 def gamma_real(n: int) -> float:
-    """Gamma(n) = (n-1)! for integer n >= 1, exact up to the double range."""
+    """Gamma(n) = (n-1)! for integer n >= 1, exact up to the double range.
+
+    Gamma(171) = 170! is the last factorial below the largest double, so
+    n > 171 raises ValueError before any factorial is built.
+    """
     if n < 1:
         raise ValueError(f"gamma_real requires n >= 1, got {n}")
+    if n > 171:
+        raise ValueError(f"gamma_real requires n <= 171 (Gamma(n) overflows a double), got {n}")
     return float(math.factorial(n - 1))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output formats, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import math
@@ -31,6 +32,16 @@ def run_json(argv):
     code, text = run(argv)
     assert code == 0, text
     return json.loads(text)
+
+
+def subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def csv_config_keys(text):
+    return [ln[2:].split("=", 1)[0] for ln in text.splitlines() if ln.startswith("# ")]
 
 
 def csv_rows(text):
@@ -84,14 +95,30 @@ def test_bound_rejects_bad_chain(tmp_path, capsys):
 
     code, _ = run(["bound", "--chain", str(tmp_path / "missing.json")])
     assert code == 2
+    capsys.readouterr()
+
+    # --lmax is checked before the chain file is read
+    for command in ("bound", "fold", "digits"):
+        for lmax, message in (("0", "--lmax must be >= 1, got 0"),
+                              ("65537", "--lmax must be at most 65536, got 65537")):
+            code, text = run([command, "--chain", str(tmp_path / "missing.json"), "--lmax", lmax])
+            assert (code, text) == (2, "")
+            assert message in capsys.readouterr().err
 
 
-def test_bound_uniform_json():
+def test_bound_uniform_json(capsys):
     doc = run_json(["bound-uniform", "--n", "10", "--k", "5", "--s", "2"])
     assert doc["value"] == pytest.approx(0.00051350577808389031, rel=1e-12)
     assert doc["value"] == doc["head_term"] + doc["spectral_term"]
     code, _ = run(["bound-uniform", "--n", "10", "--k", "11", "--s", "2"])
     assert code == 2
+    capsys.readouterr()
+
+    # (n-1)! leaves the double range at n = 172; a huge n must not build it
+    for n in ("172", "200", str(10**9)):
+        code, text = run(["bound-uniform", "--n", n, "--k", "5", "--s", "2"])
+        assert (code, text) == (2, "")
+        assert "n <= 171" in capsys.readouterr().err
 
 
 def test_fold_full_interval_is_exact(tmp_path):
@@ -127,7 +154,7 @@ def test_digits_csv(tmp_path):
         assert float(r[3]) == float(r[1]) - float(r[2])
 
 
-def test_density_uniform_csv():
+def test_density_uniform_csv(capsys):
     code, text = run(["density-uniform", "--n", "4", "--k", "5", "--points", "40"])
     assert code == 0
     header, rows = csv_rows(text)
@@ -141,6 +168,16 @@ def test_density_uniform_csv():
 
     code, _ = run(["density-uniform", "--n", "4", "--k", "5", "--points", "1"])
     assert code == 2
+    assert "--points must be >= 2, got 1" in capsys.readouterr().err
+
+    code, text = run(["density-uniform", "--n", "4", "--k", "5", "--points", str(10**6 + 1)])
+    assert (code, text) == (2, "")
+    assert "--points must be at most 1000000, got 1000001" in capsys.readouterr().err
+
+    for n in ("172", "200"):
+        code, _ = run(["density-uniform", "--n", n, "--k", "5", "--points", "2"])
+        assert code == 2
+        assert "n <= 171" in capsys.readouterr().err
 
 
 def test_simulate_writes_csv_and_stats(tmp_path):
@@ -259,6 +296,49 @@ def test_audit_input_errors(tmp_path, capsys):
     code, _ = run(["audit", "--input", str(data), "--col-index", "0", "--grid", str(10**6 + 1)])
     assert code == 2
     assert "--grid must be at most 1000000" in capsys.readouterr().err
+
+
+def test_config_echo_is_every_parsed_flag_in_parser_order(tmp_path):
+    spec = tmp_path / "exp2.json"
+    spec.write_text(EXP2)
+    data = tmp_path / "vals.csv"
+    data.write_text("reading\n1.5\n2.5\n950\n")
+    draws = tmp_path / "draws.csv"
+    argvs = {
+        "bound": ["--chain", spec],
+        "bound-exp": ["--n", "3"],
+        "bound-uniform": ["--n", "10", "--k", "5", "--s", "2"],
+        "fold": ["--chain", spec],
+        "digits": ["--chain", spec],
+        "density-uniform": ["--n", "4", "--k", "5", "--points", "5"],
+        "simulate": ["--chain", spec, "--samples", "10", "--seed", "1", "--out", draws],
+        "audit": ["--input", data, "--column", "reading"],
+    }
+    subs = subparsers()
+    assert set(argvs) == set(subs)
+    for command, flags in argvs.items():
+        expected = ["command"] + [a.dest for a in subs[command]._actions if a.dest != "help"] + ["rng"]
+        code, text = run([command, *map(str, flags)])
+        assert code == 0, command
+        if text.startswith("#"):
+            assert csv_config_keys(text) == expected, command
+        else:
+            assert list(json.loads(text)["config"]) == expected, command
+        if command == "simulate":
+            assert csv_config_keys(draws.read_text()) == expected
+
+
+def test_every_integer_flag_has_a_range_or_a_library_check():
+    library_checked = {"n", "base", "seed"}
+    int_dests = set()
+    for command, sub in subparsers().items():
+        for action in sub._actions:
+            if action.type is int:
+                int_dests.add(action.dest)
+                assert action.dest in cli._LIMITS or action.dest in library_checked, (
+                    f"{command} {action.option_strings[0]} has no range"
+                )
+    assert set(cli._LIMITS) <= int_dests
 
 
 def test_argparse_failures_return_two():

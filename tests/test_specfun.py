@@ -103,5 +103,9 @@ def test_gamma_real_factorials():
     assert gamma_real(2) == 1.0
     assert gamma_real(5) == 24.0
     assert gamma_real(11) == 3628800.0
+    assert gamma_real(171) == float(math.factorial(170))
     with pytest.raises(ValueError):
         gamma_real(0)
+    # 171! overflows a double: a named error, not OverflowError
+    with pytest.raises(ValueError, match="n <= 171"):
+        gamma_real(172)
