@@ -2,9 +2,10 @@
 
 Works on simulator batches and on external datasets alike.  The decision
 rule is a one-sample KS-style comparison of the empirical mantissa CDF
-against log_B s on a geometric grid, at the asymptotic alpha = 0.01
-critical value 1.63/sqrt(N); chi-square over first digits is reported
-for context but never drives the decision.
+against log_B s on a geometric grid, at the alpha = 0.01 critical value
+1.63/sqrt(N), a level that holds at every N (see KS_ONE_SAMPLE_COEFF);
+chi-square over first digits is reported for context but never drives
+the decision.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ __all__ = [
     "KS_TWO_SAMPLE_COEFF",
 ]
 
-# Asymptotic alpha = 0.01 coefficients; all intended uses have N >= 1e4.
+# alpha = 0.01 coefficients c of the rule sup|F_N - F| > c/sqrt(N).  The
+# one-sample level holds at every N, not only asymptotically: Massart (Ann.
+# Probab. 18, 1990) gives P(sup|F_N - F| > eps) <= 2 exp(-2 N eps^2) for all
+# N, so eps = sqrt(ln(200)/2)/sqrt(N) = 1.6276/sqrt(N) has level 0.01, 1.63
+# lies above it, and a sup over grid points is at most the full sup.
 KS_ONE_SAMPLE_COEFF = 1.63
+# Asymptotic two-sample value; all intended uses have N >= 1e4.
 KS_TWO_SAMPLE_COEFF = 1.628
 
 DEFAULT_GRID_SIZE = 1000

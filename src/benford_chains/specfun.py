@@ -11,14 +11,19 @@ from __future__ import annotations
 import cmath
 import math
 
-import scipy.special as _sp
-
 __all__ = [
     "complex_gamma",
     "gamma_abs_on_line",
     "zeta_minus_one",
     "gamma_real",
 ]
+
+# scipy.special ufuncs, bound on the first call that needs one: the import
+# is most of a cold start, and the commands that evaluate no Mellin value
+# never pay it.  A cached global keeps the per-call cost of the import-time
+# binding; an import statement run on every call would not.
+_loggamma = None
+_zeta = None
 
 
 def complex_gamma(z: complex) -> complex:
@@ -28,10 +33,13 @@ def complex_gamma(z: complex) -> complex:
     half-plane and underflows gracefully to 0 when |Im z| is large enough
     that |Gamma(z)| drops below the double range.
     """
+    global _loggamma
     z = complex(z)
     if not (z.real > 0.0):
         raise ValueError(f"complex_gamma requires Re(z) > 0, got {z!r}")
-    return cmath.exp(complex(_sp.loggamma(z)))
+    if _loggamma is None:
+        from scipy.special import loggamma as _loggamma
+    return cmath.exp(complex(_loggamma(z)))
 
 
 def gamma_abs_on_line(x: float) -> float:
@@ -58,9 +66,12 @@ def zeta_minus_one(n: int) -> float:
     tail sum directly and avoids both cancellation and the slowly
     converging head of the raw series.
     """
+    global _zeta
     if n < 2:
         raise ValueError(f"zeta_minus_one requires n >= 2, got {n}")
-    return float(_sp.zeta(n, 2))
+    if _zeta is None:
+        from scipy.special import zeta as _zeta
+    return float(_zeta(n, 2))
 
 
 def gamma_real(n: int) -> float:

@@ -179,6 +179,12 @@ def test_density_uniform_csv(capsys):
         assert code == 2
         assert "n <= 171" in capsys.readouterr().err
 
+    # --n and --k are checked before the config echo and the header are written
+    for n, k, message in (("0", "5", "n >= 1, got 0"), ("4", "0.5", "k must be >= 1, got 0.5")):
+        code, text = run(["density-uniform", "--n", n, "--k", k, "--points", "2"])
+        assert (code, text) == (2, "")
+        assert message in capsys.readouterr().err
+
 
 def test_simulate_writes_csv_and_stats(tmp_path):
     spec = tmp_path / "exp2.json"

@@ -11,12 +11,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import benford_chains
 from benford_chains import cli
 from benford_chains.chains import (
     ChainLink,
@@ -335,3 +339,50 @@ def test_simulate_and_audit_are_bytewise_pinned(tmp_path, monkeypatch, name):
         hashlib.sha256(audit.getvalue().encode()).hexdigest(),
     )
     assert got == SIMULATE_PINNED[name]
+
+
+COLD_PATH_CHILD = """
+import hashlib, io, json, sys
+from benford_chains.cli import main
+
+def run(*argv):
+    buf = io.StringIO()
+    assert main(list(argv), out=buf) == 0, argv
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return [hashlib.sha256(buf.getvalue().encode()).hexdigest(), scipy]
+
+print(json.dumps({
+    "import": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "bound-exp": run("bound-exp", "--n", "3"),
+    "density-uniform": run("density-uniform", "--n", "4", "--k", "5"),
+    "simulate": run("simulate", "--chain", "chain.json", "--samples", "5000", "--seed", "7",
+                    "--out", "draws.csv"),
+    "audit": run("audit", "--input", "draws.csv", "--column", "value", "--base", sys.argv[1]),
+    "digits": run("digits", "--chain", "chain.json", "--lmax", "64"),
+}))
+"""
+
+
+def test_scipy_stays_out_of_the_cold_path(tmp_path):
+    # Commands that evaluate no Mellin value never import scipy; the first
+    # one that does (digits) loads scipy.special and gives the pinned bytes.
+    name = "mixed_negative"
+    base, links = CHAINS[name]
+    (tmp_path / "chain.json").write_text(
+        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
+    )
+    src = str(Path(benford_chains.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH_CHILD, str(base)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["import"] == []
+    for command in ("bound-exp", "density-uniform", "simulate", "audit"):
+        assert got[command][1] == [], command
+    assert got["simulate"][0] == SIMULATE_PINNED[name][1]
+    assert got["audit"][0] == SIMULATE_PINNED[name][2]
+    assert hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest() == SIMULATE_PINNED[name][0]
+    digits, scipy = got["digits"]
+    assert digits == CLI_PINNED[name, "digits", 64]
+    assert "scipy.special" in scipy

@@ -1,9 +1,14 @@
 """Gamma and zeta helper checks against frozen high-precision values."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import benford_chains
 from benford_chains.specfun import (
     complex_gamma,
     gamma_abs_on_line,
@@ -42,6 +47,27 @@ def test_complex_gamma_rejects_left_half_plane():
         complex_gamma(0.0)
     with pytest.raises(ValueError):
         complex_gamma(complex(-1.0, 2.0))
+
+
+def test_first_calls_in_a_fresh_interpreter_bind_scipy_and_match_frozen_bits():
+    # scipy.special is bound on the first call that needs it, and that first
+    # call already gives the frozen bits.
+    src = str(Path(benford_chains.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "from benford_chains.specfun import complex_gamma, zeta_minus_one\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "g = complex_gamma(1 + 2j)\n"
+        "print(g.real.hex(), g.imag.hex(), zeta_minus_one(3).hex())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # Gamma(1 + 2i) = 0.15190400267003614 + 0.01980488016185498i, zeta(3) - 1
+    assert proc.stdout.split() == [
+        "0x1.3719721ccb5efp-3", "0x1.447bb0262adddp-6", "0x1.9dd002780310ap-3",
+    ]
 
 
 def test_gamma_abs_on_line_frozen_values():
