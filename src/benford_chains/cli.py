@@ -37,17 +37,19 @@ from .chains import (
 )
 from .conformance import audit_dataset, benford_digit_prob
 from .families import NonConvergenceError
-from .montecarlo import RNG_ALGORITHM, batch_mantissas, sample_batch
+from .montecarlo import RNG_ALGORITHM, _blocks, batch_mantissas
 
 __all__ = ["main"]
 
 # Integer flag limits (lo, hi) by argparse dest, checked in main before any
-# file is read.  The library checks the rest (--grid >= 2, --n, --base,
-# --seed).  simulate holds about 32 bytes per draw (values, block copies,
-# mantissas, digits), so 10**8 draws need about 3.2 GB; digit_stats builds
-# the audit grid in a Python list; a density row costs about 3 us and 40
+# file is read.  The library checks the rest (--grid >= 2, --n, --seed).
+# simulate holds one block at a time, so --samples is capped by time and
+# disk: about 49 bytes of CSV and 2.6 us per row, so 10**8 draws write
+# about 5 GB in about 4.5 minutes.  digit_stats builds the audit grid in a
+# Python list, and an audit report lists base - 1 digits (--base 10**6
+# takes about 7 s and 233 MiB); a density row costs about 3 us and 40
 # bytes; --lmax 65536 on a 3-link base-16 chain takes up to about 1 s and
-# 67 MiB (bound, as a subprocess on a 2-CPU Xeon VM).  The library caps the
+# 67 MiB (each a subprocess on a 2-CPU Xeon VM).  The library caps the
 # cost of a digit table (chains._DIGIT_TABLE_MAX_COST).
 _LIMITS = {
     "lmax": (1, 65536),
@@ -55,7 +57,11 @@ _LIMITS = {
     "samples": (1, 10**8),
     "col_index": (0, math.inf),
     "grid": (-math.inf, 10**6),
+    "base": (2, 10**6),
 }
+
+# Rows formatted per write in simulate.
+_CHUNK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -244,26 +250,44 @@ def _cmd_density_uniform(args, out) -> int:
     return 0
 
 
+def _format_rows(first: int, values, mants, digits) -> str:
+    """simulate CSV rows numbered from first, one per element of the arrays.
+
+    One % template for all rows; tolist() hands out Python numbers faster
+    than indexing the arrays.  Every value is finite and positive (failed
+    lanes are dropped, mantissas lie in [1, base)), where %.17g gives the
+    same bytes as _fmt.
+    """
+    n = len(values)
+    flat = [None] * (4 * n)
+    flat[0::4] = range(first, first + n)
+    flat[1::4] = values.tolist()
+    flat[2::4] = mants.tolist()
+    flat[3::4] = digits.tolist()
+    return "%d,%.17g,%.17g,%d\n" * n % tuple(flat)
+
+
 def _cmd_simulate(args, out) -> int:
     chain = load_chain(args.chain)
-    batch = sample_batch(chain, args.samples, args.seed)
-    mants = batch_mantissas(batch.values, chain.base)
-    digits = mants.astype(int)
+    blocks = _blocks(chain, args.samples, args.seed)
     config = _config(args)
+    count = failures = 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         _csv_header(config, "index,value,mantissa,first_digit", fh)
-        # tolist() hands out Python numbers faster than indexing the arrays
-        # per row; chunks keep those lists from raising the peak memory.
-        for lo in range(0, batch.count, 4096):
-            cols = (a[lo : lo + 4096].tolist() for a in (batch.values, mants, digits))
-            for i, (value, mant, digit) in enumerate(zip(*cols), lo):
-                fh.write(f"{i},{_fmt(value)},{_fmt(mant)},{digit}\n")
+        for values, failed in blocks:
+            mants = batch_mantissas(values, chain.base)
+            digits = mants.astype(int)
+            for lo in range(0, len(values), _CHUNK):
+                hi = lo + _CHUNK
+                fh.write(_format_rows(count + lo, values[lo:hi], mants[lo:hi], digits[lo:hi]))
+            count += len(values)
+            failures += failed
     _print_json(
         {
             "requested": args.samples,
-            "count": batch.count,
-            "failures": batch.failures,
-            "failure_rate": batch.failures / args.samples,
+            "count": count,
+            "failures": failures,
+            "failure_rate": failures / args.samples,
             "out": args.out,
             "config": config,
         },

@@ -9,6 +9,9 @@ SeedSequence(entropy=seed, spawn_key=(stream, block)) over Philox4x64.
 Any scheduler that assigns whole blocks to workers reproduces the same
 values in the same positions.  The two block kernels (chain walk and
 product form) are the only samplers; a single draw is a batch of one.
+One block loop serves both whole batches, which concatenate its blocks,
+and the CLI's simulate, which writes each block as it is drawn and so
+holds one block at a time.
 
 Scales that leave [1e-300, 1e300] while walking a chain mark their lane
 as failed; failed lanes are dropped and counted rather than silently
@@ -85,24 +88,6 @@ def make_rng(seed: int, stream: int = 0, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _batch(chain: ChainSpec, count: int, seed: int, stream: int, kernel) -> SampleBatch:
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    key = RngSeed(seed, stream)
-    kept = []
-    failures = 0
-    for block, off in enumerate(range(0, count, BLOCK_SIZE)):
-        lanes = min(BLOCK_SIZE, count - off)
-        rng = make_rng(seed, stream, block)
-        values, bad = kernel(chain, rng, lanes)
-        failures += int(bad.sum())
-        kept.append(values[~bad])
-    values = np.concatenate(kept)
-    return SampleBatch(
-        chain=chain, seed=key, values=values, count=len(values), failures=failures
-    )
-
-
 def _chain_kernel(chain: ChainSpec, rng, lanes: int):
     families = chain.families()
     bad = np.zeros(lanes, dtype=bool)
@@ -127,6 +112,37 @@ def _product_kernel(chain: ChainSpec, rng, lanes: int):
             out = out * draws ** float(r)
         bad |= ~np.isfinite(out) | (out < _SCALE_MIN) | (out > _SCALE_MAX)
     return out, bad
+
+
+def _blocks(chain: ChainSpec, count: int, seed: int, stream: int = 0, kernel=_chain_kernel):
+    """(kept draws, failed lanes) of each block in order, drawn lazily.
+
+    The arguments are checked on the call, before any block is drawn, so a
+    caller fails before it opens its output.
+    """
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    RngSeed(seed, stream)
+
+    def draw():
+        for block, off in enumerate(range(0, count, BLOCK_SIZE)):
+            rng = make_rng(seed, stream, block)
+            values, bad = kernel(chain, rng, min(BLOCK_SIZE, count - off))
+            yield values[~bad], int(bad.sum())
+
+    return draw()
+
+
+def _batch(chain: ChainSpec, count: int, seed: int, stream: int, kernel) -> SampleBatch:
+    kept, failures = zip(*_blocks(chain, count, seed, stream, kernel))
+    values = np.concatenate(kept)
+    return SampleBatch(
+        chain=chain,
+        seed=RngSeed(seed, stream),
+        values=values,
+        count=len(values),
+        failures=sum(failures),
+    )
 
 
 def sample_batch(chain: ChainSpec, count: int, seed: int, stream: int = 0) -> SampleBatch:

@@ -6,14 +6,17 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from benford_chains import cli
 from benford_chains.chains import SpectrumCheckError, exponential_chain_bound, uniform_chain_density
 from benford_chains.families import NonConvergenceError, Uniform
-from benford_chains.montecarlo import RNG_ALGORITHM
+from benford_chains.montecarlo import BLOCK_SIZE, RNG_ALGORITHM
 
 SEED = 20260814
 
@@ -239,7 +242,60 @@ def test_simulate_validates_flags(tmp_path, capsys):
     assert code == 2
     assert "--samples must be at most 100000000" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+    # the chain and the seed are checked before the CSV is opened
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_FAMILY)
+    for chain, seed in ((bad, "1"), (spec, "-1")):
+        code, _ = run(["simulate", "--chain", str(chain), "--samples", "10",
+                       "--seed", seed, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
+
+def test_simulate_memory_does_not_grow_with_samples(tmp_path):
+    # simulate streams one Philox block at a time: the traced peak at 8
+    # blocks matches the peak at 2 blocks (holding the whole batch added
+    # about 1.6 MiB per extra block).
+    spec = tmp_path / "exp2.json"
+    spec.write_text(EXP2)
+    peaks = []
+    for blocks in (2, 8):
+        argv = ["simulate", "--chain", str(spec), "--samples", str(blocks * BLOCK_SIZE),
+                "--seed", "1", "--out", str(tmp_path / "draws.csv")]
+        tracemalloc.start()
+        try:
+            code, _ = run(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+# The extremes of the positive doubles, and the points where %.17g switches
+# between fixed and exponent notation, each with its two neighbours.
+FORMAT_EDGES = sorted(
+    y
+    for x in (5e-324, sys.float_info.min, 1e-5, 1e-4, 1e16, 1e17, sys.float_info.max)
+    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+    if 0.0 < y < math.inf
+)
+positive_doubles = st.one_of(
+    st.sampled_from(FORMAT_EDGES),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max, allow_subnormal=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.integers(0, 10**8),
+    rows=st.lists(st.tuples(positive_doubles, positive_doubles, st.integers(1, 10**6 - 1)), min_size=1, max_size=40),
+)
+@example(first=0, rows=[(x, x, 9) for x in FORMAT_EDGES])
+def test_row_template_matches_per_row_fmt(first, rows):
+    values, mants, digits = (np.array(column) for column in zip(*rows))
+    per_row = "".join(f"{i},{cli._fmt(v)},{cli._fmt(m)},{d}\n" for i, (v, m, d) in enumerate(rows, first))
+    assert cli._format_rows(first, values, mants, digits) == per_row
 
 def test_simulate_audit_round_trip(tmp_path):
     spec = tmp_path / "exp5.json"
@@ -304,6 +360,11 @@ def test_audit_input_errors(tmp_path, capsys):
     assert code == 2
     assert "--grid must be at most 1000000" in capsys.readouterr().err
 
+    # the report lists base - 1 digits: a huge base would exhaust memory
+    code, text = run(["audit", "--input", str(data), "--col-index", "0", "--base", str(10**6 + 1)])
+    assert (code, text) == (2, "")
+    assert "--base must be at most 1000000" in capsys.readouterr().err
+
 
 def test_config_echo_is_every_parsed_flag_in_parser_order(tmp_path):
     spec = tmp_path / "exp2.json"
@@ -336,7 +397,7 @@ def test_config_echo_is_every_parsed_flag_in_parser_order(tmp_path):
 
 
 def test_every_integer_flag_has_a_range_or_a_library_check():
-    library_checked = {"n", "base", "seed"}
+    library_checked = {"n", "seed"}
     int_dests = set()
     for command, sub in subparsers().items():
         for action in sub._actions:

@@ -446,6 +446,32 @@ def test_simulate_and_audit_are_bytewise_pinned(tmp_path, monkeypatch, name):
     assert got == SIMULATE_PINNED[name]
 
 
+# sha256 of the simulate CSV and stdout for uniform_199 at 2 * BLOCK_SIZE +
+# 4321 samples, seed 7: lanes abort in all three blocks (17, 10 and 2), so
+# the index column must count kept rows across block boundaries.
+SIMULATE_BLOCKS_PINNED = (
+    "f7c98c514e593f79b92e6ea7beafc905a8e1e401f169c5defed06b7918d8fcf0",
+    "9b0b846d02e3d1f3eae5f9f1f60a52d394162dc9c24a8e410c56710feee43e8a",
+)
+
+
+def test_simulate_is_bytewise_pinned_across_blocks(tmp_path, monkeypatch):
+    base, links = SAMPLING_CHAINS["uniform_199"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(
+        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
+    )
+    sim = io.StringIO()
+    argv = ["simulate", "--chain", "chain.json", "--samples", str(2 * BLOCK_SIZE + 4321),
+            "--seed", "7", "--out", "draws.csv"]
+    assert cli.main(argv, out=sim) == 0
+    got = (
+        hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(sim.getvalue().encode()).hexdigest(),
+    )
+    assert got == SIMULATE_BLOCKS_PINNED
+
+
 COLD_PATH_CHILD = """
 import hashlib, io, json, sys
 from benford_chains.cli import main
