@@ -36,13 +36,9 @@ from .conformance import (
 )
 from .families import (
     FAMILY_NAMES,
-    NonConvergenceError,
     ScaleFamily,
     get_family,
     mellin_at,
-    mellin_numeric,
-    power_density,
-    power_shift,
 )
 from .montecarlo import (
     BLOCK_SIZE,
@@ -71,7 +67,6 @@ __all__ = [
     "DigitStats",
     "FAMILY_NAMES",
     "FoldInterval",
-    "NonConvergenceError",
     "RNG_ALGORITHM",
     "RngSeed",
     "SampleBatch",
@@ -97,10 +92,7 @@ __all__ = [
     "make_rng",
     "mantissa",
     "mellin_at",
-    "mellin_numeric",
     "parse_chain",
-    "power_density",
-    "power_shift",
     "product_batch",
     "sample_batch",
     "spectrum_majorant",

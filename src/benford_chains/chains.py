@@ -67,6 +67,9 @@ _TWO_PI = 2.0 * math.pi
 _DIGIT_INTERVAL_COST = 128
 _DIGIT_TABLE_MAX_COST = 2**24
 
+# Largest |R_m| a chain may have: every integer up to 2**53 is a double.
+_MAX_EXPONENT = 2**53
+
 
 class ChainSpecError(ValueError):
     """A chain description failed validation."""
@@ -119,6 +122,14 @@ class ChainSpec:
             raise ChainSpecError(
                 f"links[0]: first power must be 1, got {links[0].power}"
             )
+        # The spectrum and sampling kernels take R_m as a double, exact up
+        # to 2**53; each link power divides an earlier R, so it is too.
+        for m, r in reversed(list(enumerate(cumulative_powers(self)))):
+            if abs(r) > _MAX_EXPONENT:
+                raise ChainSpecError(
+                    f"links[{m}]: cumulative exponent (the product of the later "
+                    f"powers) exceeds 2**53 in magnitude"
+                )
 
     def __len__(self) -> int:
         return len(self.links)

@@ -8,8 +8,8 @@ outputs.  All floats are printed with 17 significant digits so outputs
 round-trip doubles exactly and identical command lines give byte-
 identical bytes.
 
-Exit codes: 0 success, 2 invalid input or chain spec, 3 numerical
-non-convergence or a failed internal spectrum check.
+Exit codes: 0 success, 2 invalid input or chain spec, 3 a failed internal
+spectrum check (SpectrumCheckError).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .chains import (
     uniform_chain_density,
 )
 from .conformance import audit_dataset, benford_digit_prob
-from .families import NonConvergenceError
 from .montecarlo import RNG_ALGORITHM, _blocks, batch_mantissas
 
 __all__ = ["main"]
@@ -425,7 +424,7 @@ def main(argv=None, out=None) -> int:
     try:
         _check_limits(args)
         return _DISPATCH[args.command](args, out)
-    except (NonConvergenceError, SpectrumCheckError) as exc:
+    except SpectrumCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ChainSpecError, ValueError, OSError) as exc:

@@ -154,11 +154,13 @@ def audit_dataset(
 
     Nonpositive and non-finite entries are dropped and counted, never
     fatal; an input with nothing left after filtering is an error.  When
-    an analytic deviation bound is supplied, the report also says whether
-    the observed deviation is within that bound plus 3/sqrt(N) of Monte
-    Carlo slack.
+    an analytic deviation bound is supplied (a number >= 0, +inf allowed,
+    NaN not), the report also says whether the observed deviation is within
+    that bound plus 3/sqrt(N) of Monte Carlo slack.
     """
     _check_base(base)
+    if bound_context is not None and not float(bound_context) >= 0.0:
+        raise ValueError(f"bound_context must be a number >= 0 or None, got {bound_context!r}")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("values must be one-dimensional")

@@ -2,26 +2,20 @@
 
 Each family is a distribution on (0, infinity) closed under scaling,
 f_theta(x) = f(x/theta)/theta.  A chain analysis needs four things from a
-family: the unit-scale density and CDF, the exact Mellin transform on the
-line Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B), and a monotone
-majorant of the Mellin modulus used to bound truncation tails.  The Mellin
-values and the majorant are array kernels: one call evaluates every
-frequency of a spectrum.
+family: the exact Mellin transform of the unit-scale density on the line
+Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B), a monotone majorant of its
+modulus, the decay profile of that majorant, which closes truncation
+tails, and a unit-scale sampler.  The Mellin values and the majorant are
+array kernels: one call evaluates every frequency of a spectrum.
 
 Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 (density 2/sqrt(pi*theta^2) * exp(-(x/theta)^2)), and "benford" (density
 1/(x ln B) on [theta, B*theta), the absorbing fixed point of chaining).
-
-Also here: the numeric Mellin quadrature oracle and the W^r power rule
-(density of an integer power of a draw, and the induced shift of the
-Mellin evaluation point).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -36,19 +30,11 @@ __all__ = [
     "FAMILY_NAMES",
     "get_family",
     "mellin_at",
-    "mellin_numeric",
-    "power_density",
-    "power_shift",
-    "NonConvergenceError",
 ]
 
 FAMILY_NAMES = ("exponential", "uniform", "half_gaussian", "benford")
 
 _TWO_PI = 2.0 * math.pi
-
-
-class NonConvergenceError(RuntimeError):
-    """Numeric quadrature failed to reach the requested tolerance."""
 
 
 def _omega(ells, base: int) -> np.ndarray:
@@ -59,15 +45,9 @@ def _omega(ells, base: int) -> np.ndarray:
 
 
 class ScaleFamily:
-    """One scale family: density, CDF, sampler, Mellin values, majorant."""
+    """One scale family: Mellin values, majorant, tail profile, sampler."""
 
     name: str = ""
-
-    def density_at_unit(self, x: float) -> float:
-        raise NotImplementedError
-
-    def cdf_at_unit(self, x: float) -> float:
-        raise NotImplementedError
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         """(M f)(1 - 2*pi*i*l/ln B) for the unit-scale density f.
@@ -114,12 +94,6 @@ class Exponential(ScaleFamily):
 
     name = "exponential"
 
-    def density_at_unit(self, x: float) -> float:
-        return math.exp(-x) if x >= 0.0 else 0.0
-
-    def cdf_at_unit(self, x: float) -> float:
-        return -math.expm1(-x) if x > 0.0 else 0.0
-
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         w = _omega(ells, base)
         s = np.empty(w.shape, dtype=np.complex128)
@@ -151,12 +125,6 @@ class Uniform(ScaleFamily):
     """Uniform on [0, theta]: f(x) = 1 on [0,1]; Mellin value 1/s."""
 
     name = "uniform"
-
-    def density_at_unit(self, x: float) -> float:
-        return 1.0 if 0.0 <= x <= 1.0 else 0.0
-
-    def cdf_at_unit(self, x: float) -> float:
-        return min(max(x, 0.0), 1.0)
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         # 1/(1 - iw) with the two branches of CPython's complex division
@@ -198,12 +166,6 @@ class HalfGaussian(ScaleFamily):
 
     _SQRT_PI = math.sqrt(math.pi)
 
-    def density_at_unit(self, x: float) -> float:
-        return 2.0 / self._SQRT_PI * math.exp(-x * x) if x >= 0.0 else 0.0
-
-    def cdf_at_unit(self, x: float) -> float:
-        return math.erf(x) if x > 0.0 else 0.0
-
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         w = _omega(ells, base)
         s_half = np.empty(w.shape, dtype=np.complex128)
@@ -241,16 +203,6 @@ class Benford(ScaleFamily):
             raise ValueError(f"benford family requires base >= 2, got {base}")
         self.base = int(base)
         self._log_base = math.log(base)
-
-    def density_at_unit(self, x: float) -> float:
-        return 1.0 / (x * self._log_base) if 1.0 <= x < self.base else 0.0
-
-    def cdf_at_unit(self, x: float) -> float:
-        if x <= 1.0:
-            return 0.0
-        if x >= self.base:
-            return 1.0
-        return math.log(x) / self._log_base
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         ells = np.asarray(ells, dtype=np.float64)
@@ -304,84 +256,3 @@ def get_family(name: str, base: int = 10) -> ScaleFamily:
 def mellin_at(family: ScaleFamily, ell: int, base: int) -> complex:
     """Exact Mellin value (M f)(1 - 2*pi*i*l/ln B) of the family density."""
     return complex(family.mellin_exact(np.array([ell], dtype=np.float64), base)[0])
-
-
-def power_density(family: ScaleFamily, r: int, u: float) -> float:
-    """Density of W**r at u > 0, where W has the family's unit density phi.
-
-    Change of variables gives psi_r(u) = phi(u**(1/r)) * u**((1-r)/r) / |r|
-    for both signs of r (the signed exponent 1/r, not 1/|r|, is what makes
-    the negative-power case match sampled histograms).
-    """
-    if r == 0:
-        raise ValueError("power must be a nonzero integer")
-    if not u > 0.0:
-        raise ValueError(f"power_density requires u > 0, got {u}")
-    if r == 1:
-        return family.density_at_unit(u)
-    return family.density_at_unit(u ** (1.0 / r)) * u ** ((1.0 - r) / r) / abs(r)
-
-
-def power_shift(family: ScaleFamily, r: int, ell: int, base: int) -> complex:
-    """Mellin value of the W**r density: the evaluation point moves to r*l.
-
-    (M psi_r)(s) = (M phi)(r(s-1)+1), so on the line Re(s) = 1 raising to
-    the r-th power only multiplies the frequency index by r.
-    """
-    if r == 0:
-        raise ValueError("power must be a nonzero integer")
-    return mellin_at(family, r * ell, base)
-
-
-def mellin_numeric(
-    density: Callable[[float], float],
-    ell: int,
-    base: int,
-    tol: float = 1e-10,
-) -> complex:
-    """Quadrature evaluation of integral f(t) * t^(-2*pi*i*l/ln B) dt on (0, inf).
-
-    After the substitution t = e^u this is the Fourier integral of
-    g(u) = f(e^u) e^u at frequency 2*pi*l/ln B.  The support window of g is
-    located by a coarse scan, then each of the cosine and sine parts is
-    handled by adaptive oscillatory quadrature.  Raises NonConvergenceError
-    when the combined error estimate exceeds tol.
-    """
-    from scipy import integrate  # only this quadrature oracle needs it
-
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    w = float(_omega(ell, base))
-
-    def g(u: float) -> float:
-        x = math.exp(u)
-        return density(x) * x
-
-    # Locate where g carries mass; everything tested decays at least
-    # exponentially in |u|, so a +-300 scan with padding is conservative.
-    scan = np.linspace(-300.0, 300.0, 1201)
-    mass = np.array([g(u) for u in scan])
-    idx = np.nonzero(mass > 1e-18)[0]
-    if idx.size == 0:
-        raise NonConvergenceError("density carries no detectable mass on (0, inf)")
-    lo = scan[idx[0]] - 3.0
-    hi = scan[idx[-1]] + 3.0
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if ell == 0:
-            re, err_re = integrate.quad(g, lo, hi, epsabs=tol / 4.0, epsrel=1e-13, limit=2000)
-            im, err_im = 0.0, 0.0
-        else:
-            re, err_re = integrate.quad(
-                g, lo, hi, weight="cos", wvar=w, epsabs=tol / 4.0, epsrel=1e-13, limit=2000
-            )
-            im, err_im = integrate.quad(
-                g, lo, hi, weight="sin", wvar=w, epsabs=tol / 4.0, epsrel=1e-13, limit=2000
-            )
-    if err_re + err_im > tol:
-        raise NonConvergenceError(
-            f"quadrature error estimate {err_re + err_im:.3e} exceeds tol {tol:.3e}"
-        )
-    # t^(-i w ln t) contributes e^(-i w u): the sine part enters negated.
-    return complex(re, -im)

@@ -28,13 +28,7 @@ from benford_chains.chains import (
     uniform_chain_density,
 )
 from benford_chains.conformance import audit_dataset, two_sample_ks
-from benford_chains.families import (
-    get_family,
-    mellin_at,
-    mellin_numeric,
-    power_density,
-    power_shift,
-)
+from benford_chains.families import get_family, mellin_at
 from benford_chains.montecarlo import (
     batch_mantissas,
     make_rng,
@@ -43,6 +37,7 @@ from benford_chains.montecarlo import (
 )
 from benford_chains.specfun import complex_gamma
 from benford_chains.chains import exponential_chain_bound
+from oracles import mellin_numeric, power_density, power_shift
 
 SEED = 20260814
 N_LARGE = 1_000_000

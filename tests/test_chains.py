@@ -102,6 +102,23 @@ def test_parse_chain_prefixes_link_errors_once():
         parse_chain({"base": "10", "links": [first]})
 
 
+def test_parse_chain_rejects_cumulative_exponents_beyond_two_to_53():
+    # The kernels take R_m as a double; past 2**53 float(R_m) != R_m, and
+    # past the double range the conversion raises OverflowError.
+    def spec(*powers):
+        return {"base": 10, "links": [{"family": "exponential", "power": 1}]
+                + [{"family": "uniform", "power": p} for p in powers]}
+
+    with pytest.raises(ChainSpecError, match=r"^links\[0\]: cumulative exponent"):
+        parse_chain(spec(10**400))
+    with pytest.raises(ChainSpecError, match=r"^links\[0\]: cumulative exponent"):
+        parse_chain(spec(2**30, 2**30))  # R_0 = 2**60
+    with pytest.raises(ChainSpecError, match=r"^links\[1\]: cumulative exponent"):
+        parse_chain(spec(3, 2**30, -2**30))  # R_1 = -2**60
+    for powers in ((2**53,), (-(2**53),), (2**26, -(2**27))):
+        assert cumulative_powers(parse_chain(spec(*powers)))[0] == math.prod(powers)
+
+
 def test_load_chain_round_trip(tmp_path):
     p = tmp_path / "c.json"
     p.write_text('{"base": 10, "links": [{"family": "exponential", "power": 1}, '

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from benford_chains import cli
 from benford_chains.chains import SpectrumCheckError, exponential_chain_bound, uniform_chain_density
-from benford_chains.families import NonConvergenceError, Uniform
+from benford_chains.families import Uniform
 from benford_chains.montecarlo import BLOCK_SIZE, RNG_ALGORITHM
 
 SEED = 20260814
@@ -24,6 +24,8 @@ EXP2 = '{"base": 10, "links": [{"family": "exponential", "power": 1}, {"family":
 EXP5 = json.dumps({"base": 10, "links": [{"family": "exponential", "power": 1}] * 5})
 UNIF1 = '{"base": 10, "links": [{"family": "uniform", "power": 1}]}'
 BAD_FAMILY = '{"base": 10, "links": [{"family": "exponential", "power": 1}, {"family": "cauchy", "power": 2}]}'
+HUGE_POWER = json.dumps({"base": 10, "links": [{"family": "exponential", "power": 1},
+                                               {"family": "uniform", "power": 10**400}]})
 
 
 def run(argv):
@@ -252,6 +254,19 @@ def test_simulate_validates_flags(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_exponent_beyond_two_to_53_exits_two(tmp_path, capsys):
+    spec = tmp_path / "huge.json"
+    spec.write_text(HUGE_POWER)
+    out_csv = tmp_path / "x.csv"
+    for argv in (["bound", "--chain", str(spec)], ["digits", "--chain", str(spec)],
+                 ["simulate", "--chain", str(spec), "--samples", "10", "--seed", "1",
+                  "--out", str(out_csv)]):
+        code, text = run(argv)
+        assert (code, text) == (2, ""), argv
+        assert "cumulative exponent" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_simulate_memory_does_not_grow_with_samples(tmp_path):
     # simulate streams one Philox block at a time: the traced peak at 8
     # blocks matches the peak at 2 blocks (holding the whole batch added
@@ -365,6 +380,13 @@ def test_audit_input_errors(tmp_path, capsys):
     assert (code, text) == (2, "")
     assert "--base must be at most 1000000" in capsys.readouterr().err
 
+    # a bound context is a number >= 0: -1 would read as consistent, NaN
+    # would print as non-JSON
+    for bound in ("-1", "nan", "-inf"):
+        code, text = run(["audit", "--input", str(data), "--col-index", "0", f"--bound={bound}"])
+        assert (code, text) == (2, "")
+        assert "bound_context must be a number >= 0" in capsys.readouterr().err
+
 
 def test_config_echo_is_every_parsed_flag_in_parser_order(tmp_path):
     spec = tmp_path / "exp2.json"
@@ -419,7 +441,7 @@ def test_argparse_failures_return_two():
 
 
 def test_nonconvergence_maps_to_exit_three(monkeypatch, capsys):
-    for exc in (NonConvergenceError("quadrature stalled"), SpectrumCheckError("modulus grows")):
+    for exc in (SpectrumCheckError("modulus grows"),):
         def boom(args, out, exc=exc):
             raise exc
 

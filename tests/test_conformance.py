@@ -184,6 +184,17 @@ def test_bound_context_gates_consistency():
     assert r3.bound_consistent is None
 
 
+def test_bound_context_must_be_a_number_at_least_zero():
+    values = [1.5, 2.5, 9.5, 4.0]
+    for bad in (-1.0, -1e-300, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="bound_context"):
+            audit_dataset(values, 10, bound_context=bad)
+    assert audit_dataset(values, 10, bound_context=0.0).bound_context == 0.0
+    r = audit_dataset(values, 10, bound_context=math.inf)
+    assert r.bound_context == math.inf
+    assert r.bound_consistent is True
+
+
 def test_report_json_dict_fields():
     report = audit_dataset([1.5, 2.5, 9.5, 4.0], 10, bound_context=0.5)
     d = report.to_json_dict()

@@ -1,21 +1,21 @@
-"""Scale-family densities, exact Mellin values, majorants, and the
-numeric quadrature oracle that cross-checks them."""
+"""Scale-family exact Mellin values, majorants and samplers, checked against
+the density, CDF and quadrature oracles in tests/oracles.py."""
 
 import math
 
 import numpy as np
 import pytest
 
-from benford_chains.families import (
-    FAMILY_NAMES,
+from benford_chains.families import FAMILY_NAMES, get_family, mellin_at
+from benford_chains.montecarlo import make_rng
+from oracles import (
     NonConvergenceError,
-    get_family,
-    mellin_at,
+    cdf_at_unit,
+    density_at_unit,
     mellin_numeric,
     power_density,
     power_shift,
 )
-from benford_chains.montecarlo import make_rng
 
 BASE = 10
 LN10 = math.log(10.0)
@@ -49,25 +49,25 @@ def test_registry_names_and_lookup():
 
 def test_density_and_cdf_point_values():
     e = get_family("exponential")
-    assert e.density_at_unit(0.0) == 1.0
-    assert e.density_at_unit(-1.0) == 0.0
-    assert e.cdf_at_unit(1.0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-15)
+    assert density_at_unit(e, 0.0) == 1.0
+    assert density_at_unit(e, -1.0) == 0.0
+    assert cdf_at_unit(e, 1.0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-15)
 
     u = get_family("uniform")
-    assert u.density_at_unit(0.5) == 1.0
-    assert u.density_at_unit(1.5) == 0.0
-    assert u.cdf_at_unit(0.25) == 0.25
-    assert u.cdf_at_unit(2.0) == 1.0
+    assert density_at_unit(u, 0.5) == 1.0
+    assert density_at_unit(u, 1.5) == 0.0
+    assert cdf_at_unit(u, 0.25) == 0.25
+    assert cdf_at_unit(u, 2.0) == 1.0
 
     h = get_family("half_gaussian")
-    assert h.density_at_unit(0.0) == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
-    assert h.cdf_at_unit(1.0) == pytest.approx(math.erf(1.0), rel=1e-15)
+    assert density_at_unit(h, 0.0) == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
+    assert cdf_at_unit(h, 1.0) == pytest.approx(math.erf(1.0), rel=1e-15)
 
     b = get_family("benford", BASE)
-    assert b.density_at_unit(1.0) == pytest.approx(1.0 / LN10, rel=1e-15)
-    assert b.density_at_unit(0.99) == 0.0
-    assert b.density_at_unit(10.0) == 0.0
-    assert b.cdf_at_unit(math.sqrt(10.0)) == pytest.approx(0.5, rel=1e-15)
+    assert density_at_unit(b, 1.0) == pytest.approx(1.0 / LN10, rel=1e-15)
+    assert density_at_unit(b, 0.99) == 0.0
+    assert density_at_unit(b, 10.0) == 0.0
+    assert cdf_at_unit(b, math.sqrt(10.0)) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_densities_integrate_to_one():
@@ -75,7 +75,7 @@ def test_densities_integrate_to_one():
 
     for name in FAMILY_NAMES:
         fam = get_family(name, BASE)
-        total, _ = quad(fam.density_at_unit, 0.0, 40.0, points=[1.0, 10.0], limit=200)
+        total, _ = quad(lambda x: density_at_unit(fam, x), 0.0, 40.0, points=[1.0, 10.0], limit=200)
         assert total == pytest.approx(1.0, abs=1e-9), name
 
 
@@ -185,13 +185,13 @@ def test_mellin_numeric_matches_exact():
         fam = get_family(name, BASE)
         for ell in (0, 1, 2, 4, 8, 16):
             exact = mellin_at(fam, ell, BASE)
-            numeric = mellin_numeric(fam.density_at_unit, ell, BASE, tol=1e-10)
+            numeric = mellin_numeric(lambda x: density_at_unit(fam, x), ell, BASE, tol=1e-10)
             assert abs(numeric - exact) <= 1e-8, (name, ell)
 
 
 def test_mellin_numeric_benford_absorbing():
     fam = get_family("benford", BASE)
-    got = mellin_numeric(fam.density_at_unit, 1, BASE, tol=1e-10)
+    got = mellin_numeric(lambda x: density_at_unit(fam, x), 1, BASE, tol=1e-10)
     assert abs(got) <= 1e-8
 
 
@@ -199,7 +199,7 @@ def test_mellin_numeric_rejects_empty_density():
     with pytest.raises(NonConvergenceError):
         mellin_numeric(lambda x: 0.0, 1, BASE)
     with pytest.raises(ValueError):
-        mellin_numeric(get_family("exponential").density_at_unit, 1, BASE, tol=0.0)
+        mellin_numeric(lambda x: density_at_unit(get_family("exponential"), x), 1, BASE, tol=0.0)
 
 
 def test_power_density_closed_points():
@@ -207,7 +207,7 @@ def test_power_density_closed_points():
     # at u = 1 every power factor is exactly 1
     assert power_density(e, 2, 1.0) == math.exp(-1.0) / 2.0
     assert power_density(e, -1, 1.0) == math.exp(-1.0)
-    assert power_density(e, 1, 0.7) == e.density_at_unit(0.7)
+    assert power_density(e, 1, 0.7) == density_at_unit(e, 0.7)
     # W^2 at u = 4: phi(2) * 4^(-1/2) / 2
     assert power_density(e, 2, 4.0) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-14)
     # W^-1 at u = 2: phi(1/2) * 2^(-2)
@@ -259,7 +259,7 @@ def test_mellin_at_validates_base():
 
 
 def test_samplers_match_cdf_under_scaling():
-    # draws of theta * W must follow cdf_at_unit(x / theta)
+    # draws of theta * W must follow the unit CDF at x / theta
     rng = make_rng(20260814, stream=400)
     n = 40_000
     crit = 1.63 / math.sqrt(n)
@@ -268,5 +268,5 @@ def test_samplers_match_cdf_under_scaling():
         for theta in (0.5, 1.0, 3.0):
             draws = np.sort(theta * fam.sample_unit_batch(rng, n))
             ranks = np.arange(1, n + 1) / n
-            model = np.array([fam.cdf_at_unit(x / theta) for x in draws])
+            model = np.array([cdf_at_unit(fam, x / theta) for x in draws])
             assert np.max(np.abs(ranks - model)) < crit, (name, theta)

@@ -497,10 +497,18 @@ print(json.dumps({
 """
 
 
-def test_scipy_stays_out_of_the_cold_path(tmp_path):
-    # Only the zeta tail of bound-uniform needs scipy: every other command,
-    # the analytic ones included, runs without importing it and gives the
-    # pinned bytes; bound-uniform then loads scipy.special.
+# sha256 of the stdout of the short commands that CLI_PINNED does not cover,
+# frozen while bound-uniform still took zeta from scipy (zeta(3) - 1 kept its
+# bits when it moved to the Euler-Maclaurin sum).
+SHORT_PINNED = {
+    "bound-exp": "c3233893aab637108fe7e95927722f07b7d1425d40c1b8e6279fe49a95ba178e",
+    "density-uniform": "c11d889d22bf55ed5ccd489325f970f1cd55d4b8b700ad568cf75fb49e9a60c3",
+    "bound-uniform": "fa170f9a7c6f74c4b267610a5cc9ab4824a49b340837356ee62cd940792e9e7d",
+}
+
+
+def run_cold_child(tmp_path, prelude=""):
+    """The eight commands in one fresh interpreter; checks their pinned bytes."""
     name = "mixed_negative"
     base, links = CHAINS[name]
     (tmp_path / "chain.json").write_text(
@@ -508,17 +516,31 @@ def test_scipy_stays_out_of_the_cold_path(tmp_path):
     )
     src = str(Path(benford_chains.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", COLD_PATH_CHILD, str(base)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", prelude + COLD_PATH_CHILD, str(base)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["import"] == []
-    for command in ("bound-exp", "density-uniform", "simulate", "audit", "bound", "fold", "digits"):
-        assert got[command][1] == [], command
     assert got["simulate"][0] == SIMULATE_PINNED[name][1]
     assert got["audit"][0] == SIMULATE_PINNED[name][2]
     assert hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest() == SIMULATE_PINNED[name][0]
     assert got["bound"][0] == CLI_REPINNED[name, "bound", 64]
     assert got["fold"][0] == CLI_PINNED[name, "fold", 64]
     assert got["digits"][0] == CLI_PINNED[name, "digits", 64]
-    assert "scipy.special" in got["bound-uniform"][1]
+    for command, digest in SHORT_PINNED.items():
+        assert got[command][0] == digest, command
+    return got
+
+
+def test_scipy_stays_out_of_the_cold_path(tmp_path):
+    # No command imports scipy: each of the eight runs without it, in one
+    # interpreter, and gives the pinned bytes.
+    got = run_cold_child(tmp_path)
+    assert got["import"] == []
+    for command in ("bound-exp", "density-uniform", "simulate", "audit", "bound", "fold", "digits",
+                    "bound-uniform"):
+        assert got[command][1] == [], command
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    # A None entry in sys.modules makes every scipy import raise ImportError.
+    run_cold_child(tmp_path, prelude="import sys\nsys.modules['scipy'] = None\n")

@@ -50,8 +50,9 @@ def test_complex_gamma_rejects_left_half_plane():
 
 
 def test_first_calls_in_a_fresh_interpreter_bind_scipy_and_match_frozen_bits():
-    # complex_gamma is numpy alone; scipy.special is bound on the first
-    # zeta call, and that first call already gives the frozen bits.
+    # complex_gamma and zeta_minus_one are numpy and math alone: no scipy
+    # module is loaded after either call, and the first calls already give
+    # the frozen bits.
     src = str(Path(benford_chains.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
@@ -60,7 +61,7 @@ def test_first_calls_in_a_fresh_interpreter_bind_scipy_and_match_frozen_bits():
         "g = complex_gamma(1 + 2j)\n"
         "assert 'scipy' not in sys.modules\n"
         "z = zeta_minus_one(3)\n"
-        "assert 'scipy.special' in sys.modules\n"
+        "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(g.real.hex(), g.imag.hex(), z.hex())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -115,6 +116,91 @@ def test_zeta_minus_one_frozen_values():
     assert zeta_minus_one(2) == pytest.approx(0.64493406684822644, rel=1e-14)
     assert zeta_minus_one(3) == pytest.approx(0.20205690315959429, rel=1e-14)
     assert zeta_minus_one(10) == pytest.approx(9.945751278180853e-04, rel=1e-14)
+
+
+# zeta(n) - 1 for n = 2..171, correctly rounded: frozen from a 200-digit
+# evaluation of the Hurwitz zeta(n, 2), rounded once to the nearest double.
+ZETA_MINUS_ONE_HEX = [
+    "0x1.4a34cc4a60fa6p-1", "0x1.9dd002780310ap-3", "0x1.51322ac7d8483p-4",
+    "0x1.2e831d94f99b7p-5", "0x1.1c26130249124p-6", "0x1.1196d0a679c47p-7",
+    "0x1.0b36af86396e9p-8", "0x1.073e7b02d6ae0p-9", "0x1.04b8ce96ee5f8p-10",
+    "0x1.0318df2459954p-11", "0x1.020a5b2cd3042p-12", "0x1.01593a1177bd6p-13",
+    "0x1.00e4af2b4e156p-14", "0x1.0097bcbf11bedp-15", "0x1.0064cdeb22f0fp-16",
+    "0x1.0043073686681p-17", "0x1.002c9953744ccp-18", "0x1.001db08f9ba4ap-19",
+    "0x1.0013c594466eap-20", "0x1.000d2bab28121p-21", "0x1.0008c66cec77dp-22",
+    "0x1.0005d8f13858cp-23", "0x1.0003e59ffde12p-24", "0x1.000298ea55633p-25",
+    "0x1.0001bb316ccdap-26", "0x1.0001276b90845p-27", "0x1.0000c4ed05ae3p-28",
+    "0x1.0000834601a87p-29", "0x1.00005782aaebep-30", "0x1.00003a56719b9p-31",
+    "0x1.000026e3f644fp-32", "0x1.000019ed24201p-33", "0x1.00001148ad653p-34",
+    "0x1.00000b85be414p-35", "0x1.000007ae797ffp-36", "0x1.0000051ef8ffap-37",
+    "0x1.00000369f9ff9p-38", "0x1.00000246a5ffbp-39", "0x1.000001846e551p-40",
+    "0x1.00000102f40e1p-41", "0x1.000000aca29ebp-42", "0x1.000000731709dp-43",
+    "0x1.0000004cba013p-44", "0x1.0000003326a8dp-45", "0x1.0000002219c49p-46",
+    "0x1.00000016bbd7bp-47", "0x1.0000000f27e4dp-48", "0x1.0000000a1a986p-49",
+    "0x1.00000006bc658p-50", "0x1.000000047d98fp-51", "0x1.00000002fe65fp-52",
+    "0x1.00000001feeeap-53", "0x1.00000001549f1p-54", "0x1.00000000e314bp-55",
+    "0x1.0000000097632p-56", "0x1.0000000064eccp-57", "0x1.0000000043488p-58",
+    "0x1.000000002cdb0p-59", "0x1.000000001de75p-60", "0x1.0000000013ef9p-61",
+    "0x1.000000000d4a6p-62", "0x1.0000000008dc4p-63", "0x1.0000000005e83p-64",
+    "0x1.0000000003f02p-65", "0x1.0000000002a01p-66", "0x1.0000000001c01p-67",
+    "0x1.00000000012abp-68", "0x1.0000000000c72p-69", "0x1.000000000084cp-70",
+    "0x1.0000000000588p-71", "0x1.00000000003b0p-72", "0x1.0000000000275p-73",
+    "0x1.00000000001a4p-74", "0x1.0000000000118p-75", "0x1.00000000000bap-76",
+    "0x1.000000000007cp-77", "0x1.0000000000053p-78", "0x1.0000000000037p-79",
+    "0x1.0000000000025p-80", "0x1.0000000000019p-81", "0x1.0000000000010p-82",
+    "0x1.000000000000bp-83", "0x1.0000000000007p-84", "0x1.0000000000005p-85",
+    "0x1.0000000000003p-86", "0x1.0000000000002p-87", "0x1.0000000000001p-88",
+    "0x1.0000000000001p-89", "0x1.0000000000001p-90", "0x1.0000000000000p-91",
+    "0x1.0000000000000p-92", "0x1.0000000000000p-93", "0x1.0000000000000p-94",
+    "0x1.0000000000000p-95", "0x1.0000000000000p-96", "0x1.0000000000000p-97",
+    "0x1.0000000000000p-98", "0x1.0000000000000p-99", "0x1.0000000000000p-100",
+    "0x1.0000000000000p-101", "0x1.0000000000000p-102", "0x1.0000000000000p-103",
+    "0x1.0000000000000p-104", "0x1.0000000000000p-105", "0x1.0000000000000p-106",
+    "0x1.0000000000000p-107", "0x1.0000000000000p-108", "0x1.0000000000000p-109",
+    "0x1.0000000000000p-110", "0x1.0000000000000p-111", "0x1.0000000000000p-112",
+    "0x1.0000000000000p-113", "0x1.0000000000000p-114", "0x1.0000000000000p-115",
+    "0x1.0000000000000p-116", "0x1.0000000000000p-117", "0x1.0000000000000p-118",
+    "0x1.0000000000000p-119", "0x1.0000000000000p-120", "0x1.0000000000000p-121",
+    "0x1.0000000000000p-122", "0x1.0000000000000p-123", "0x1.0000000000000p-124",
+    "0x1.0000000000000p-125", "0x1.0000000000000p-126", "0x1.0000000000000p-127",
+    "0x1.0000000000000p-128", "0x1.0000000000000p-129", "0x1.0000000000000p-130",
+    "0x1.0000000000000p-131", "0x1.0000000000000p-132", "0x1.0000000000000p-133",
+    "0x1.0000000000000p-134", "0x1.0000000000000p-135", "0x1.0000000000000p-136",
+    "0x1.0000000000000p-137", "0x1.0000000000000p-138", "0x1.0000000000000p-139",
+    "0x1.0000000000000p-140", "0x1.0000000000000p-141", "0x1.0000000000000p-142",
+    "0x1.0000000000000p-143", "0x1.0000000000000p-144", "0x1.0000000000000p-145",
+    "0x1.0000000000000p-146", "0x1.0000000000000p-147", "0x1.0000000000000p-148",
+    "0x1.0000000000000p-149", "0x1.0000000000000p-150", "0x1.0000000000000p-151",
+    "0x1.0000000000000p-152", "0x1.0000000000000p-153", "0x1.0000000000000p-154",
+    "0x1.0000000000000p-155", "0x1.0000000000000p-156", "0x1.0000000000000p-157",
+    "0x1.0000000000000p-158", "0x1.0000000000000p-159", "0x1.0000000000000p-160",
+    "0x1.0000000000000p-161", "0x1.0000000000000p-162", "0x1.0000000000000p-163",
+    "0x1.0000000000000p-164", "0x1.0000000000000p-165", "0x1.0000000000000p-166",
+    "0x1.0000000000000p-167", "0x1.0000000000000p-168", "0x1.0000000000000p-169",
+    "0x1.0000000000000p-170", "0x1.0000000000000p-171",
+]
+# Larger orders: 2^-n to the last normal power, then subnormals; at n = 1075
+# the value lies just above half the least subnormal, so it rounds up to it.
+ZETA_MINUS_ONE_LARGE_HEX = {
+    172: "0x1.0000000000000p-172",
+    200: "0x1.0000000000000p-200",
+    500: "0x1.0000000000000p-500",
+    1000: "0x1.0000000000000p-1000",
+    1022: "0x1.0000000000000p-1022",
+    1050: "0x0.0000001000000p-1022",
+    1074: "0x0.0000000000001p-1022",
+    1075: "0x0.0000000000001p-1022",
+    1076: "0x0.0p+0",
+    2000: "0x0.0p+0",
+    10**6: "0x0.0p+0",
+}
+
+
+def test_zeta_minus_one_is_correctly_rounded():
+    got = {n: zeta_minus_one(n).hex() for n in range(2, 172)}
+    assert got == dict(zip(range(2, 172), ZETA_MINUS_ONE_HEX))
+    got = {n: zeta_minus_one(n).hex() for n in ZETA_MINUS_ONE_LARGE_HEX}
+    assert got == ZETA_MINUS_ONE_LARGE_HEX
 
 
 def test_zeta_minus_one_large_order_tracks_two_to_minus_n():
