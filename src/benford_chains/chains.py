@@ -6,10 +6,17 @@ with independent unit-scale draws Xi_m and cumulative exponents R_m, so
 the Fourier coefficients of Y_n = log_B X_n mod 1 factor into a product
 of per-family Mellin values (the chain spectrum).
 
-Three consumers of the spectrum live here.  Each call evaluates c_1..c_L
-once, as numpy arrays (c_{-l} = conj(c_l)), and the majorant tails at most
-once; a digit table shares one spectrum across its intervals and computes
-no tail.
+Three consumers of the spectrum live here.  Each call evaluates the
+spectrum once, as numpy arrays (c_{-l} = conj(c_l)), and the majorant tails
+at most once; a digit table shares one spectrum across its intervals and
+computes no tail.  The spectrum is kept only on its support prefix
+c_1..c_S, S <= L: the family kernels run in the _factors order (benford
+first, then the complex-Gamma families, uniform last), each only on the
+frequencies where the product so far is nonzero, and every c_l past S is
+exactly zero because a factor (or the running product) is.  S comes from
+the computed zeros, not from a threshold, so no output bit depends on it;
+a benford link gives S = 0 at once.  The majorant tails are cut the same
+way.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and dominating the rest with
@@ -33,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .families import FAMILY_NAMES, ScaleFamily, get_family
+from .families import FAMILY_NAMES, ScaleFamily, get_family, mellin_at
 from .specfun import gamma_real, zeta_minus_one
 
 __all__ = [
@@ -206,16 +213,23 @@ class FoldInterval:
 class BoundResult:
     """A rigorous deviation bound and how it was assembled.
 
-    value is the full bound (interval width included); per_term lists the
-    retained spectrum moduli for 0 < |l| <= L in the fixed summation order
-    (ascending |l|, +l before -l); tail bounds everything beyond L, both
-    signs, before width scaling.
+    value is the full bound (interval width included); moduli is a
+    read-only array of |c_l| for l = 1..L (|c_{-l}| is the same); tail
+    bounds everything beyond L, both signs, before width scaling.
+    Equality compares value, truncation_L and tail.
     """
 
     value: float
     truncation_L: int
-    per_term: tuple[tuple[int, float], ...] = field(repr=False)
+    moduli: np.ndarray = field(repr=False, compare=False)
     tail: float
+
+    @property
+    def per_term(self) -> tuple[tuple[int, float], ...]:
+        """(l, |c_l|) for 0 < |l| <= L in ascending |l|, +l before -l."""
+        return tuple(
+            (sgn, m) for ell, m in enumerate(self.moduli.tolist(), 1) for sgn in (ell, -ell)
+        )
 
 
 def cumulative_powers(chain: ChainSpec) -> list[int]:
@@ -224,6 +238,20 @@ def cumulative_powers(chain: ChainSpec) -> list[int]:
     for m in range(len(chain.links) - 2, -1, -1):
         out[m] = out[m + 1] * chain.links[m + 1].power
     return out
+
+
+def _check_index(value, what: str) -> int:
+    """value as a Python int; bool, float and other non-integers raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_L(L) -> int:
+    L = _check_index(L, "L")
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    return L
 
 
 def _frequencies(lo: int, hi: int) -> np.ndarray:
@@ -237,45 +265,75 @@ def _by_family(chain: ChainSpec):
         yield family, np.array([r for _, r in run], dtype=np.float64)
 
 
-def _spectrum(chain: ChainSpec, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of the chain spectrum at the frequencies ells >= 1.
+def _support(nonzero: np.ndarray) -> int:
+    """Length of the shortest prefix that holds every True of nonzero."""
+    return nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
 
-    One kernel call per family evaluates every link of that family; the
-    Mellin values are then multiplied in the _factors order.  Each complex
-    product is spelled out as real multiplies and a subtract or an add, in
-    the order of the scalar complex product: numpy's complex multiply may
-    fuse them into FMAs, which round differently.
+
+def _spectrum(chain: ChainSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of c_1..c_S, the support prefix of the chain spectrum up to L.
+
+    One kernel call per family evaluates every link of that family, in the
+    _factors order, and the Mellin values are multiplied in that order.
+    Each complex product is spelled out as real multiplies and a subtract
+    or an add, in the order of the scalar complex product: numpy's complex
+    multiply may fuse them into FMAs, which round differently.  After each
+    family the frequencies past the last nonzero product are dropped: the
+    product there is (signed) zero and stays so, and the later kernels
+    never see them.  The kernels are elementwise, so every retained entry
+    has the bits of the full-length product.
     """
+    ells = _frequencies(1, L)
     re = np.ones(ells.shape)
     im = np.zeros(ells.shape)
     for family, rs in _by_family(chain):
         for m in family.mellin_exact(rs[:, None] * ells, chain.base):
             re, im = re * m.real - im * m.imag, re * m.imag + im * m.real
+        S = _support((re != 0.0) | (im != 0.0))
+        ells, re, im = ells[:S], re[:S], im[:S]
+        if not S:
+            break
     return re, im
 
 
 def _majorants(chain: ChainSpec, ells: np.ndarray) -> np.ndarray:
-    """Products of the family majorants at the frequencies ells >= 1."""
+    """Products of the family majorants at ells >= 1, up to the last nonzero.
+
+    Majorants are >= 0, so a zero product stays +0.0 and is dropped with
+    every later frequency, as in _spectrum.
+    """
     out = np.ones(ells.shape)
     for family, rs in _by_family(chain):
         for m in family.majorant(np.abs(rs)[:, None] * ells, chain.base):
             out *= m
+        S = _support(out != 0.0)
+        ells, out = ells[:S], out[:S]
+        if not S:
+            break
     return out
 
 
 def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
-    """Fourier coefficient of the folded chain at frequency l."""
-    if ell == 0:
-        return 1.0 + 0.0j
-    re, im = _spectrum(chain, _frequencies(abs(ell), abs(ell)))
-    return complex(re[0], im[0] if ell > 0 else -im[0])
+    """Fourier coefficient of the folded chain at frequency l.
+
+    The product over every link, zero factors included, so a vanishing
+    coefficient keeps the sign of its zeros.
+    """
+    ell = _check_index(ell, "ell")
+    out = 1.0 + 0.0j
+    if ell != 0:
+        for family, r in chain._factors:
+            out *= mellin_at(family, float(r) * abs(ell), chain.base)
+    return out if ell >= 0 else out.conjugate()
 
 
 def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
     """Product of family majorants: an upper bound on |chain_spectrum(l)|."""
+    ell = _check_index(ell, "ell")
     if ell == 0:
         return 1.0
-    return float(_majorants(chain, _frequencies(abs(ell), abs(ell)))[0])
+    m = _majorants(chain, _frequencies(abs(ell), abs(ell)))
+    return float(m[0]) if m.size else 0.0
 
 
 def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
@@ -284,16 +342,20 @@ def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
     plain bounds sum_{|l| > L} |c_l|; weighted bounds the same sum with
     each term carrying the extra 1/(pi*|l|) that bounds the fold integral
     |I_l|.  Terms up to L2 = max(2L, 256) are summed explicitly, in one
-    pass for both; beyond that each family contributes a per-step ratio
-    bound g * (l/(l+1))**p, closing the sum geometrically when the
-    combined g < 1, by integral comparison when the combined polynomial
-    degree is >= 2, and honestly reporting infinity otherwise.
+    pass for both, up to the last nonzero one plus a final 0.0 where the
+    products vanish before L2; beyond that each family contributes a
+    per-step ratio bound g * (l/(l+1))**p, closing the sum geometrically
+    when the combined g < 1, by integral comparison when the combined
+    polynomial degree is >= 2, and honestly reporting infinity otherwise.
     """
     L2 = max(2 * L, 256)
     ells = _frequencies(L + 1, L2)
     plain = _majorants(chain, ells)
-    weighted = (plain / (math.pi * ells)).tolist()
+    weighted = (plain / (math.pi * ells[: plain.size])).tolist()
     plain = plain.tolist()
+    if len(plain) < ells.size:
+        plain.append(0.0)
+        weighted.append(0.0)
 
     g_total = 1.0
     p_total = 0
@@ -323,24 +385,27 @@ def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> Bo
     The bound is (b-a) * (sum of |spectrum(l)| over 0 < |l| <= L + tail),
     the triangle inequality applied to the folded Fourier series.  Both
     signs of l enter, with |c_{-l}| = |c_l|; the tail likewise covers both.
+    The two-sided sum is 2 * fsum(moduli): fsum is correctly rounded and
+    doubling is exact, so it has the bits of an fsum over both signs.
     """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    L = _check_L(L)
     width = interval.width
-    moduli = np.hypot(*_spectrum(chain, _frequencies(1, L)))
+    support = np.hypot(*_spectrum(chain, L))
     # All family moduli decrease strictly in |l|, so the retained terms
     # must too; a violation means the spectrum code is wrong.
-    grows = ~(moduli[1:] <= moduli[:-1] * (1.0 + 1e-12) + 1e-305)
+    grows = ~(support[1:] <= support[:-1] * (1.0 + 1e-12) + 1e-305)
     if grows.any():
         ell = int(np.argmax(grows)) + 2
         raise SpectrumCheckError(f"spectrum modulus grows from |l| = {ell - 1} to {ell}")
-    per_term = tuple((sgn, m) for ell, m in enumerate(moduli.tolist(), 1) for sgn in (ell, -ell))
+    moduli = np.zeros(L)
+    moduli[: support.size] = support
+    moduli.flags.writeable = False
     tail, _ = _majorant_tails(chain, L)
     if width == 0.0:
         value = 0.0
     else:
-        value = width * (math.fsum(m for _, m in per_term) + tail)
-    return BoundResult(value=value, truncation_L=L, per_term=per_term, tail=tail)
+        value = width * (2.0 * math.fsum(support.tolist()) + tail)
+    return BoundResult(value=value, truncation_L=L, moduli=moduli, tail=tail)
 
 
 def _cis(ells: np.ndarray, x: float) -> np.ndarray:
@@ -358,24 +423,24 @@ def _fold_series(chain: ChainSpec, edges: list[float], L: int) -> list[float]:
     which rounds differently; the quotient and the product are spelled out
     in real arithmetic in the order of the scalar complex operations.
     Adjacent intervals share their common edge's exponentials, so memory
-    stays O(L).  Widths 0 and 1 are exact (every l != 0 integral
-    vanishes) and need no c_l.
+    stays O(L).  The series runs over the support prefix c_1..c_S only:
+    the zero terms past S leave the sum as it is.  Widths 0 and 1 are
+    exact (every l != 0 integral vanishes) and need no c_l, and with S = 0
+    every interval is exactly its width.
     """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
     ells = re = im = None
     e_a = None
     out = []
     for a, b in zip(edges, edges[1:]):
         width = b - a
-        if width in (0.0, 1.0):
+        if ells is None and width not in (0.0, 1.0):
+            re, im = _spectrum(chain, L)
+            ells = _frequencies(1, re.size)
+            denom = _TWO_PI * ells
+        if width in (0.0, 1.0) or not re.size:
             out.append(width)
             e_a = None
             continue
-        if ells is None:
-            ells = _frequencies(1, L)
-            re, im = _spectrum(chain, ells)
-            denom = _TWO_PI * ells
         if e_a is None:
             e_a = _cis(ells, a)
         e_b = _cis(ells, b)
@@ -396,6 +461,7 @@ def fold_probability(
     smaller of two rigorous majorant tails: the width-scaled plain tail
     and the tail weighted by |I_l| <= 1/(pi*l).
     """
+    L = _check_L(L)
     [prob] = _fold_series(chain, [interval.a, interval.b], L)
     if interval.width in (0.0, 1.0):
         return prob, 0.0
@@ -409,6 +475,7 @@ def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
     A table costs about (base - 1) * (L + 128) series terms; above 2**24
     (about 2 s) it raises ValueError before any work.
     """
+    L = _check_L(L)
     cost = (chain.base - 1) * (L + _DIGIT_INTERVAL_COST)
     if cost > _DIGIT_TABLE_MAX_COST:
         raise ValueError(

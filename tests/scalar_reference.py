@@ -114,7 +114,7 @@ def deviation_bound(chain, interval, L: int = 64) -> BoundResult:
     per_term = tuple((sgn, m) for ell, m in enumerate(moduli, 1) for sgn in (ell, -ell))
     tail, _ = majorant_tails(chain, L)
     value = 0.0 if width == 0.0 else width * (math.fsum(m for _, m in per_term) + tail)
-    return BoundResult(value=value, truncation_L=L, per_term=per_term, tail=tail)
+    return BoundResult(value=value, truncation_L=L, moduli=np.array(moduli), tail=tail)
 
 
 def fold_series(chain, intervals, L: int) -> list[float]:

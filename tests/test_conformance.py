@@ -224,6 +224,18 @@ def test_two_sample_ks_edges():
         two_sample_ks([], [1.0])
 
 
+def test_two_sample_ks_rejects_non_finite_values():
+    # a NaN sorts last and would silently shift the empirical CDF
+    for a, b in [
+        ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [2.0, -math.inf, 3.0]),
+        (np.arange(5.0), np.array([1.0, math.inf])),
+        ([math.nan], [math.nan]),
+    ]:
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            two_sample_ks(a, b)
+
+
 def test_two_sample_ks_calibration():
     g = np.random.default_rng(SEED)
     rejections = 0

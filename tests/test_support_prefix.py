@@ -1,0 +1,205 @@
+"""The support prefix of the chain spectrum: chains._spectrum keeps c_1..c_S
+and drops the frequencies where the product is exactly zero.  Every output
+must keep the bits of the full-length loop in tests/full_spectrum.py, and
+the integer frequency and truncation arguments are checked."""
+
+import math
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import full_spectrum as full
+from benford_chains import chains
+from benford_chains.chains import (
+    ChainLink,
+    ChainSpec,
+    FoldInterval,
+    SpectrumCheckError,
+    chain_spectrum,
+    deviation_bound,
+    first_digit_probabilities,
+    fold_probability,
+    spectrum_majorant,
+)
+from benford_chains.families import FAMILY_NAMES, Benford
+
+LINKS = st.lists(
+    st.tuples(st.sampled_from(FAMILY_NAMES), st.integers(1, 9), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+def build(base, links, foreign):
+    chain = ChainSpec(
+        base,
+        tuple(ChainLink(f, 1 if i == 0 else (-p if neg else p)) for i, (f, p, neg) in enumerate(links)),
+    )
+    if foreign is not None:
+        # A chain spec gives every benford link the chain's base; a benford
+        # factor in another base has a spectrum that never vanishes.
+        chain.__dict__["_factors"] = tuple(
+            (Benford(foreign) if family.name == "benford" else family, r)
+            for family, r in chain._factors
+        )
+    return chain
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def cbits(c: complex) -> list[int]:
+    return bits([c.real, c.imag])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.integers(2, 1000),
+    links=LINKS,
+    foreign=st.one_of(st.none(), st.integers(2, 1000)),
+    L=st.sampled_from([1, 2, 64, 1024, 4096]),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+)
+def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
+    chain = build(base, links, foreign)
+    interval = FoldInterval(*ends)
+
+    old_re, old_im = full.spectrum(chain, np.arange(1.0, L + 1))
+    new_re, new_im = chains._spectrum(chain, L)
+    S = new_re.size
+    assert S <= L and new_im.size == S
+    assert bits(new_re) == bits(old_re[:S]) and bits(new_im) == bits(old_im[:S])
+    # every dropped entry is +-0, and c_S itself is not
+    assert not old_re[S:].any() and not old_im[S:].any()
+    assert S == 0 or old_re[S - 1] != 0.0 or old_im[S - 1] != 0.0
+
+    # chain_spectrum keeps the signs of its zeros, past S too
+    for ell in {1, min(S + 1, L), L}:
+        for signed in (ell, -ell):
+            assert cbits(chain_spectrum(chain, signed)) == cbits(full.chain_spectrum(chain, signed))
+        assert bits(spectrum_majorant(chain, ell)) == bits(full.spectrum_majorant(chain, ell))
+
+    try:
+        value, tail, per_term = full.deviation_bound(chain, interval, L)
+    except SpectrumCheckError as exc:  # a foreign-base benford modulus oscillates
+        with pytest.raises(SpectrumCheckError, match=re.escape(str(exc))):
+            deviation_bound(chain, interval, L)
+    else:
+        bound = deviation_bound(chain, interval, L)
+        assert bits([bound.value, bound.tail]) == bits([value, tail])
+        assert [ell for ell, _ in bound.per_term] == [ell for ell, _ in per_term]
+        assert bits([m for _, m in bound.per_term]) == bits([m for _, m in per_term])
+
+    assert bits(fold_probability(chain, interval, L)) == bits(full.fold_probability(chain, interval, L))
+    if (base - 1) * L <= 50000:
+        assert bits(first_digit_probabilities(chain, L)) == bits(full.first_digit_probabilities(chain, L))
+
+
+@pytest.mark.parametrize(
+    "base, links",
+    [
+        (1000, [("exponential", 1)]),
+        (1000, [("exponential", 1), ("uniform", 1)]),
+        (16, [("half_gaussian", 1), ("uniform", -2)]),
+        (3, [("uniform", 1), ("exponential", 3)]),
+    ],
+)
+def test_majorant_tails_keep_their_bits_where_the_products_vanish(base, links):
+    # Around the last nonzero majorant product the explicit tail holds a
+    # single nonzero term or none, where the closing 0.0 decides the bits.
+    chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+    nonzero = np.flatnonzero(full.majorants(chain, np.arange(1.0, 20001)))
+    last = int(nonzero[-1]) + 1
+    assert last < 20000
+    for L in range(last - 3, last + 3):
+        new, old = chains._majorant_tails(chain, L), full.majorant_tails(chain, L)
+        assert bits(new) == bits(old), L
+
+
+def test_a_benford_link_leaves_an_empty_prefix_and_exact_widths():
+    chain = ChainSpec(10, (ChainLink("exponential", 1), ChainLink("benford", 2), ChainLink("uniform", 1)))
+    re_, im_ = chains._spectrum(chain, 1024)
+    assert re_.size == im_.size == 0
+    bound = deviation_bound(chain, FoldInterval(0.2, 0.7), 1024)
+    assert bound.moduli.shape == (1024,) and not bound.moduli.any()
+    assert (bound.value, bound.tail) == (0.0, 0.0)
+    edges = [math.log(d) / math.log(10) for d in range(1, 11)]
+    assert first_digit_probabilities(chain, 1024) == [b - a for a, b in zip(edges, edges[1:])]
+
+
+def test_bound_moduli_are_read_only_and_per_term_is_derived():
+    chain = ChainSpec(10, (ChainLink("exponential", 1), ChainLink("uniform", 1)))
+    bound = deviation_bound(chain, FoldInterval(0.0, 0.5), 8)
+    with pytest.raises(ValueError):
+        bound.moduli[0] = 1.0
+    assert bound.per_term == tuple(
+        (sgn, m) for ell, m in enumerate(bound.moduli.tolist(), 1) for sgn in (ell, -ell)
+    )
+    assert "moduli" not in repr(bound) and "per_term" not in repr(bound)
+
+
+def test_a_bound_at_L_65536_retains_under_a_mebibyte():
+    # the moduli array is 512 KiB; a per_term tuple of 2L pairs took 13 MiB
+    chain = ChainSpec(
+        10, (ChainLink("exponential", 1), ChainLink("uniform", 2), ChainLink("half_gaussian", -3))
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        bound = deviation_bound(chain, FoldInterval(0.1, 0.6), 65536)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bound.moduli.shape == (65536,)
+    assert retained < 2**20
+
+
+# ------------------------------------------------------- integer arguments
+
+CHAIN = ChainSpec(10, (ChainLink("exponential", 1), ChainLink("uniform", 2)))
+INTERVAL = FoldInterval(0.25, 0.5)
+NOT_INTEGERS = [64.5, 64.0, np.float64(64.0), True, False, np.True_, "64", None]
+INTEGERS = [np.int64(64), np.int32(64), np.uint16(64)]
+
+
+@pytest.mark.parametrize("L", NOT_INTEGERS)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda L: deviation_bound(CHAIN, INTERVAL, L),
+        lambda L: fold_probability(CHAIN, INTERVAL, L),
+        lambda L: first_digit_probabilities(CHAIN, L),
+    ],
+    ids=["deviation_bound", "fold_probability", "first_digit_probabilities"],
+)
+def test_L_must_be_an_integer(entry, L):
+    with pytest.raises(ValueError, match="L must be an integer"):
+        entry(L)
+
+
+@pytest.mark.parametrize("L", INTEGERS)
+def test_numpy_integer_L_gives_the_python_int_result(L):
+    bound = deviation_bound(CHAIN, INTERVAL, L)
+    assert type(bound.truncation_L) is int
+    assert bound == deviation_bound(CHAIN, INTERVAL, 64)
+    assert bits(bound.moduli) == bits(deviation_bound(CHAIN, INTERVAL, 64).moduli)
+    assert fold_probability(CHAIN, INTERVAL, L) == fold_probability(CHAIN, INTERVAL, 64)
+    assert first_digit_probabilities(CHAIN, L) == first_digit_probabilities(CHAIN, 64)
+
+
+@pytest.mark.parametrize("ell", [1.5, 2.0, True, np.float64(3.0), "1", None])
+@pytest.mark.parametrize("entry", [chain_spectrum, spectrum_majorant])
+def test_ell_must_be_an_integer(entry, ell):
+    with pytest.raises(ValueError, match="ell must be an integer"):
+        entry(CHAIN, ell)
+
+
+@pytest.mark.parametrize("ell", [np.int64(3), np.int8(-3), np.uint32(0)])
+def test_numpy_integer_ell_gives_the_python_int_value(ell):
+    assert cbits(chain_spectrum(CHAIN, ell)) == cbits(chain_spectrum(CHAIN, int(ell)))
+    assert spectrum_majorant(CHAIN, ell) == spectrum_majorant(CHAIN, int(ell))
