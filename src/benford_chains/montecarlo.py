@@ -9,9 +9,9 @@ SeedSequence(entropy=seed, spawn_key=(stream, block)) over Philox4x64.
 Any scheduler that assigns whole blocks to workers reproduces the same
 values in the same positions.  The two block kernels (chain walk and
 product form) are the only samplers; a single draw is a batch of one.
-One block loop serves both whole batches, which concatenate its blocks,
-and the CLI's simulate, which writes each block as it is drawn and so
-holds one block at a time.
+One block loop serves both whole batches, which copy each block into
+their output as it is drawn, and the CLI's simulate, which writes each
+block as it is drawn; both hold one block at a time.
 
 Scales that leave [1e-300, 1e300] while walking a chain mark their lane
 as failed; failed lanes are dropped and counted rather than silently
@@ -134,14 +134,26 @@ def _blocks(chain: ChainSpec, count: int, seed: int, stream: int = 0, kernel=_ch
 
 
 def _batch(chain: ChainSpec, count: int, seed: int, stream: int, kernel) -> SampleBatch:
-    kept, failures = zip(*_blocks(chain, count, seed, stream, kernel))
-    values = np.concatenate(kept)
+    # One count-sized output, so a batch holds one block beside it, never
+    # the blocks and their concatenation; the values are its prefix.  The
+    # output is a bytearray, not np.empty: numpy advises 2 MiB pages for
+    # arrays of 4 MiB and more, the advice outlives the array in the malloc
+    # heap, and the kernel then backs heap ranges with 2 MiB pages when the
+    # host has them to spare, so the resident size of a process that draws
+    # batch after batch would vary from run to run.
+    blocks = _blocks(chain, count, seed, stream, kernel)
+    out = np.frombuffer(bytearray(8 * count), dtype=np.float64)
+    kept = failures = 0
+    for values, failed in blocks:
+        out[kept : kept + values.size] = values
+        kept += values.size
+        failures += failed
     return SampleBatch(
         chain=chain,
         seed=RngSeed(seed, stream),
-        values=values,
-        count=len(values),
-        failures=sum(failures),
+        values=out[:kept],
+        count=kept,
+        failures=failures,
     )
 
 

@@ -1,6 +1,8 @@
 """Benford conformance statistics: digit counts, CDF deviation, KS tests."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from benford_chains.conformance import (
     two_sample_ks,
 )
 from benford_chains.families import get_family
-from benford_chains.montecarlo import make_rng, sample_batch
+from benford_chains.montecarlo import BLOCK_SIZE, batch_mantissas, make_rng, sample_batch
 
 SEED = 20260814
 
@@ -101,6 +103,55 @@ def test_digit_stats_invariant():
     with pytest.raises(ValueError):
         DigitStats(base=10, count=2, digit_counts=(1, 0, 0, 0, 0, 0, 0, 0, 0),
                    mantissa_grid=(1.0, 10.0), empirical_cdf=(0.0, 1.0))
+
+
+def _one_sort_digit_stats(x, base, grid_size):
+    """Digit counts and CDF from one sort of every mantissa at once."""
+    mants = np.sort(batch_mantissas(x, base))
+    counts = np.bincount(mants.astype(np.int64), minlength=base)[1:base]
+    grid = np.asarray(digit_stats(x[:1], base, grid_size).mantissa_grid)
+    cdf = np.searchsorted(mants, grid, side="right") / x.size
+    return tuple(counts.tolist()), tuple(cdf.tolist())
+
+
+@pytest.mark.parametrize("base, grid_size", [(10, 1000), (7, BLOCK_SIZE + 5), (BLOCK_SIZE + 3, 2)])
+def test_digit_stats_in_blocks_equals_one_sort(base, grid_size):
+    # three blocks and a ragged end at each block size the step can take,
+    # with repeated values so that ties straddle block boundaries
+    step = max(BLOCK_SIZE, grid_size + 1, base)
+    x = np.exp(np.random.default_rng(base).normal(0.0, 20.0, 3 * step + 17))
+    x[::97] = x[5]
+    stats = digit_stats(x, base, grid_size)
+    assert stats.count == x.size
+    assert (stats.digit_counts, stats.empirical_cdf) == _one_sort_digit_stats(x, base, grid_size)
+
+
+def test_digit_stats_names_a_bad_value_past_the_first_block():
+    x = np.ones(2 * BLOCK_SIZE)
+    x[BLOCK_SIZE + 3] = -1.0
+    with pytest.raises(ValueError, match=rf"values\[{BLOCK_SIZE + 3}\]"):
+        digit_stats(x)
+
+
+def test_audit_counts_dirty_entries_in_every_block():
+    x = np.exp(np.random.default_rng(7).normal(0.0, 5.0, 3 * BLOCK_SIZE))
+    bad = np.arange(11, x.size, 1009)
+    dirty = x.copy()
+    dirty[bad] = np.resize([np.nan, -1.0, 0.0, np.inf, -np.inf], bad.size)
+    report = audit_dataset(dirty, 10)
+    assert report.skipped == bad.size
+    assert report == replace(audit_dataset(np.delete(x, bad), 10), skipped=bad.size)
+
+
+def test_a_clean_audit_makes_no_temporary_of_the_sample_length():
+    x = np.exp(np.random.default_rng(3).normal(0.0, 20.0, 1_000_000))  # 7.6 MiB
+    tracemalloc.start()
+    try:
+        audit_dataset(x, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_benford_family_sample_conforms():

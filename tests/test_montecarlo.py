@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,28 @@ def test_failures_are_counted_not_flushed():
     prod = product_batch(ch, n, SEED, stream=12)
     assert prod.count + prod.failures == n
     assert 1_700 < prod.failures < 2_300
+
+
+def test_a_batch_is_its_kept_blocks_in_order():
+    ch = chain("uniform", "uniform", powers=[1, 300])  # about 10% of lanes abort
+    n = 3 * BLOCK_SIZE + 99
+    got = sample_batch(ch, n, SEED, stream=14)
+    kept = [values for values, _ in montecarlo._blocks(ch, n, SEED, 14)]
+    assert got.count < n
+    assert np.array_equal(got.values, np.concatenate(kept))
+
+
+def test_a_batch_holds_one_block_beside_its_output():
+    ch = chain("half_gaussian", "exponential", "uniform", powers=[1, 2, -3])
+    n = 1_000_000  # 7.6 MiB of output
+    tracemalloc.start()
+    try:
+        batch = sample_batch(ch, n, SEED, stream=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.count == n
+    assert peak < 8 * n + 4 * 2**20
 
 
 def test_batch_validates_count():
