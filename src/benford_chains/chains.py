@@ -13,10 +13,12 @@ computes no tail.  The spectrum is kept only on its support prefix
 c_1..c_S, S <= L: the family kernels run in the _factors order (benford
 first, then the complex-Gamma families, uniform last), each only on the
 frequencies where the product so far is nonzero, and every c_l past S is
-exactly zero because a factor (or the running product) is.  S comes from
-the computed zeros, not from a threshold, so no output bit depends on it;
-a benford link gives S = 0 at once.  The majorant tails are cut the same
-way.
+exactly zero because a factor (or the running product) is.  Before its
+kernels run, a family also skips the frequencies past its zero_beyond,
+where they are proven to compute exactly 0.0 (exponential and
+half-Gaussian); S is the last nonzero product either way, so no output
+bit depends on the cut.  A benford link gives S = 0 at once.  The
+majorant tails are cut the same way.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and dominating the rest with
@@ -270,6 +272,22 @@ def _support(nonzero: np.ndarray) -> int:
     return nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
 
 
+def _live(family: ScaleFamily, rs: np.ndarray, ells: np.ndarray, base: int) -> int:
+    """How many of the consecutive frequencies ells the family may leave nonzero.
+
+    Past l = zero_beyond * ln B / (2*pi*max|R|) the link with the largest |R|
+    has w >= family.zero_beyond, where its kernels compute exactly 0.0, and
+    so the product is zero there.  The + 1 keeps a frequency that rounding
+    puts at the edge.  rs ascends (the _factors order), so its largest |R|
+    sits at one end.
+    """
+    if family.zero_beyond == math.inf:
+        return ells.size
+    r_max = max(-rs[0], rs[-1])
+    last = math.floor(family.zero_beyond * math.log(base) / (_TWO_PI * r_max)) + 1
+    return min(ells.size, max(0, last - int(ells[0]) + 1))
+
+
 def _spectrum(chain: ChainSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
     """(Re, Im) of c_1..c_S, the support prefix of the chain spectrum up to L.
 
@@ -277,16 +295,19 @@ def _spectrum(chain: ChainSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
     _factors order, and the Mellin values are multiplied in that order.
     Each complex product is spelled out as real multiplies and a subtract
     or an add, in the order of the scalar complex product: numpy's complex
-    multiply may fuse them into FMAs, which round differently.  After each
-    family the frequencies past the last nonzero product are dropped: the
-    product there is (signed) zero and stays so, and the later kernels
-    never see them.  The kernels are elementwise, so every retained entry
-    has the bits of the full-length product.
+    multiply may fuse them into FMAs, which round differently.  Before each
+    family's kernel call the frequencies where _live proves it zero are
+    dropped, and after it those past the last nonzero product: the product
+    there is (signed) zero and stays so, and the later kernels never see
+    them.  The kernels are elementwise, so every retained entry has the
+    bits of the full-length product.
     """
     ells = _frequencies(1, L)
     re = np.ones(ells.shape)
     im = np.zeros(ells.shape)
     for family, rs in _by_family(chain):
+        n = _live(family, rs, ells, chain.base)
+        ells, re, im = ells[:n], re[:n], im[:n]
         for m in family.mellin_exact(rs[:, None] * ells, chain.base):
             re, im = re * m.real - im * m.imag, re * m.imag + im * m.real
         S = _support((re != 0.0) | (im != 0.0))
@@ -300,10 +321,13 @@ def _majorants(chain: ChainSpec, ells: np.ndarray) -> np.ndarray:
     """Products of the family majorants at ells >= 1, up to the last nonzero.
 
     Majorants are >= 0, so a zero product stays +0.0 and is dropped with
-    every later frequency, as in _spectrum.
+    every later frequency, as in _spectrum; so are the frequencies where
+    _live proves a family's majorant zero.
     """
     out = np.ones(ells.shape)
     for family, rs in _by_family(chain):
+        n = _live(family, rs, ells, chain.base)
+        ells, out = ells[:n], out[:n]
         for m in family.majorant(np.abs(rs)[:, None] * ells, chain.base):
             out *= m
         S = _support(out != 0.0)
@@ -492,11 +516,13 @@ def exponential_chain_bound(n: int, base: int) -> float:
 
     sum over l >= 1 of (x_l / sinh x_l)^(n/2) with x_l = 2*pi^2*l / ln B.
     Quoted one-sided (l >= 1 only) by convention; terms below 1e-300 are
-    dropped.
+    dropped.  n may be 2..2**53, where n/2 is an exact double.
     """
     n = _check_int(n, "n")
     if n < 2:
         raise ValueError(f"exponential_chain_bound needs n >= 2, got {n}")
+    if n > _MAX_EXPONENT:
+        raise ValueError(f"exponential_chain_bound needs n <= 2**53, got {n}")
     _check_int(base, "base")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -523,6 +549,8 @@ def uniform_chain_density(n: int, k: float, x: float) -> float:
     if n < 1:
         raise ValueError(f"uniform_chain_density needs n >= 1, got {n}")
     k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     if k < 1.0:
         raise ValueError(f"k must be >= 1, got {k}")
     x = float(x)

@@ -48,6 +48,10 @@ class ScaleFamily:
     """One scale family: Mellin values, majorant, tail profile, sampler."""
 
     name: str = ""
+    # The angular frequency w = 2*pi*|R*l|/ln B at and beyond which both
+    # mellin_exact and majorant compute exactly 0.0; inf where neither
+    # underflows.
+    zero_beyond: float = math.inf
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         """(M f)(1 - 2*pi*i*l/ln B) for the unit-scale density f.
@@ -93,6 +97,12 @@ class Exponential(ScaleFamily):
     """Exponential: f(x) = exp(-x) on x >= 0; Mellin value Gamma(s)."""
 
     name = "exponential"
+    # At w = 480, |Gamma(1+iw)| <= sqrt(2*pi*w) * e^(-pi*w/2) * (1 - e^(-2*pi*w))^(-1/2)
+    # has log -749.98 < specfun._LOG_UNDERFLOW = -746, where complex_gamma
+    # returns 0, and the majorant's e^(-pi*w/2) = e^(-754) lies below half
+    # the least subnormal, e^(-745.13).  Both decrease in w.  (The last
+    # nonzero values of a dense sweep lie at w ~ 476.9 and 474.4.)
+    zero_beyond = 480.0
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         w = _omega(ells, base)
@@ -163,6 +173,11 @@ class HalfGaussian(ScaleFamily):
     """
 
     name = "half_gaussian"
+    # At w = 960, |Gamma(1/2 - iw/2)| = sqrt(pi/cosh(pi*w/2)) has log -753.06
+    # < -746, and the majorant's e^(-pi*w/4) = e^(-754) lies below half the
+    # least subnormal, e^(-745.13).  Both decrease in w.  (The last nonzero
+    # values of a dense sweep lie at w ~ 949.9 and 948.7.)
+    zero_beyond = 960.0
 
     _SQRT_PI = math.sqrt(math.pi)
 

@@ -396,6 +396,9 @@ def test_exponential_chain_bound_domain():
         exponential_chain_bound(1, 10)
     with pytest.raises(ValueError):
         exponential_chain_bound(2, 1)
+    for n in (2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match=r"n <= 2\*\*53"):
+            exponential_chain_bound(n, 10)
 
 
 def test_uniform_chain_density_values():
@@ -416,6 +419,9 @@ def test_uniform_chain_density_domain():
         uniform_chain_density(2, 5.0, 0.0)
     with pytest.raises(ValueError):
         uniform_chain_density(2, 5.0, 5.5)
+    for k in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="k must be finite"):
+            uniform_chain_density(2, k, 1.0)
 
 
 def test_uniform_chain_density_integrates_to_one():

@@ -70,6 +70,16 @@ def test_bound_exp_rejects_short_chain(capsys):
     assert "n >= 2" in capsys.readouterr().err
 
 
+def test_bound_exp_rejects_n_beyond_two_to_53(capsys):
+    # 0.5 * n must be an exact double; 10**400 is not even a double
+    for n in (str(2**53 + 1), str(10**400)):
+        code, text = run(["bound-exp", "--n", n])
+        assert (code, text) == (2, "")
+        assert "n <= 2**53" in capsys.readouterr().err
+    doc = run_json(["bound-exp", "--n", str(2**53)])
+    assert (doc["value"], doc["n"]) == (0.0, 2**53)
+
+
 def test_bound_command(tmp_path):
     spec = tmp_path / "exp2.json"
     spec.write_text(EXP2)
@@ -186,7 +196,12 @@ def test_density_uniform_csv(capsys):
         assert "n <= 171" in capsys.readouterr().err
 
     # --n and --k are checked before the config echo and the header are written
-    for n, k, message in (("0", "5", "n >= 1, got 0"), ("4", "0.5", "k must be >= 1, got 0.5")):
+    for n, k, message in (
+        ("0", "5", "n >= 1, got 0"),
+        ("4", "0.5", "k must be >= 1, got 0.5"),
+        ("2", "inf", "k must be finite, got inf"),
+        ("2", "nan", "k must be finite, got nan"),
+    ):
         code, text = run(["density-uniform", "--n", n, "--k", k, "--points", "2"])
         assert (code, text) == (2, "")
         assert message in capsys.readouterr().err

@@ -1,0 +1,158 @@
+"""The frequencies where a complex-Gamma family provably computes zero.
+
+Each family's zero_beyond is the angular frequency w = 2*pi*|R*l|/ln B at
+and beyond which its mellin_exact and majorant return exactly 0.0, and
+chains._spectrum and chains._majorants skip those frequencies before the
+kernel calls.  The skipped entries were exact zeros, so every output keeps
+the bits of the full-length loop in tests/full_spectrum.py."""
+
+import math
+
+import numpy as np
+import pytest
+
+import full_spectrum as full
+from benford_chains import chains, families
+from benford_chains.chains import (
+    ChainLink,
+    ChainSpec,
+    FoldInterval,
+    deviation_bound,
+    first_digit_probabilities,
+    fold_probability,
+)
+from benford_chains.families import Benford, get_family
+
+BASES = [2, 3, 10, 16, 1000, 10**6]
+CUT_FAMILIES = ["exponential", "half_gaussian"]
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def scaled(w, base):
+    """The scaled frequencies R*l (the kernels' argument) at angular frequencies w."""
+    return np.asarray(w) * (math.log(base) / (2.0 * math.pi))
+
+
+def assert_zero_at(family, x, base):
+    for sign in (1.0, -1.0):
+        m = family.mellin_exact(sign * x, base)
+        assert not m.real.any() and not m.imag.any(), (family, base, sign)
+    assert not family.majorant(x, base).any(), (family, base)
+
+
+def chain_of(base, links):
+    return ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+
+
+# ------------------------------------------------------------- the contract
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("name", CUT_FAMILIES)
+def test_the_kernels_are_zero_just_past_zero_beyond(name, base):
+    family = get_family(name, base)
+    w = family.zero_beyond + np.linspace(0.0, 50.0, 20001)
+    assert_zero_at(family, scaled(w, base), base)
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("name", CUT_FAMILIES)
+def test_the_kernels_are_zero_out_to_1e22(name, base):
+    family = get_family(name, base)
+    assert_zero_at(family, scaled(np.geomspace(family.zero_beyond, 1e22, 4001), base), base)
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("name", CUT_FAMILIES)
+def test_the_kernels_are_zero_at_every_integer_frequency_past_the_cut(name, base):
+    # the frequencies chains._live drops for the link with the largest |R|
+    family = get_family(name, base)
+    for r in (1, 2, 7, 59049, 2**53):
+        last = math.floor(family.zero_beyond * math.log(base) / (2.0 * math.pi * r)) + 1
+        ells = np.arange(last + 1, last + 2001, dtype=np.float64)
+        assert_zero_at(family, r * ells, base)
+
+
+@pytest.mark.parametrize("name", CUT_FAMILIES)
+def test_zero_beyond_lies_within_15_of_the_last_nonzero_value(name):
+    # a threshold far above the underflow would cut almost nothing
+    family = get_family(name)
+    w = np.linspace(family.zero_beyond - 15.0, family.zero_beyond, 15001)
+    assert np.abs(family.mellin_exact(scaled(w, 10), 10)).any()
+    assert family.majorant(scaled(w, 10), 10).any()
+
+
+def test_uniform_and_benford_are_never_cut():
+    assert get_family("uniform").zero_beyond == math.inf
+    assert get_family("benford", 10).zero_beyond == math.inf
+    assert Benford(7).zero_beyond == math.inf
+
+
+# ------------------------------------------------------------ the edges
+
+
+def assert_matches_the_full_loop(chain, L, interval=FoldInterval(0.125, 0.6)):
+    old_re, old_im = full.spectrum(chain, np.arange(1.0, L + 1))
+    new_re, new_im = chains._spectrum(chain, L)
+    S = new_re.size
+    assert bits(new_re) == bits(old_re[:S]) and bits(new_im) == bits(old_im[:S])
+    assert not old_re[S:].any() and not old_im[S:].any()
+    assert S == 0 or old_re[S - 1] != 0.0 or old_im[S - 1] != 0.0
+
+    assert bits(chains._majorant_tails(chain, L)) == bits(full.majorant_tails(chain, L))
+    value, tail, per_term = full.deviation_bound(chain, interval, L)
+    bound = deviation_bound(chain, interval, L)
+    assert bits([bound.value, bound.tail]) == bits([value, tail])
+    assert bits([m for _, m in bound.per_term]) == bits([m for _, m in per_term])
+    assert bits(fold_probability(chain, interval, L)) == bits(full.fold_probability(chain, interval, L))
+    assert bits(first_digit_probabilities(chain, L)) == bits(full.first_digit_probabilities(chain, L))
+    return S
+
+
+@pytest.mark.parametrize(
+    "base, links",
+    [
+        (10, [("exponential", 1)]),
+        (10, [("exponential", 1), ("uniform", 1)]),
+        (16, [("half_gaussian", 1), ("exponential", -1)]),
+        (3, [("uniform", 1), ("half_gaussian", 2), ("exponential", -1)]),
+        (1000, [("exponential", 1), ("half_gaussian", 1)]),
+    ],
+)
+def test_outputs_keep_their_bits_where_the_cut_meets_L(base, links):
+    chain = chain_of(base, links)
+    for family, rs in chains._by_family(chain):
+        if family.zero_beyond == math.inf:
+            continue
+        last = math.floor(family.zero_beyond * math.log(base) / (2.0 * math.pi * np.abs(rs).max())) + 1
+        # the cut lands at L + 1, at L and at L - 1 of the spectrum; the
+        # majorant frequencies L+1.. keep one of them, or none
+        for L in (last - 1, last, last + 1):
+            assert chains._live(family, rs, np.arange(1.0, L + 1), base) == min(L, last)
+            assert_matches_the_full_loop(chain, L)
+
+
+def test_a_chain_cut_to_l_1_that_computes_zero_there_has_S_0():
+    chain = chain_of(2, [("exponential", 1)] + [("exponential", 9)] * 5)
+    [(family, rs)] = chains._by_family(chain)
+    assert chains._live(family, rs, np.arange(1.0, 1025), 2) == 1
+    for L in (1, 2, 64, 1024):
+        assert assert_matches_the_full_loop(chain, L) == 0
+
+
+def test_a_base_10_bound_at_L_1024_evaluates_90_complex_gamma_points(monkeypatch):
+    # R = 6, 3, 1: the cut keeps l <= floor(480 ln 10 / (12 pi)) + 1 = 30
+    points = []
+    original = families.complex_gamma
+
+    def counting(z):
+        points.append(np.size(z))
+        return original(z)
+
+    monkeypatch.setattr(families, "complex_gamma", counting)
+    chain = chain_of(10, [("exponential", 1), ("exponential", 2), ("exponential", 3)])
+    deviation_bound(chain, FoldInterval(0.0, 0.5), 1024)
+    assert points == [3 * 30]
