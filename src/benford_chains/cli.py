@@ -281,6 +281,7 @@ def _cmd_simulate(args, out) -> int:
                 fh.write(_format_rows(count + lo, values[lo:hi], mants[lo:hi], digits[lo:hi]))
             count += len(values)
             failures += failed
+            del values, mants, digits  # the next two blocks are drawn beside none of this one
     _print_json(
         {
             "requested": args.samples,

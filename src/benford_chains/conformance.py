@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .montecarlo import BLOCK_SIZE, _check_base, batch_mantissas
+from .montecarlo import BLOCK_SIZE, _check_base, _in_order, batch_mantissas
 
 __all__ = [
     "DigitStats",
@@ -122,37 +122,66 @@ def digit_stats(values, base: int = 10, grid_size: int = DEFAULT_GRID_SIZE) -> D
     point.  A block holds at least grid_size + 1 and base values, so the
     grid search and the digit count cost no more than the sort.  The
     counts are integers, so the result does not depend on the block size.
+    Two blocks are counted at a time, by the caller and a helper thread.
     """
     _check_base(base)
-    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
-        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
+    grid = _grid(base, grid_size)
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("values must be a nonempty one-dimensional sequence")
+    return _digit_stats(x, base, grid, drop_bad=False)[0]
 
+
+def _grid(base: int, grid_size) -> np.ndarray:
+    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
+        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     grid = np.array([float(base) ** (j / grid_size) for j in range(grid_size + 1)])
     grid[0] = 1.0
     grid[-1] = float(base)
+    return grid
+
+
+def _digit_stats(x: np.ndarray, base: int, grid: np.ndarray, drop_bad: bool):
+    """digit_stats of the finite positive entries of x, and how many others x holds.
+
+    Each block is checked once.  Unless drop_bad, the first other entry
+    raises ValueError; otherwise a dirty block is filtered on its own, so
+    x gets no mask or copy of its own length.
+    """
     step = max(BLOCK_SIZE, grid.size, base)
-    digits = np.zeros(base, dtype=np.int64)
-    below = np.zeros(grid.size, dtype=np.int64)  # mantissas <= each grid point
-    for start in range(0, x.size, step):
+
+    def count(start):
         block = x[start : start + step]
         ok = np.isfinite(block) & (block > 0.0)
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            raise ValueError(f"values[{start + i}] = {block[i]!r} is not a positive real")
+        bad = block.size - int(np.count_nonzero(ok))
+        if bad:
+            if not drop_bad:
+                i = int(np.flatnonzero(~ok)[0])
+                raise ValueError(f"values[{start + i}] = {block[i]!r} is not a positive real")
+            block = block[ok]
         mants = batch_mantissas(block, base)
         mants.sort()
-        digits += np.bincount(mants.astype(np.intp), minlength=base)
-        below += np.searchsorted(mants, grid, side="right")
-    return DigitStats(
+        digits = np.bincount(mants.astype(np.intp), minlength=base)
+        return digits, np.searchsorted(mants, grid, side="right"), bad
+
+    digits = np.zeros(base, dtype=np.int64)
+    below = np.zeros(grid.size, dtype=np.int64)  # mantissas <= each grid point
+    skipped = 0
+    for block_digits, block_below, bad in _in_order(count, range(0, x.size, step)):
+        digits += block_digits
+        below += block_below
+        skipped += bad
+    n = x.size - skipped
+    if n == 0:
+        raise ValueError("no positive values left after filtering")
+    stats = DigitStats(
         base=base,
-        count=int(x.size),
+        count=n,
         digit_counts=tuple(digits[1:].tolist()),
         mantissa_grid=tuple(grid.tolist()),
-        empirical_cdf=tuple((below / x.size).tolist()),
+        empirical_cdf=tuple((below / n).tolist()),
     )
+    return stats, skipped
 
 
 def audit_dataset(
@@ -175,18 +204,7 @@ def audit_dataset(
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    # Counted a block at a time, so a clean array (the usual case) gets no
-    # mask or copy of its own length; only a dirty one is filtered.
-    skipped = sum(
-        int(block.size - np.count_nonzero(np.isfinite(block) & (block > 0.0)))
-        for block in (x[i : i + BLOCK_SIZE] for i in range(0, x.size, BLOCK_SIZE))
-    )
-    if skipped:
-        x = x[np.isfinite(x) & (x > 0.0)]
-    if x.size == 0:
-        raise ValueError("no positive values left after filtering")
-
-    stats = digit_stats(x, base, grid_size)
+    stats, skipped = _digit_stats(x, base, _grid(base, grid_size), drop_bad=True)
     n = stats.count
     theory = np.array([benford_cdf(s, base) for s in stats.mantissa_grid])
     sup_dev = float(np.max(np.abs(np.asarray(stats.empirical_cdf) - theory)))

@@ -128,7 +128,10 @@ class Exponential(ScaleFamily):
         return min(math.sqrt(slack) * math.exp(-lam), 1.0), 0
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        return -np.log1p(-rng.random(n))
+        u = rng.random(n)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)
 
 
 class Uniform(ScaleFamily):
@@ -200,7 +203,10 @@ class HalfGaussian(ScaleFamily):
         return math.exp(-lam), 0
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        return np.abs(rng.standard_normal(n)) / math.sqrt(2.0)
+        z = rng.standard_normal(n)
+        np.abs(z, out=z)
+        z /= math.sqrt(2.0)
+        return z
 
 
 class Benford(ScaleFamily):
@@ -246,7 +252,8 @@ class Benford(ScaleFamily):
         return 1.0, 1
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        return np.power(float(self.base), rng.random(n))
+        u = rng.random(n)
+        return np.power(float(self.base), u, out=u)
 
     def __repr__(self) -> str:
         return f"<family benford base={self.base}>"

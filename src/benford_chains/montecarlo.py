@@ -11,7 +11,13 @@ values in the same positions.  The two block kernels (chain walk and
 product form) are the only samplers; a single draw is a batch of one.
 One block loop serves both whole batches, which copy each block into
 their output as it is drawn, and the CLI's simulate, which writes each
-block as it is drawn; both hold one block at a time.
+block as it is drawn.  It draws two blocks at a time, the caller one and
+a helper thread the next (numpy releases the GIL in the Philox fills and
+the ufuncs), and hands them out in block order, so every value and every
+error is the serial loop's; both consumers hold at most two blocks in
+flight.  A one-block job starts no thread, a forked child starts its own
+helper, and a pair that did not pay for the helper makes the loop serial
+for a while.
 
 Scales that leave [1e-300, 1e300] while walking a chain mark their lane
 as failed; failed lanes are dropped and counted rather than silently
@@ -23,6 +29,8 @@ share.
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +58,13 @@ _SCALE_MIN = 1e-300
 _SCALE_MAX = 1e300
 
 
+def _check_u64(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if not 0 <= v < 2**64:
+        raise ValueError(f"{name} must fit in 64 unsigned bits, got {v}")
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """A 64-bit seed plus a 64-bit substream index."""
@@ -58,12 +73,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= v < 2**64:
-                raise ValueError(f"{name} must fit in 64 unsigned bits, got {v}")
+        _check_u64("seed", self.seed)
+        _check_u64("stream", self.stream)
 
 
 @dataclass(frozen=True)
@@ -84,34 +95,137 @@ class SampleBatch:
 def make_rng(seed: int, stream: int = 0, block: int = 0) -> np.random.Generator:
     """The generator for one block of one substream."""
     RngSeed(seed, stream)
+    _check_u64("block", block)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def _chain_kernel(chain: ChainSpec, rng, lanes: int):
     families = chain.families()
-    bad = np.zeros(lanes, dtype=bool)
+    ok = np.ones(lanes, dtype=bool)
     x = families[0].sample_unit_batch(rng, lanes)
     for link, family in zip(chain.links[1:], families[1:]):
         draws = family.sample_unit_batch(rng, lanes)
         with np.errstate(all="ignore"):
-            theta = x ** float(link.power)
-        bad |= ~np.isfinite(theta) | (theta < _SCALE_MIN) | (theta > _SCALE_MAX)
-        x = theta * draws
-    bad |= ~np.isfinite(x) | (x <= 0.0)
-    return x, bad
+            x **= float(link.power)
+        ok &= np.isfinite(x)
+        ok &= x >= _SCALE_MIN
+        ok &= x <= _SCALE_MAX
+        x *= draws
+    ok &= np.isfinite(x)
+    ok &= x > 0.0
+    return x, ok
 
 
 def _product_kernel(chain: ChainSpec, rng, lanes: int):
     powers = cumulative_powers(chain)
-    bad = np.zeros(lanes, dtype=bool)
+    ok = np.ones(lanes, dtype=bool)
     out = np.ones(lanes)
     for family, r in zip(chain.families(), powers):
         draws = family.sample_unit_batch(rng, lanes)
         with np.errstate(all="ignore"):
-            out = out * draws ** float(r)
-        bad |= ~np.isfinite(out) | (out < _SCALE_MIN) | (out > _SCALE_MAX)
-    return out, bad
+            draws **= float(r)
+            out *= draws
+        ok &= np.isfinite(out)
+        ok &= out >= _SCALE_MIN
+        ok &= out <= _SCALE_MAX
+    return out, ok
+
+
+# (pid, task queue) of the helper thread; a forked child has another pid,
+# so it starts a helper of its own instead of waiting on one it lacks.
+_helper = (None, None)
+_END = object()
+# The map runs serially until this time.perf_counter() reading, set
+# _backoff_s ahead whenever the helper did not pay for its pair.  On a
+# 2-CPU VM whose host steals time, a GIL handoff can wait milliseconds for
+# the other vCPU: a 1e6 sample_batch then took up to 150 ms on two threads
+# against 52 ms on one.  The backoff doubles after each pair that did not
+# pay, up to 8 s, so such a host pays for about one probe in 8 s, and is
+# back to a second after a pair that did.
+_serial_until = 0.0
+_backoff_s = 1.0
+
+
+def _serve(tasks) -> None:
+    # Each item runs in a frame of its own, so an idle helper holds no block.
+    while True:
+        _run(*tasks.get())
+
+
+def _run(fn, item, reply) -> None:
+    try:
+        reply.put((fn(item), None))
+    except BaseException as exc:
+        reply.put((None, exc))
+
+
+def _submit(fn, item):
+    """Run fn(item) on the helper thread; the returned queue gets (result, error)."""
+    global _helper
+    import queue
+
+    pid, tasks = _helper
+    if pid != os.getpid():
+        import threading
+
+        tasks = queue.SimpleQueue()
+        threading.Thread(
+            target=_serve, args=(tasks,), name="benford_chains-blocks", daemon=True
+        ).start()
+        _helper = (os.getpid(), tasks)
+    reply = queue.SimpleQueue()
+    tasks.put((fn, item, reply))
+    return reply
+
+
+def _pair(fn, first, second):
+    """([fn(first), fn(second)], None), the second run on the helper meanwhile.
+
+    If fn(second) raised, ([fn(first)], its error).  The helper's item is
+    waited for before the pair returns or raises, so no work outlives it.
+    """
+    reply = _submit(fn, second)
+    try:
+        head = fn(first)
+    finally:
+        tail, error = reply.get()
+    return ([head] if error is not None else [head, tail]), error
+
+
+def _in_order(fn, items):
+    """fn(item) for each item, in order, two at a time.
+
+    Every second item runs on the helper thread while the caller runs the
+    one before it; results and errors come out in item order, so the
+    caller sees what map(fn, items) gives.  A single item runs in the
+    caller and starts no thread.  A pair whose wall time exceeds twice
+    the caller's CPU time, what the two items cost in series, did not pay,
+    and the map then runs serially for _backoff_s.  fn must not itself use
+    this map: the one helper would wait on itself.
+    """
+    global _serial_until, _backoff_s
+    items = iter(items)
+    for item in items:
+        if time.perf_counter() < _serial_until:
+            yield fn(item)
+            continue
+        after = next(items, _END)
+        if after is _END:
+            yield fn(item)
+            return
+        wall, cpu = time.perf_counter(), time.thread_time()
+        done, error = _pair(fn, item, after)
+        wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
+        if wall > 2.0 * cpu:
+            _serial_until = time.perf_counter() + _backoff_s
+            _backoff_s = min(2.0 * _backoff_s, 8.0)
+        else:
+            _backoff_s = 1.0
+        while done:
+            yield done.pop(0)
+        if error is not None:
+            raise error
 
 
 def _blocks(chain: ChainSpec, count: int, seed: int, stream: int = 0, kernel=_chain_kernel):
@@ -124,17 +238,23 @@ def _blocks(chain: ChainSpec, count: int, seed: int, stream: int = 0, kernel=_ch
         raise ValueError(f"count must be a positive integer, got {count!r}")
     RngSeed(seed, stream)
 
-    def draw():
-        for block, off in enumerate(range(0, count, BLOCK_SIZE)):
-            rng = make_rng(seed, stream, block)
-            values, bad = kernel(chain, rng, min(BLOCK_SIZE, count - off))
-            yield values[~bad], int(bad.sum())
+    def draw(job):
+        rng, lanes = job
+        values, ok = kernel(chain, rng, lanes)
+        kept = int(np.count_nonzero(ok))
+        return (values if kept == lanes else values[ok]), lanes - kept
 
-    return draw()
+    # The caller makes the generators, in block order, so numpy.random is
+    # imported before the helper starts and only the kernels run on it.
+    jobs = (
+        (make_rng(seed, stream, block), min(BLOCK_SIZE, count - off))
+        for block, off in enumerate(range(0, count, BLOCK_SIZE))
+    )
+    return _in_order(draw, jobs)
 
 
 def _batch(chain: ChainSpec, count: int, seed: int, stream: int, kernel) -> SampleBatch:
-    # One count-sized output, so a batch holds one block beside it, never
+    # One count-sized output, so a batch holds two blocks beside it, never
     # the blocks and their concatenation; the values are its prefix.  The
     # output is a bytearray, not np.empty: numpy advises 2 MiB pages for
     # arrays of 4 MiB and more, the advice outlives the array in the malloc
@@ -148,6 +268,7 @@ def _batch(chain: ChainSpec, count: int, seed: int, stream: int, kernel) -> Samp
         out[kept : kept + values.size] = values
         kept += values.size
         failures += failed
+        del values  # the next two blocks are drawn beside none of this one
     return SampleBatch(
         chain=chain,
         seed=RngSeed(seed, stream),

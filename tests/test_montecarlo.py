@@ -64,6 +64,17 @@ def test_rng_seed_validation():
             RngSeed(0, bad)
 
 
+def test_make_rng_validates_block_like_seed_and_stream():
+    # before: True was taken as block 1, 2**64 was accepted, 1.5 and None
+    # raised TypeErrors that did not name the block
+    for bad in (True, False, -1, 2**64, 1.5, None, "7", np.int64(1)):
+        with pytest.raises(ValueError, match="^block must"):
+            make_rng(SEED, 0, bad)
+    for good in (0, 1, 2**64 - 1):
+        assert make_rng(SEED, 0, good).random(4).shape == (4,)
+    assert np.array_equal(make_rng(SEED, 0, 2**64 - 1).random(4), make_rng(SEED, 0, 2**64 - 1).random(4))
+
+
 def test_rng_algorithm_string_is_pinned():
     assert RNG_ALGORITHM == "numpy-philox4x64/seedseq(seed,(stream,block))/block65536"
     assert BLOCK_SIZE == 65536
