@@ -16,8 +16,8 @@ a helper thread the next (numpy releases the GIL in the Philox fills and
 the ufuncs), and hands them out in block order, so every value and every
 error is the serial loop's; both consumers hold at most two blocks in
 flight.  A one-block job starts no thread, a forked child starts its own
-helper, and a pair that did not pay for the helper makes the loop serial
-for a while.
+helper, and while recent pairs did not pay for the helper the loop runs
+serially, trying a pair now and then.
 
 Scales that leave [1e-300, 1e300] while walking a chain mark their lane
 as failed; failed lanes are dropped and counted rather than silently
@@ -136,15 +136,18 @@ def _product_kernel(chain: ChainSpec, rng, lanes: int):
 # so it starts a helper of its own instead of waiting on one it lacks.
 _helper = (None, None)
 _END = object()
-# The map runs serially until this time.perf_counter() reading, set
-# _backoff_s ahead whenever the helper did not pay for its pair.  On a
-# 2-CPU VM whose host steals time, a GIL handoff can wait milliseconds for
-# the other vCPU: a 1e6 sample_batch then took up to 150 ms on two threads
-# against 52 ms on one.  The backoff doubles after each pair that did not
-# pay, up to 8 s, so such a host pays for about one probe in 8 s, and is
-# back to a second after a pair that did.
-_serial_until = 0.0
-_backoff_s = 1.0
+# Whether the helper pays, from the pairs themselves: each pair's wall time
+# over twice the caller's CPU time (what the two items cost in series),
+# clipped to 2, averaged with weight 1/8 per pair.  Below 1 the map pairs
+# items; above it the map runs serially and tries one pair every
+# _PROBE_ITEMS items.  On a 2-CPU VM whose host steals time, a GIL handoff
+# can wait milliseconds for the other vCPU: a 1e6 sample_batch then took
+# up to 150 ms on two threads against 52 ms on one.  On a quiet host about
+# one pair in a hundred reads above 1; the average does not leave the pair
+# map for such a pair, so the map's speed does not hang on when they come.
+_cost = 0.5
+_serial_items = 0
+_PROBE_ITEMS = 32
 
 
 def _serve(tasks) -> None:
@@ -199,29 +202,27 @@ def _in_order(fn, items):
     Every second item runs on the helper thread while the caller runs the
     one before it; results and errors come out in item order, so the
     caller sees what map(fn, items) gives.  A single item runs in the
-    caller and starts no thread.  A pair whose wall time exceeds twice
-    the caller's CPU time, what the two items cost in series, did not pay,
-    and the map then runs serially for _backoff_s.  fn must not itself use
-    this map: the one helper would wait on itself.
+    caller and starts no thread.  While _cost says the helper does not
+    pay, items run in the caller, with a pair every _PROBE_ITEMS items.
+    fn must not itself use this map: the one helper would wait on itself.
     """
-    global _serial_until, _backoff_s
+    global _cost, _serial_items
     items = iter(items)
     for item in items:
-        if time.perf_counter() < _serial_until:
+        if _cost > 1.0 and _serial_items < _PROBE_ITEMS:
+            _serial_items += 1
             yield fn(item)
             continue
         after = next(items, _END)
         if after is _END:
             yield fn(item)
             return
+        _serial_items = 0
         wall, cpu = time.perf_counter(), time.thread_time()
         done, error = _pair(fn, item, after)
         wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
-        if wall > 2.0 * cpu:
-            _serial_until = time.perf_counter() + _backoff_s
-            _backoff_s = min(2.0 * _backoff_s, 8.0)
-        else:
-            _backoff_s = 1.0
+        cost = 2.0 if wall > 4.0 * cpu else (wall / (2.0 * cpu) if cpu else 0.0)
+        _cost += (cost - _cost) / 8.0
         while done:
             yield done.pop(0)
         if error is not None:

@@ -54,8 +54,8 @@ def clock(monkeypatch):
     """A fake clock, so the helper takes every second item however busy the host is."""
     fake = Clock()
     monkeypatch.setattr(montecarlo, "time", fake)
-    monkeypatch.setattr(montecarlo, "_serial_until", 0.0)
-    monkeypatch.setattr(montecarlo, "_backoff_s", 1.0)
+    monkeypatch.setattr(montecarlo, "_cost", 0.5)
+    monkeypatch.setattr(montecarlo, "_serial_items", 0)
     return fake
 
 
@@ -118,27 +118,27 @@ def test_every_second_block_goes_to_the_helper(submitted, blocks, helper_items):
     assert len(submitted) == helper_items
 
 
-def test_a_pair_that_did_not_pay_runs_the_map_serially_for_a_while(clock, submitted):
+def test_the_map_runs_serially_while_pairs_do_not_pay(clock, submitted):
     clock.pair_wall = 0.01  # each pair takes 10 ms of wall time and no CPU
-    sample_batch(DROPPY, 5 * BLOCK_SIZE, SEED)
-    assert len(submitted) == 1  # the first pair lost: blocks 2..4 ran in the caller
-    assert (montecarlo._serial_until, montecarlo._backoff_s) == (1.01, 2.0)
-    clock.now = 1.009
+    sample_batch(DROPPY, 10 * BLOCK_SIZE, SEED)
+    assert len(submitted) == 4  # one losing pair does not do it, four do
+    assert montecarlo._cost > 1.0 and montecarlo._serial_items == 2
+    digit_stats(np.ones(32 * BLOCK_SIZE))
+    assert len(submitted) == 5  # 30 items in the caller, then one pair
+    assert montecarlo._cost > 1.0 and montecarlo._serial_items == 0
+    clock.pair_wall = 0.0  # pairs pay from now on
+    digit_stats(np.ones(68 * BLOCK_SIZE))
+    assert len(submitted) == 7  # two paying probes, 32 items apart, end it
+    assert montecarlo._cost < 1.0
     digit_stats(np.ones(4 * BLOCK_SIZE))
-    assert len(submitted) == 1
-    clock.now = 1.011  # the next probe loses too: two seconds more
-    digit_stats(np.ones(4 * BLOCK_SIZE))
-    assert len(submitted) == 2
-    assert (montecarlo._serial_until, montecarlo._backoff_s) == (3.021, 4.0)
-    clock.now, clock.pair_wall, clock.cpu = 3.03, 0.0, 0.0  # the next one pays
-    digit_stats(np.ones(4 * BLOCK_SIZE))
-    assert len(submitted) == 4
-    assert montecarlo._backoff_s == 1.0
-    for _ in range(10):
-        clock.pair_wall = 0.01
-        montecarlo._serial_until = 0.0
+    assert len(submitted) == 9
+
+
+def test_one_slow_pair_in_a_hundred_keeps_the_pairs(clock, submitted):
+    for i in range(200):
+        clock.pair_wall = 0.01 if i % 100 == 50 else 0.0
         digit_stats(np.ones(2 * BLOCK_SIZE))
-    assert montecarlo._backoff_s == 8.0
+    assert len(submitted) == 200 and montecarlo._cost < 0.25
 
 
 def test_digit_stats_names_the_first_bad_block_when_two_are_bad(monkeypatch, clock):
