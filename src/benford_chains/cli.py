@@ -42,14 +42,15 @@ __all__ = ["main"]
 
 # Integer flag limits (lo, hi) by argparse dest, checked in main before any
 # file is read.  The library checks the rest (--grid >= 2, --n, --seed).
-# simulate holds one block at a time, so --samples is capped by time and
-# disk: about 49 bytes of CSV and 2.6 us per row, so 10**8 draws write
-# about 5 GB in about 4.5 minutes.  digit_stats builds the audit grid in a
-# Python list, and an audit report lists base - 1 digits (--base 10**6
-# takes about 7 s and 233 MiB); a density row costs about 3 us and 40
-# bytes; --lmax 65536 on a 3-link base-16 chain takes up to about 1 s and
-# 67 MiB (each a subprocess on a 2-CPU Xeon VM).  The library caps the
-# cost of a digit table (chains._DIGIT_TABLE_MAX_COST).
+# simulate holds two blocks at a time, so --samples is capped by time and
+# disk: about 49 bytes of CSV and 0.9 us per row, so 10**8 draws write
+# about 5 GB in about 1.5 minutes (10**7 draws: 8.7 s, 43 MiB).
+# digit_stats builds the audit grid in a Python list, and an audit report
+# lists base - 1 digits (--base 10**6 takes about 7 s and 233 MiB); a
+# density row costs about 3 us and 40 bytes; --lmax 65536 on a 3-link
+# base-16 chain takes up to about 1 s and 67 MiB (each a subprocess on a
+# 2-CPU Xeon VM).  The library caps the cost of a digit table
+# (chains._DIGIT_TABLE_MAX_COST).
 _LIMITS = {
     "lmax": (1, 65536),
     "points": (2, 10**6),
@@ -60,7 +61,7 @@ _LIMITS = {
 }
 
 # Rows formatted per write in simulate.
-_CHUNK = 4096
+_CHUNK = 8192
 
 
 def _fmt(x: float) -> str:
@@ -103,7 +104,10 @@ def _config(args) -> dict:
 
 def _csv_header(config: dict, columns: str, out) -> None:
     for key, value in config.items():
-        out.write(f"# {key}={value}\n")
+        text = str(value)
+        if not text.isprintable():  # a line break would split the echo line
+            text = json.dumps(text)
+        out.write(f"# {key}={text}\n")
     out.write(columns + "\n")
 
 
@@ -249,21 +253,12 @@ def _cmd_density_uniform(args, out) -> int:
     return 0
 
 
-def _format_rows(first: int, values, mants, digits) -> str:
-    """simulate CSV rows numbered from first, one per element of the arrays.
+def _format_rows(first: int, values, mants, digits) -> bytes:
+    """simulate CSV rows numbered from first: the bytes of the template
+    "%d,%.17g,%.17g,%d\\n" per row (see _rows.format_rows)."""
+    from ._rows import format_rows  # first use only: see the module docstring
 
-    One % template for all rows; tolist() hands out Python numbers faster
-    than indexing the arrays.  Every value is finite and positive (failed
-    lanes are dropped, mantissas lie in [1, base)), where %.17g gives the
-    same bytes as _fmt.
-    """
-    n = len(values)
-    flat = [None] * (4 * n)
-    flat[0::4] = range(first, first + n)
-    flat[1::4] = values.tolist()
-    flat[2::4] = mants.tolist()
-    flat[3::4] = digits.tolist()
-    return "%d,%.17g,%.17g,%d\n" * n % tuple(flat)
+    return format_rows(first, values, mants, digits)
 
 
 def _cmd_simulate(args, out) -> int:
@@ -273,12 +268,13 @@ def _cmd_simulate(args, out) -> int:
     count = failures = 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         _csv_header(config, "index,value,mantissa,first_digit", fh)
+        fh.flush()  # the rows go to the binary buffer beneath
         for values, failed in blocks:
             mants = batch_mantissas(values, chain.base)
             digits = mants.astype(int)
             for lo in range(0, len(values), _CHUNK):
                 hi = lo + _CHUNK
-                fh.write(_format_rows(count + lo, values[lo:hi], mants[lo:hi], digits[lo:hi]))
+                fh.buffer.write(_format_rows(count + lo, values[lo:hi], mants[lo:hi], digits[lo:hi]))
             count += len(values)
             failures += failed
             del values, mants, digits  # the next two blocks are drawn beside none of this one
@@ -357,7 +353,7 @@ def _read_csv_column(path: str, column: str | None, col_index: int | None, heade
     A clean file is parsed in one np.loadtxt pass.  Any other file, and a
     pipe, which cannot be read twice, is read row by row by csv.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         values = None
         if fh.seekable():
             values = _clean_column(fh, path, column, col_index, header)

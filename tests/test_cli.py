@@ -288,13 +288,19 @@ def test_simulate_memory_does_not_grow_with_samples(tmp_path):
     # about 1.6 MiB per extra block).
     spec = tmp_path / "exp2.json"
     spec.write_text(EXP2)
+
+    def argv(blocks):
+        return ["simulate", "--chain", str(spec), "--samples", str(blocks * BLOCK_SIZE),
+                "--seed", "1", "--out", str(tmp_path / "draws.csv")]
+
+    # one untraced run first, so that lazy imports, the helper thread and
+    # first-use tables land in neither traced peak
+    assert run(argv(2))[0] == 0
     peaks = []
     for blocks in (2, 8):
-        argv = ["simulate", "--chain", str(spec), "--samples", str(blocks * BLOCK_SIZE),
-                "--seed", "1", "--out", str(tmp_path / "draws.csv")]
         tracemalloc.start()
         try:
-            code, _ = run(argv)
+            code, _ = run(argv(blocks))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -325,7 +331,7 @@ positive_doubles = st.one_of(
 def test_row_template_matches_per_row_fmt(first, rows):
     values, mants, digits = (np.array(column) for column in zip(*rows))
     per_row = "".join(f"{i},{cli._fmt(v)},{cli._fmt(m)},{d}\n" for i, (v, m, d) in enumerate(rows, first))
-    assert cli._format_rows(first, values, mants, digits) == per_row
+    assert cli._format_rows(first, values, mants, digits) == per_row.encode()
 
 def test_simulate_audit_round_trip(tmp_path):
     spec = tmp_path / "exp5.json"
@@ -344,6 +350,22 @@ def test_simulate_audit_round_trip(tmp_path):
     # same data addressed by position instead of name
     doc2 = run_json(["audit", "--input", str(out_csv), "--col-index", "1", "--header"])
     assert doc2["report"] == report
+
+
+def test_config_echo_keeps_a_line_break_in_a_value_on_its_line(tmp_path):
+    # an --out path with a line break is echoed as its JSON string, so the
+    # file simulate wrote still audits by column name
+    spec = tmp_path / "exp2.json"
+    spec.write_text(EXP2)
+    out_csv = tmp_path / "draws\nvalue.csv"
+    sim = run_json(["simulate", "--chain", str(spec), "--samples", "100",
+                    "--seed", "1", "--out", str(out_csv)])
+    lines = out_csv.read_text(encoding="utf-8").split("\n")
+    assert f"# out={json.dumps(str(out_csv))}" in lines
+    assert f"# chain={spec}" in lines  # a printable value keeps its bytes
+    assert lines.index("index,value,mantissa,first_digit") == len(sim["config"])
+    report = run_json(["audit", "--input", str(out_csv), "--column", "value"])["report"]
+    assert (report["count"], report["skipped"]) == (sim["count"], 0)
 
 
 def test_audit_counts_unparsable_rows(tmp_path):

@@ -3,6 +3,7 @@ every file exactly as the per-row csv loop does, values and errors alike."""
 
 import csv
 import io
+import json
 import math
 import os
 import threading
@@ -205,3 +206,20 @@ def test_a_pipe_is_read_once_by_the_csv_loop(tmp_path):
     assert not writer.is_alive()
     expected = csv_loop(str(write(tmp_path / "data.csv", text)), "v", None, True)
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("cells", [["1.5", "23", "0.7"], ["1.5", "n/a", "0.7"]], ids=["clean", "dirty"])
+def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, cells):
+    # clean files take the numpy pass and dirty ones the csv loop: both
+    # skip a UTF-8 byte-order mark, with and without a header row
+    expected = [float(c) if c != "n/a" else math.nan for c in cells]
+    for head, argv in ((["value,other"], ["--column", "value"]), ([], ["--col-index", "0"])):
+        path = write(tmp_path / "bom.csv", b"\xef\xbb\xbf" + "".join(f"{r}\n" for r in head + cells).encode())
+        out = io.StringIO()
+        assert cli.main(["audit", "--input", str(path), *argv], out=out) == 0
+        report = json.loads(out.getvalue())["report"]
+        assert (report["count"], report["skipped"]) == (3 - cells.count("n/a"), cells.count("n/a"))
+        args = (str(path), "value" if head else None, None if head else 0, bool(head))
+        assert np.array_equal(cli._read_csv_column(*args), expected, equal_nan=True)
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            assert (cli._clean_column(fh, *args) is None) == ("n/a" in cells)
