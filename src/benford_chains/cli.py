@@ -15,13 +15,9 @@ spectrum check (SpectrumCheckError).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-import warnings
-
-import numpy as np
 
 from .chains import (
     ChainSpecError,
@@ -292,83 +288,18 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-# Characters on which a plain comma split and float() may read a line apart
-# from csv.reader and float(): a quote, a '#' (a comment line), a CR (a line
-# end of its own), and the ASCII separators that numpy strips as whitespace
-# and float() does not.
-_UNSAFE = '"#\r\x1c\x1d\x1e\x1f'
-
-
-def _csv_rows(lines, path: str, column: str | None, col_index: int | None, header: bool):
-    """csv rows of `lines` after the header row, and the column's index.
-
-    Lines starting with '#' (our own config echo) and blank lines are
-    skipped before CSV parsing.  A column name needs header=True.
-    """
-    rows = csv.reader(line for line in lines if line.strip() and not line.lstrip().startswith("#"))
-    idx = col_index or 0
-    head = next(rows, None) if header else None
-    if column is not None:
-        if head is None:
-            raise ValueError(f"{path}: empty input")
-        names = [c.strip() for c in head]
-        if column not in names:
-            raise ValueError(f"{path}: no column named {column!r} in {names}")
-        idx = names.index(column)
-    return rows, idx
-
-
-def _clean_column(fh, path: str, column: str | None, col_index: int | None, header: bool):
-    """The column from one np.loadtxt pass, or None if csv might read it otherwise.
-
-    The lines after the header must be ASCII with no _UNSAFE character;
-    loadtxt then splits them as csv does and parses each cell as float()
-    does, or rejects it (an empty or text cell, a short row).  fh must be
-    seekable: the guard reads the body once before loadtxt reads it.
-    """
-    try:
-        # readline, not iteration, keeps tell() working.  Blank and '#'
-        # lines ahead of the first row are skipped here, as csv skips them,
-        # so that a header-less file can start with a config echo.
-        start = fh.tell()
-        while (line := fh.readline()) and (not line.strip() or line.lstrip().startswith("#")):
-            start = fh.tell()
-        fh.seek(start)
-        _, idx = _csv_rows(iter(fh.readline, ""), path, column, col_index, header)
-        start = fh.tell()
-        while chunk := fh.read(1 << 20):
-            if not chunk.isascii() or any(c in chunk for c in _UNSAFE):
-                return None
-        fh.seek(start)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt on no lines
-            return np.loadtxt(fh, delimiter=",", usecols=idx, comments=None, ndmin=1)
-    except ValueError:  # a cell loadtxt rejects, a byte that is not UTF-8, a bad header
-        return None
-
-
 def _read_csv_column(path: str, column: str | None, col_index: int | None, header: bool):
-    """One numeric column from a CSV file; unparsable cells become NaN.
+    """One numeric column of a CSV file as float64; unparsable cells become NaN.
 
-    A clean file is parsed in one np.loadtxt pass.  Any other file, and a
-    pipe, which cannot be read twice, is read row by row by csv.
+    Lines that are blank or start with '#' are skipped.  numpy reads the
+    file in chunks of about 1 MiB, and csv.reader reads from the first
+    chunk on which a comma split might read a line apart from csv (a
+    quote, a CR, a non-ASCII byte; see _column._chunk), with the same
+    values and errors; a pipe takes the same single pass.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        values = None
-        if fh.seekable():
-            values = _clean_column(fh, path, column, col_index, header)
-            fh.seek(0)
-        if values is None:
-            rows, idx = _csv_rows(fh, path, column, col_index, header)
-            values = []
-            for row in rows:
-                try:
-                    values.append(float(row[idx]))
-                except (ValueError, IndexError):
-                    values.append(math.nan)
-    if not len(values):
-        raise ValueError(f"{path}: no data rows")
-    return values
+    from ._column import read_column  # first use only: see the module docstring
+
+    return read_column(path, column, col_index, header)
 
 
 def _cmd_audit(args, out) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .montecarlo import BLOCK_SIZE, _check_base, _in_order, batch_mantissas
+from .montecarlo import BLOCK_SIZE, _check_base, _in_order, _mantissas
 
 __all__ = [
     "DigitStats",
@@ -159,7 +159,7 @@ def _digit_stats(x: np.ndarray, base: int, grid: np.ndarray, drop_bad: bool):
                 i = int(np.flatnonzero(~ok)[0])
                 raise ValueError(f"values[{start + i}] = {block[i]!r} is not a positive real")
             block = block[ok]
-        mants = batch_mantissas(block, base)
+        mants = _mantissas(block, base)  # the block is checked above
         mants.sort()
         digits = np.bincount(mants.astype(np.intp), minlength=base)
         return digits, np.searchsorted(mants, grid, side="right"), bad

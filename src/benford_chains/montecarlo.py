@@ -297,12 +297,15 @@ def _check_base(base) -> None:
 def _mantissas(x: np.ndarray, base: int) -> np.ndarray:
     """M in x = M * base**e, M in [1, base), for a 1-D array of finite positive doubles.
 
-    A log-based exponent estimate e, then one division (e >= 0) or
-    multiplication (e < 0) by base**|e| taken as an exact integer and
-    rounded once to a double, then one correction step, so exact powers of
-    the base land exactly on 1.0 instead of drifting across the boundary;
+    A log-based exponent estimate e, then one multiplication (e < 0) or
+    division (e >= 0) by base**|e| taken as an exact integer and rounded
+    once to a double, then one correction step, so exact powers of the
+    base land exactly on 1.0 instead of drifting across the boundary;
     np.power would drift a ulp at extreme exponents and flip boundary
-    digits.  The scale factors come from one table over 0..max|e|.
+    digits.  The factors come from two tables over the exponents present,
+    mul (base**-e for e < 0, else 1.0) and div (base**e for e >= 0, else
+    1.0): m = mul * x / div.  Multiplying first keeps subnormal x out of
+    the division.
     """
     if base == 10:
         e = np.log10(x)
@@ -310,34 +313,39 @@ def _mantissas(x: np.ndarray, base: int) -> np.ndarray:
         e = np.log(x)
         e /= math.log(base)
     np.floor(e, out=e)
-    neg = e < 0.0
-    k = np.abs(e, out=e).astype(np.intp)
+    k = e.astype(np.intp)
     del e
+    e_min, e_max = int(k.min(initial=0)), int(k.max(initial=0))
     table, power = [], 1
-    for _ in range(int(k.max(initial=0)) + 1):
+    for _ in range(max(-e_min, e_max) + 1):
         try:
             table.append(float(power))
         except OverflowError:  # only deep subnormals (and x near the max in bases 2**j)
             table.append(math.inf)
         power *= base
-    m = np.array(table)[k]
-    staged = np.isinf(m)
-    np.divide(x, m, out=m, where=~neg)
-    np.multiply(x, m, out=m, where=neg)
-    if staged.any():
+    exponents = np.arange(e_min, e_max + 1)
+    factor = np.array(table)[np.abs(exponents)]
+    mul = np.where(exponents < 0, factor, 1.0)
+    div = np.where(exponents < 0, 1.0, factor)
+    k -= e_min  # index into the tables
+    m = mul[k]
+    m *= x
+    m /= div[k]
+    overflow = np.isinf(factor)
+    if overflow.any() and (staged := overflow[k]).any():
         # Where the factor overflows a double, scale in base**cap steps
         # first, then by the remaining power (negative for x near the max).
         cap = max(1, int(300.0 / math.log10(base)))
         y = x[staged]
-        s = np.where(neg[staged], k[staged], -k[staged])
+        s = -(k[staged] + e_min)
         while (over := s > cap).any():
             y[over] *= float(base**cap)
             s[over] -= cap
         lo = int(s.min())
         rest = np.array([float(base**j) for j in range(lo, int(s.max()) + 1)])
         m[staged] = y * rest[s - lo]
-    np.multiply(m, base, out=m, where=m < 1.0)
-    np.divide(m, base, out=m, where=m >= base)
+    m[np.flatnonzero(m < 1.0)] *= base
+    m[np.flatnonzero(m >= base)] /= base
     return m
 
 
