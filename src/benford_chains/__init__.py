@@ -36,7 +36,7 @@ from .conformance import (
 )
 from .families import (
     FAMILY_NAMES,
-    ScaleFamily,
+    Family,
     get_family,
     mellin_at,
 )
@@ -66,11 +66,11 @@ __all__ = [
     "ConformanceReport",
     "DigitStats",
     "FAMILY_NAMES",
+    "Family",
     "FoldInterval",
     "RNG_ALGORITHM",
     "RngSeed",
     "SampleBatch",
-    "ScaleFamily",
     "SpectrumCheckError",
     "audit_dataset",
     "batch_mantissas",

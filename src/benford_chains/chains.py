@@ -42,7 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .families import FAMILY_NAMES, ScaleFamily, get_family, mellin_at
+from .families import FAMILY_NAMES, Family, get_family, mellin_at
 from .specfun import gamma_real, zeta_minus_one
 
 __all__ = [
@@ -127,6 +127,9 @@ class ChainSpec:
         object.__setattr__(self, "links", links)
         if not links:
             raise ChainSpecError("chain must have at least one link")
+        for i, link in enumerate(links):
+            if not isinstance(link, ChainLink):
+                raise ChainSpecError(f"links[{i}]: must be a ChainLink, got {link!r}")
         if links[0].power != 1:
             raise ChainSpecError(
                 f"links[0]: first power must be 1, got {links[0].power}"
@@ -143,12 +146,12 @@ class ChainSpec:
     def __len__(self) -> int:
         return len(self.links)
 
-    def families(self) -> tuple[ScaleFamily, ...]:
+    def families(self) -> tuple[Family, ...]:
         """Resolved family objects; a benford link adopts the chain base."""
         return tuple(get_family(link.family, self.base) for link in self.links)
 
     @cached_property
-    def _factors(self) -> tuple[tuple[ScaleFamily, int], ...]:
+    def _factors(self) -> tuple[tuple[Family, int], ...]:
         # Each resolved family paired with its cumulative exponent, sorted by
         # a canonical key so products over links are order-independent bit
         # for bit (reordering links with equal powers must not move them).
@@ -272,7 +275,7 @@ def _support(nonzero: np.ndarray) -> int:
     return nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
 
 
-def _live(family: ScaleFamily, rs: np.ndarray, ells: np.ndarray, base: int) -> int:
+def _live(family: Family, rs: np.ndarray, ells: np.ndarray, base: int) -> int:
     """How many of the consecutive frequencies ells the family may leave nonzero.
 
     Past l = zero_beyond * ln B / (2*pi*max|R|) the link with the largest |R|

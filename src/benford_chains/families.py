@@ -1,12 +1,14 @@
-"""Registry of one-parameter scale families and their Mellin machinery.
+"""The table of one-parameter scale families and their Mellin machinery.
 
 Each family is a distribution on (0, infinity) closed under scaling,
 f_theta(x) = f(x/theta)/theta.  A chain analysis needs four things from a
 family: the exact Mellin transform of the unit-scale density on the line
 Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B), a monotone majorant of its
-modulus, the decay profile of that majorant, which closes truncation
-tails, and a unit-scale sampler.  The Mellin values and the majorant are
-array kernels: one call evaluates every frequency of a spectrum.
+modulus, the decay law of that majorant, which closes truncation tails,
+and a unit-scale sampler.  The Mellin values and the majorant are array
+kernels: one call evaluates every frequency of a spectrum.  Each family
+is one Family record of kernel functions: a row of _TABLE, or for benford
+a record that get_family builds for its own base.
 
 Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 (density 2/sqrt(pi*theta^2) * exp(-(x/theta)^2)), and "benford" (density
@@ -16,25 +18,16 @@ Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .specfun import complex_gamma, gamma_abs_on_line
 
-__all__ = [
-    "ScaleFamily",
-    "Exponential",
-    "Uniform",
-    "HalfGaussian",
-    "Benford",
-    "FAMILY_NAMES",
-    "get_family",
-    "mellin_at",
-]
-
-FAMILY_NAMES = ("exponential", "uniform", "half_gaussian", "benford")
+__all__ = ["Family", "FAMILY_NAMES", "get_family", "mellin_at"]
 
 _TWO_PI = 2.0 * math.pi
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def _omega(ells, base: int) -> np.ndarray:
@@ -44,29 +37,34 @@ def _omega(ells, base: int) -> np.ndarray:
     return _TWO_PI * np.asarray(ells, dtype=np.float64) / math.log(base)
 
 
-class ScaleFamily:
-    """One scale family: Mellin values, majorant, tail profile, sampler."""
+class Family(NamedTuple):
+    """One scale family: a name, four kernels and, for benford, its own base.
 
-    name: str = ""
+    mellin_exact(ells, base) is (M f)(1 - 2*pi*i*l/ln B) for the unit-scale
+    density f: ells is an array of integer frequencies, of any shape and of
+    an integer or float dtype, and the result a complex array of its shape.
+    majorant(ells, base) bounds its modulus from above and is nonincreasing
+    in l >= 1.  sample_unit_batch(rng, n) makes n unit-scale draws and
+    consumes rng once per element.  Each kernel takes the family's own base
+    first: None except for benford.
+    """
+
+    name: str
+    mellin: Callable  # (own, ells, base) -> complex array
+    bound: Callable  # (own, ells, base) -> majorant array
+    decay: Callable  # (own, |R|, base, ell0) -> (g, p) once the cap is off
+    sample: Callable  # (own, rng, n) -> n unit-scale draws
     # The angular frequency w = 2*pi*|R*l|/ln B at and beyond which both
     # mellin_exact and majorant compute exactly 0.0; inf where neither
     # underflows.
     zero_beyond: float = math.inf
+    base: int | None = None
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
-        """(M f)(1 - 2*pi*i*l/ln B) for the unit-scale density f.
-
-        ells is an array of integer frequencies, of any shape and of an
-        integer or float dtype; the result is a complex array of its shape.
-        """
-        raise NotImplementedError
+        return self.mellin(self.base, ells, base)
 
     def majorant(self, ells, base: int) -> np.ndarray:
-        """Upper bound on |mellin_exact(l, base)|, nonincreasing in l >= 1.
-
-        ells is an array of frequencies l >= 1; the result has its shape.
-        """
-        raise NotImplementedError
+        return self.bound(self.base, ells, base)
 
     def majorant_tail_profile(self, scaled_power: int, base: int, ell0: int) -> tuple[float, int]:
         """Decay profile of majorant(|scaled_power| * l) for l >= ell0.
@@ -78,203 +76,196 @@ class ScaleFamily:
         only safe claim is (1, 0); every majorant is nonincreasing, so
         that fallback is always valid.
         """
-        raise NotImplementedError
-
-    def _cap_binds(self, scaled_power: int, base: int, ell0: int) -> bool:
-        # True when majorant(|scaled_power| * ell0) is still clipped at 1,
-        # in which case no decay ratio below 1 may be claimed yet.
-        return self.majorant(abs(scaled_power) * ell0, base) >= 1.0
+        if self.majorant(abs(scaled_power) * ell0, base) >= 1.0:
+            return 1.0, 0
+        return self.decay(self.base, abs(scaled_power), base, ell0)
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        """Vector of n unit-scale draws, consuming rng once per element."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<family {self.name}>"
+        return self.sample(self.base, rng, n)
 
 
-class Exponential(ScaleFamily):
+def _exponential_mellin(own, ells, base: int) -> np.ndarray:
     """Exponential: f(x) = exp(-x) on x >= 0; Mellin value Gamma(s)."""
-
-    name = "exponential"
-    # At w = 480, |Gamma(1+iw)| <= sqrt(2*pi*w) * e^(-pi*w/2) * (1 - e^(-2*pi*w))^(-1/2)
-    # has log -749.98 < specfun._LOG_UNDERFLOW = -746, where complex_gamma
-    # returns 0, and the majorant's e^(-pi*w/2) = e^(-754) lies below half
-    # the least subnormal, e^(-745.13).  Both decrease in w.  (The last
-    # nonzero values of a dense sweep lie at w ~ 476.9 and 474.4.)
-    zero_beyond = 480.0
-
-    def mellin_exact(self, ells, base: int) -> np.ndarray:
-        w = _omega(ells, base)
-        s = np.empty(w.shape, dtype=np.complex128)
-        s.real = 1.0
-        s.imag = -w
-        return complex_gamma(s)  # Gamma(1) == 1 exactly at l = 0
-
-    def majorant(self, ells, base: int) -> np.ndarray:
-        # |Gamma(1+ix)| evaluated exactly (overflow-safe), padded by 1.0002.
-        return np.minimum(1.0, 1.0002 * gamma_abs_on_line(_omega(ells, base)))
-
-    def majorant_tail_profile(self, scaled_power: int, base: int, ell0: int) -> tuple[float, int]:
-        if self._cap_binds(scaled_power, base, ell0):
-            return 1.0, 0
-        # Ratio of sqrt(y/sinh y) at consecutive l: the sinh quotient gives
-        # exp(-pi^2 R/ln B) up to the (l+1)/l and 1/(1-e^(-2y)) slack terms,
-        # both evaluated at their worst point l = ell0.
-        r = abs(scaled_power)
-        lam = math.pi**2 * r / math.log(base)
-        y1 = 2.0 * math.pi**2 * r * (ell0 + 1) / math.log(base)
-        slack = (1.0 + 1.0 / ell0) / -math.expm1(-2.0 * y1)
-        return min(math.sqrt(slack) * math.exp(-lam), 1.0), 0
-
-    def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        u = rng.random(n)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        return np.negative(u, out=u)
+    w = _omega(ells, base)
+    s = np.empty(w.shape, dtype=np.complex128)
+    s.real = 1.0
+    s.imag = -w
+    return complex_gamma(s)  # Gamma(1) == 1 exactly at l = 0
 
 
-class Uniform(ScaleFamily):
+def _exponential_majorant(own, ells, base: int) -> np.ndarray:
+    # |Gamma(1+ix)| evaluated exactly (overflow-safe), padded by 1.0002.
+    return np.minimum(1.0, 1.0002 * gamma_abs_on_line(_omega(ells, base)))
+
+
+def _exponential_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
+    # Ratio of sqrt(y/sinh y) at consecutive l: the sinh quotient gives
+    # exp(-pi^2 R/ln B) up to the (l+1)/l and 1/(1-e^(-2y)) slack terms,
+    # both evaluated at their worst point l = ell0.
+    lam = math.pi**2 * r / math.log(base)
+    y1 = 2.0 * math.pi**2 * r * (ell0 + 1) / math.log(base)
+    slack = (1.0 + 1.0 / ell0) / -math.expm1(-2.0 * y1)
+    return min(math.sqrt(slack) * math.exp(-lam), 1.0), 0
+
+
+def _exponential_sample(own, rng, n: int) -> np.ndarray:
+    u = rng.random(n)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
+
+
+def _uniform_mellin(own, ells, base: int) -> np.ndarray:
     """Uniform on [0, theta]: f(x) = 1 on [0,1]; Mellin value 1/s."""
-
-    name = "uniform"
-
-    def mellin_exact(self, ells, base: int) -> np.ndarray:
-        # 1/(1 - iw) with the two branches of CPython's complex division
-        # written out, so each value is the scalar quotient bit for bit.
-        w = _omega(ells, base)
-        out = np.empty(w.shape, dtype=np.complex128)
-        small = np.abs(w) <= 1.0
-        ws = w[small]
-        denom = 1.0 + ws * ws
-        out.real[small] = 1.0 / denom
-        out.imag[small] = ws / denom
-        ratio = -1.0 / w[~small]
-        denom = ratio - w[~small]
-        out.real[~small] = ratio / denom
-        out.imag[~small] = -1.0 / denom
-        return out
-
-    def majorant(self, ells, base: int) -> np.ndarray:
-        # 1/|s| <= 1/|Im s| = ln(B)/(2*pi*l); harmonic, not summable alone.
-        return np.minimum(1.0, math.log(base) / (_TWO_PI * np.asarray(ells, dtype=np.float64)))
-
-    def majorant_tail_profile(self, scaled_power: int, base: int, ell0: int) -> tuple[float, int]:
-        if self._cap_binds(scaled_power, base, ell0):
-            return 1.0, 0
-        return 1.0, 1
-
-    def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        return rng.random(n)
+    # 1/(1 - iw) with the two branches of CPython's complex division
+    # written out, so each value is the scalar quotient bit for bit.
+    w = _omega(ells, base)
+    out = np.empty(w.shape, dtype=np.complex128)
+    small = np.abs(w) <= 1.0
+    ws = w[small]
+    denom = 1.0 + ws * ws
+    out.real[small] = 1.0 / denom
+    out.imag[small] = ws / denom
+    ratio = -1.0 / w[~small]
+    denom = ratio - w[~small]
+    out.real[~small] = ratio / denom
+    out.imag[~small] = -1.0 / denom
+    return out
 
 
-class HalfGaussian(ScaleFamily):
+def _uniform_majorant(own, ells, base: int) -> np.ndarray:
+    # 1/|s| <= 1/|Im s| = ln(B)/(2*pi*l); harmonic, not summable alone.
+    return np.minimum(1.0, math.log(base) / (_TWO_PI * np.asarray(ells, dtype=np.float64)))
+
+
+def _uniform_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
+    return 1.0, 1
+
+
+def _uniform_sample(own, rng, n: int) -> np.ndarray:
+    return rng.random(n)
+
+
+def _half_gaussian_mellin(own, ells, base: int) -> np.ndarray:
     """|N(0, theta/sqrt(2))|: f(x) = 2/sqrt(pi) * exp(-x^2) on x >= 0.
 
     Mellin value Gamma(s/2)/sqrt(pi); on the evaluation line its modulus
     is exactly 1/sqrt(cosh(pi^2 l / ln B)).
     """
-
-    name = "half_gaussian"
-    # At w = 960, |Gamma(1/2 - iw/2)| = sqrt(pi/cosh(pi*w/2)) has log -753.06
-    # < -746, and the majorant's e^(-pi*w/4) = e^(-754) lies below half the
-    # least subnormal, e^(-745.13).  Both decrease in w.  (The last nonzero
-    # values of a dense sweep lie at w ~ 949.9 and 948.7.)
-    zero_beyond = 960.0
-
-    _SQRT_PI = math.sqrt(math.pi)
-
-    def mellin_exact(self, ells, base: int) -> np.ndarray:
-        w = _omega(ells, base)
-        s_half = np.empty(w.shape, dtype=np.complex128)
-        s_half.real = 0.5
-        s_half.imag = -0.5 * w
-        return np.where(w == 0.0, 1.0, complex_gamma(s_half) / self._SQRT_PI)
-
-    def majorant(self, ells, base: int) -> np.ndarray:
-        # 1/sqrt(cosh t) <= sqrt(2)*exp(-t/2), t = pi^2 l / ln B; pad 1.01.
-        t = math.pi**2 * np.asarray(ells, dtype=np.float64) / math.log(base)
-        return np.minimum(1.0, 1.01 * math.sqrt(2.0) * np.exp(-0.5 * t))
-
-    def majorant_tail_profile(self, scaled_power: int, base: int, ell0: int) -> tuple[float, int]:
-        if self._cap_binds(scaled_power, base, ell0):
-            return 1.0, 0
-        lam = 0.5 * math.pi**2 * abs(scaled_power) / math.log(base)
-        return math.exp(-lam), 0
-
-    def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        z = rng.standard_normal(n)
-        np.abs(z, out=z)
-        z /= math.sqrt(2.0)
-        return z
+    w = _omega(ells, base)
+    s_half = np.empty(w.shape, dtype=np.complex128)
+    s_half.real = 0.5
+    s_half.imag = -0.5 * w
+    return np.where(w == 0.0, 1.0, complex_gamma(s_half) / _SQRT_PI)
 
 
-class Benford(ScaleFamily):
-    """Benford density 1/(x ln B) on [1, B): the absorbing chain element.
+def _half_gaussian_majorant(own, ells, base: int) -> np.ndarray:
+    # 1/sqrt(cosh t) <= sqrt(2)*exp(-t/2), t = pi^2 l / ln B; pad 1.01.
+    t = math.pi**2 * np.asarray(ells, dtype=np.float64) / math.log(base)
+    return np.minimum(1.0, 1.01 * math.sqrt(2.0) * np.exp(-0.5 * t))
 
-    Carries the base of the enclosing chain.  At integer l != 0 its Mellin
-    value at that base vanishes identically, which is the absorbing
-    property: one benford link zeroes the whole chain spectrum.
+
+def _half_gaussian_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
+    lam = 0.5 * math.pi**2 * r / math.log(base)
+    return math.exp(-lam), 0
+
+
+def _half_gaussian_sample(own, rng, n: int) -> np.ndarray:
+    z = rng.standard_normal(n)
+    np.abs(z, out=z)
+    z /= math.sqrt(2.0)
+    return z
+
+
+def _benford_mellin(own: int, ells, base: int) -> np.ndarray:
+    """Benford density 1/(x ln b) on [1, b), b = own: the absorbing element.
+
+    At the chain's base B = b its Mellin value at integer l != 0 vanishes
+    identically, which is the absorbing property: one benford link zeroes
+    the whole chain spectrum.  At a foreign base B != b it does not.
     """
-
-    name = "benford"
-
-    def __init__(self, base: int):
-        if base < 2:
-            raise ValueError(f"benford family requires base >= 2, got {base}")
-        self.base = int(base)
-        self._log_base = math.log(base)
-
-    def mellin_exact(self, ells, base: int) -> np.ndarray:
-        ells = np.asarray(ells, dtype=np.float64)
-        out = np.zeros(ells.shape, dtype=np.complex128)
-        nonzero = ells != 0.0
-        if base != self.base:
-            # General closed form (e^w - 1)/w at w = (s-1) ln(own base).
-            w = np.empty(out.shape, dtype=np.complex128)
-            w.real = 0.0
-            w.imag = -_omega(ells, base) * self._log_base
-            out[nonzero] = (np.exp(w[nonzero]) - 1.0) / w[nonzero]
-        out[~nonzero] = 1.0
-        return out
-
-    def majorant(self, ells, base: int) -> np.ndarray:
-        ells = np.asarray(ells, dtype=np.float64)
-        if base == self.base:
-            return np.zeros(ells.shape)
-        return np.minimum(1.0, math.log(base) / (math.pi * ells * self._log_base))
-
-    def majorant_tail_profile(self, scaled_power: int, base: int, ell0: int) -> tuple[float, int]:
-        if base == self.base:
-            return 0.0, 0
-        if self._cap_binds(scaled_power, base, ell0):
-            return 1.0, 0
-        return 1.0, 1
-
-    def sample_unit_batch(self, rng, n: int) -> np.ndarray:
-        u = rng.random(n)
-        return np.power(float(self.base), u, out=u)
-
-    def __repr__(self) -> str:
-        return f"<family benford base={self.base}>"
+    ells = np.asarray(ells, dtype=np.float64)
+    out = np.zeros(ells.shape, dtype=np.complex128)
+    nonzero = ells != 0.0
+    if base != own:
+        # General closed form (e^w - 1)/w at w = (s-1) ln(own base).
+        w = np.empty(out.shape, dtype=np.complex128)
+        w.real = 0.0
+        w.imag = -_omega(ells, base) * math.log(own)
+        out[nonzero] = (np.exp(w[nonzero]) - 1.0) / w[nonzero]
+    out[~nonzero] = 1.0
+    return out
 
 
-_SINGLETONS = {
-    "exponential": Exponential(),
-    "uniform": Uniform(),
-    "half_gaussian": HalfGaussian(),
+def _benford_majorant(own: int, ells, base: int) -> np.ndarray:
+    ells = np.asarray(ells, dtype=np.float64)
+    if base == own:
+        return np.zeros(ells.shape)
+    return np.minimum(1.0, math.log(base) / (math.pi * ells * math.log(own)))
+
+
+def _benford_decay(own: int, r: int, base: int, ell0: int) -> tuple[float, int]:
+    return (0.0, 0) if base == own else (1.0, 1)
+
+
+def _benford_sample(own: int, rng, n: int) -> np.ndarray:
+    u = rng.random(n)
+    return np.power(float(own), u, out=u)
+
+
+_TABLE = {
+    "exponential": Family(
+        "exponential", _exponential_mellin, _exponential_majorant, _exponential_decay,
+        _exponential_sample,
+        # At w = 480, |Gamma(1+iw)| <= sqrt(2*pi*w) * e^(-pi*w/2) * (1 - e^(-2*pi*w))^(-1/2)
+        # has log -749.98 < specfun._LOG_UNDERFLOW = -746, where complex_gamma
+        # returns 0, and the majorant's e^(-pi*w/2) = e^(-754) lies below half
+        # the least subnormal, e^(-745.13).  Both decrease in w.  (The last
+        # nonzero values of a dense sweep lie at w ~ 476.9 and 474.4.)
+        480.0,
+    ),
+    "uniform": Family(
+        "uniform", _uniform_mellin, _uniform_majorant, _uniform_decay, _uniform_sample
+    ),
+    "half_gaussian": Family(
+        "half_gaussian", _half_gaussian_mellin, _half_gaussian_majorant, _half_gaussian_decay,
+        _half_gaussian_sample,
+        # At w = 960, |Gamma(1/2 - iw/2)| = sqrt(pi/cosh(pi*w/2)) has log -753.06
+        # < -746, and the majorant's e^(-pi*w/4) = e^(-754) lies below half the
+        # least subnormal, e^(-745.13).  Both decrease in w.  (The last nonzero
+        # values of a dense sweep lie at w ~ 949.9 and 948.7.)
+        960.0,
+    ),
 }
 
+FAMILY_NAMES = (*_TABLE, "benford")
 
-def get_family(name: str, base: int = 10) -> ScaleFamily:
-    """Look up a family by its chain-spec name (exact lowercase string)."""
-    if name in _SINGLETONS:
-        return _SINGLETONS[name]
+
+def _benford(base: int) -> Family:
+    """The benford record of its own base, an integer >= 2."""
+    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
+        raise ValueError(f"benford family requires an integer base >= 2, got {base!r}")
+    # get_family builds this record per call, so it is a tuple (a frozen
+    # dataclass costs several times more) built by tuple.__new__, which skips
+    # the Python-level Family.__new__ and its cost; fields in Family's order.
+    return tuple.__new__(
+        Family,
+        ("benford", _benford_mellin, _benford_majorant, _benford_decay, _benford_sample, math.inf, base),
+    )
+
+
+def get_family(name: str, base: int = 10) -> Family:
+    """Look up a family by its chain-spec name (exact lowercase string).
+
+    base is benford's own base; the other families ignore it.
+    """
+    if name in _TABLE:
+        return _TABLE[name]
     if name == "benford":
-        return Benford(base)
+        return _benford(base)
     raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
 
-def mellin_at(family: ScaleFamily, ell: int, base: int) -> complex:
+def mellin_at(family: Family, ell: int, base: int) -> complex:
     """Exact Mellin value (M f)(1 - 2*pi*i*l/ln B) of the family density."""
     return complex(family.mellin_exact(np.array([ell], dtype=np.float64), base)[0])

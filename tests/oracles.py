@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from benford_chains.families import ScaleFamily, _omega, mellin_at
+from benford_chains.families import Family, _omega, mellin_at
 
 __all__ = [
     "NonConvergenceError",
@@ -32,7 +32,7 @@ class NonConvergenceError(RuntimeError):
     """Numeric quadrature failed to reach the requested tolerance."""
 
 
-def density_at_unit(family: ScaleFamily, x: float) -> float:
+def density_at_unit(family: Family, x: float) -> float:
     """Unit-scale density of the family at x."""
     if family.name == "exponential":
         return math.exp(-x) if x >= 0.0 else 0.0
@@ -45,7 +45,7 @@ def density_at_unit(family: ScaleFamily, x: float) -> float:
     raise ValueError(f"no density for {family!r}")
 
 
-def cdf_at_unit(family: ScaleFamily, x: float) -> float:
+def cdf_at_unit(family: Family, x: float) -> float:
     """Unit-scale CDF of the family at x."""
     if family.name == "exponential":
         return -math.expm1(-x) if x > 0.0 else 0.0
@@ -62,7 +62,7 @@ def cdf_at_unit(family: ScaleFamily, x: float) -> float:
     raise ValueError(f"no CDF for {family!r}")
 
 
-def power_density(family: ScaleFamily, r: int, u: float) -> float:
+def power_density(family: Family, r: int, u: float) -> float:
     """Density of W**r at u > 0, where W has the family's unit density phi.
 
     Change of variables gives psi_r(u) = phi(u**(1/r)) * u**((1-r)/r) / |r|
@@ -78,7 +78,7 @@ def power_density(family: ScaleFamily, r: int, u: float) -> float:
     return density_at_unit(family, u ** (1.0 / r)) * u ** ((1.0 - r) / r) / abs(r)
 
 
-def power_shift(family: ScaleFamily, r: int, ell: int, base: int) -> complex:
+def power_shift(family: Family, r: int, ell: int, base: int) -> complex:
     """Mellin value of the W**r density: the evaluation point moves to r*l.
 
     (M psi_r)(s) = (M phi)(r(s-1)+1), so on the line Re(s) = 1 raising to

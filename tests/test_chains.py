@@ -28,7 +28,7 @@ from benford_chains.chains import (
     uniform_chain_cdf_terms,
     uniform_chain_density,
 )
-from benford_chains.families import FAMILY_NAMES, Uniform, get_family, mellin_at
+from benford_chains.families import _TABLE, FAMILY_NAMES, get_family, mellin_at
 from benford_chains.montecarlo import sample_batch
 
 SEED = 20260814
@@ -55,6 +55,19 @@ def test_chain_spec_validation():
     with pytest.raises(ChainSpecError):
         ChainLink("uniform", True)  # JSON booleans are not powers
     assert len(chain("uniform", "exponential")) == 2
+
+
+def test_chain_spec_rejects_links_that_are_not_chain_links():
+    # Each must be a named error that names the link, raised before the
+    # cumulative exponents read a power.
+    with pytest.raises(ChainSpecError, match=r"^links\[0\]: must be a ChainLink, got \('exponential', 1\)"):
+        ChainSpec(10, [("exponential", 1)])
+    with pytest.raises(ChainSpecError, match=r"^links\[0\]: must be a ChainLink, got 'a'"):
+        ChainSpec(10, "ab")
+    with pytest.raises(ChainSpecError, match=r"^links\[1\]: must be a ChainLink, got None"):
+        ChainSpec(10, [ChainLink("uniform", 1), None])
+    links = [ChainLink("uniform", 1), ChainLink("exponential", 2)]
+    assert ChainSpec(10, links).links == tuple(links)
 
 
 def test_parse_chain_reports_offending_link():
@@ -253,7 +266,8 @@ def test_deviation_bound_degenerate_and_benford():
 def test_deviation_bound_rejects_a_growing_spectrum(monkeypatch):
     # A family whose modulus grows in |l| breaks the triangle-inequality
     # bookkeeping; the check must raise a named error, also under -O.
-    monkeypatch.setattr(Uniform, "mellin_exact", lambda self, ells, base: np.abs(ells) + 0j)
+    growing = _TABLE["uniform"]._replace(mellin=lambda own, ells, base: np.abs(ells) + 0j)
+    monkeypatch.setitem(_TABLE, "uniform", growing)
     with pytest.raises(SpectrumCheckError, match=r"\|l\| = 1 to 2"):
         deviation_bound(chain("uniform"), FoldInterval(0.0, 0.5), L=4)
 

@@ -2,6 +2,7 @@
 the density, CDF and quadrature oracles in tests/oracles.py."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ def test_registry_names_and_lookup():
         get_family("lognormal")
     with pytest.raises(ValueError):
         get_family("Exponential")
+
+
+def test_benford_takes_an_integer_base_of_at_least_two():
+    for base in (2, 10, 10**200):
+        assert get_family("benford", base).base == base
+    for bad in (10.7, 10.0, "10", True, None, 1, 0, -10):
+        with pytest.raises(ValueError, match="integer base >= 2"):
+            get_family("benford", bad)
+    # The fixed families ignore the base.
+    assert get_family("uniform", 10.7) is get_family("uniform")
+
+
+def test_family_records_pickle_by_value():
+    # Each kernel is a module-level function, which pickles by name.
+    for name in FAMILY_NAMES:
+        fam = get_family(name, 7)
+        assert pickle.loads(pickle.dumps(fam)) == fam
 
 
 def test_density_and_cdf_point_values():
@@ -178,6 +196,15 @@ def test_majorant_tail_profile_cap_fallback_at_absurd_base():
     assert (g, p) == (1.0, 0)
     g, p = get_family("uniform").majorant_tail_profile(1, huge, 1)
     assert (g, p) == (1.0, 0)
+    assert get_family("half_gaussian").majorant(1, huge) == 1.0
+    assert get_family("half_gaussian").majorant_tail_profile(1, huge, 1) == (1.0, 0)
+    foreign = get_family("benford", BASE)
+    assert foreign.majorant(1, huge) == 1.0
+    assert foreign.majorant_tail_profile(1, huge, 1) == (1.0, 0)
+    # past the cap the same foreign base decays harmonically ...
+    assert foreign.majorant_tail_profile(1, huge, 64) == (1.0, 1)
+    # ... and in its own base benford's majorant is 0, never clipped
+    assert get_family("benford", huge).majorant_tail_profile(1, huge, 1) == (0.0, 0)
 
 
 def test_mellin_numeric_matches_exact():

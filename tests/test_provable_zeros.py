@@ -21,7 +21,7 @@ from benford_chains.chains import (
     first_digit_probabilities,
     fold_probability,
 )
-from benford_chains.families import Benford, get_family
+from benford_chains.families import get_family
 
 BASES = [2, 3, 10, 16, 1000, 10**6]
 CUT_FAMILIES = ["exponential", "half_gaussian"]
@@ -88,7 +88,7 @@ def test_zero_beyond_lies_within_15_of_the_last_nonzero_value(name):
 def test_uniform_and_benford_are_never_cut():
     assert get_family("uniform").zero_beyond == math.inf
     assert get_family("benford", 10).zero_beyond == math.inf
-    assert Benford(7).zero_beyond == math.inf
+    assert get_family("benford", 7).zero_beyond == math.inf
 
 
 # ------------------------------------------------------------ the edges

@@ -25,7 +25,7 @@ from benford_chains.chains import (
     fold_probability,
     spectrum_majorant,
 )
-from benford_chains.families import FAMILY_NAMES, Benford
+from benford_chains.families import FAMILY_NAMES, get_family
 
 LINKS = st.lists(
     st.tuples(st.sampled_from(FAMILY_NAMES), st.integers(1, 9), st.booleans()),
@@ -43,7 +43,7 @@ def build(base, links, foreign):
         # A chain spec gives every benford link the chain's base; a benford
         # factor in another base has a spectrum that never vanishes.
         chain.__dict__["_factors"] = tuple(
-            (Benford(foreign) if family.name == "benford" else family, r)
+            (get_family("benford", foreign) if family.name == "benford" else family, r)
             for family, r in chain._factors
         )
     return chain
