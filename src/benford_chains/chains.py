@@ -25,7 +25,14 @@ majorant tails are cut the same way.
   closed-form majorant tails.
 * fold_probability: the semi-analytic value of P(Y_n in [a,b]) itself,
   from the truncated Fourier series plus a rigorous truncation error.
-* closed forms for pure-exponential and pure-uniform chains.
+* first_digit_probabilities: the fold probability of every leading-digit
+  interval [log_B d, log_B(d+1)], all from one spectrum.
+
+The closed forms for pure-exponential and pure-uniform chains
+(exponential_chain_bound, uniform_chain_density, uniform_chain_cdf_terms,
+uniform_chain_cdf_bound) and the named errors ChainSpecError and
+SpectrumCheckError live in the math-only _closed module and are
+re-exported here, so the CLI's closed-form commands run without numpy.
 
 All bounds here are two-sided sums over l != 0 except
 exponential_chain_bound, which is conventionally quoted as the one-sided
@@ -42,8 +49,17 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._closed import (
+    _MAX_EXPONENT,
+    ChainSpecError,
+    SpectrumCheckError,
+    _check_int,
+    exponential_chain_bound,
+    uniform_chain_cdf_bound,
+    uniform_chain_cdf_terms,
+    uniform_chain_density,
+)
 from .families import FAMILY_NAMES, Family, get_family, mellin_at
-from .specfun import gamma_real, zeta_minus_one
 
 __all__ = [
     "ChainSpecError",
@@ -76,25 +92,6 @@ _TWO_PI = 2.0 * math.pi
 _DIGIT_INTERVAL_COST = 128
 _DIGIT_TABLE_MAX_COST = 2**24
 
-# Largest |R_m| a chain may have: every integer up to 2**53 is a double.
-_MAX_EXPONENT = 2**53
-
-
-class ChainSpecError(ValueError):
-    """A chain description failed validation."""
-
-
-class SpectrumCheckError(RuntimeError):
-    """A computed spectrum failed an internal consistency check."""
-
-
-def _check_int(value, what: str) -> int:
-    # bool is an int subclass; JSON true/false must not pass as powers.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ChainSpecError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ChainLink:
     """One link: a family name and the exponent applied to the previous draw."""
@@ -123,7 +120,10 @@ class ChainSpec:
         _check_int(self.base, "base")
         if self.base < 2:
             raise ChainSpecError(f"base must be >= 2, got {self.base}")
-        links = tuple(self.links)
+        try:
+            links = tuple(self.links)
+        except TypeError:
+            raise ChainSpecError("links must be a sequence of ChainLink") from None
         object.__setattr__(self, "links", links)
         if not links:
             raise ChainSpecError("chain must have at least one link")
@@ -512,80 +512,3 @@ def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
     log_base = math.log(chain.base)
     edges = [math.log(d) / log_base for d in range(1, chain.base + 1)]
     return _fold_series(chain, edges, L)
-
-
-def exponential_chain_bound(n: int, base: int) -> float:
-    """Closed-form deviation bound for n chained exponentials, per unit width.
-
-    sum over l >= 1 of (x_l / sinh x_l)^(n/2) with x_l = 2*pi^2*l / ln B.
-    Quoted one-sided (l >= 1 only) by convention; terms below 1e-300 are
-    dropped.  n may be 2..2**53, where n/2 is an exact double.
-    """
-    n = _check_int(n, "n")
-    if n < 2:
-        raise ValueError(f"exponential_chain_bound needs n >= 2, got {n}")
-    if n > _MAX_EXPONENT:
-        raise ValueError(f"exponential_chain_bound needs n <= 2**53, got {n}")
-    _check_int(base, "base")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    terms = []
-    ell = 1
-    while True:
-        x = 2.0 * math.pi**2 * ell / math.log(base)
-        # log of x/sinh(x) = 2x e^(-x)/(1 - e^(-2x)), safe for large x.
-        log_ratio = math.log(2.0 * x) - x - math.log1p(-math.exp(-2.0 * x))
-        term = math.exp(0.5 * n * log_ratio)
-        if term < 1e-300:
-            break
-        terms.append(term)
-        ell += 1
-    return math.fsum(terms)
-
-
-def uniform_chain_density(n: int, k: float, x: float) -> float:
-    """Density at x of the n-th variable in a uniform chain started at k.
-
-    f_n(x) = ln(k/x)^(n-1) / (k * (n-1)!) on (0, k]; n = 1 is Unif(0, k).
-    """
-    n = _check_int(n, "n")
-    if n < 1:
-        raise ValueError(f"uniform_chain_density needs n >= 1, got {n}")
-    k = float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    if k < 1.0:
-        raise ValueError(f"k must be >= 1, got {k}")
-    x = float(x)
-    if not 0.0 < x <= k:
-        raise ValueError(f"x must lie in (0, k], got {x}")
-    gamma_n = gamma_real(n)  # checks n before the power can overflow
-    return math.log(k / x) ** (n - 1) / (k * gamma_n)
-
-
-def uniform_chain_cdf_terms(n: int, k: float, s: float) -> tuple[float, float]:
-    """The two pieces of uniform_chain_cdf_bound: (head mass, spectral tail)."""
-    n = _check_int(n, "n")
-    if n < 2:
-        raise ValueError(f"uniform_chain_cdf_bound needs n >= 2, got {n}")
-    k = float(k)
-    s = float(s)
-    if not 1.0 <= k < 10.0:
-        raise ValueError(f"k must lie in [1, 10), got {k}")
-    if not 1.0 <= s < 10.0:
-        raise ValueError(f"s must lie in [1, 10), got {s}")
-    gamma_n = gamma_real(n)  # checks n before the power can overflow
-    head = (k / s) * math.log(k) ** (n - 1) / gamma_n
-    spectral = (2.9**-n + zeta_minus_one(n) * 2.7**-n) * 2.0 * math.log10(s)
-    return head, spectral
-
-
-def uniform_chain_cdf_bound(n: int, k: float, s: float) -> float:
-    """Bound on |P(mantissa of n-th uniform-chain variable <= s) - log10 s|.
-
-    Base 10 only.  Two pieces: the mass the chain still carries above 1
-    after n steps, (k/s) ln(k)^(n-1)/(n-1)!, plus the spectrum tail
-    (2.9^-n + (zeta(n)-1) * 2.7^-n) * 2 * log10 s.
-    """
-    head, spectral = uniform_chain_cdf_terms(n, k, s)
-    return head + spectral

@@ -19,20 +19,19 @@ import json
 import math
 import sys
 
-from .chains import (
+# Only the math-only module loads with the CLI.  Each command imports the
+# rest of what it runs when it runs, so bound-exp, bound-uniform and
+# density-uniform start without numpy, and bound, fold and digits without
+# montecarlo and conformance.
+from ._closed import (
+    RNG_ALGORITHM,
     ChainSpecError,
-    FoldInterval,
     SpectrumCheckError,
-    deviation_bound,
+    benford_digit_prob,
     exponential_chain_bound,
-    first_digit_probabilities,
-    fold_probability,
-    load_chain,
     uniform_chain_cdf_terms,
     uniform_chain_density,
 )
-from .conformance import audit_dataset, benford_digit_prob
-from .montecarlo import RNG_ALGORITHM, _blocks, batch_mantissas
 
 __all__ = ["main"]
 
@@ -165,6 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bound(args, out) -> int:
+    from .chains import FoldInterval, deviation_bound, load_chain
+
     chain = load_chain(args.chain)
     result = deviation_bound(chain, FoldInterval(args.a, args.b), args.lmax)
     _print_json(
@@ -213,6 +214,8 @@ def _cmd_bound_uniform(args, out) -> int:
 
 
 def _cmd_fold(args, out) -> int:
+    from .chains import FoldInterval, fold_probability, load_chain
+
     chain = load_chain(args.chain)
     prob, err = fold_probability(chain, FoldInterval(args.a, args.b), args.lmax)
     _print_json(
@@ -227,6 +230,8 @@ def _cmd_fold(args, out) -> int:
 
 
 def _cmd_digits(args, out) -> int:
+    from .chains import first_digit_probabilities, load_chain
+
     chain = load_chain(args.chain)
     probs = first_digit_probabilities(chain, args.lmax)
     _csv_header(_config(args), "d,probability,benford,delta", out)
@@ -258,6 +263,9 @@ def _format_rows(first: int, values, mants, digits) -> bytes:
 
 
 def _cmd_simulate(args, out) -> int:
+    from .chains import load_chain
+    from .montecarlo import _blocks, batch_mantissas
+
     chain = load_chain(args.chain)
     blocks = _blocks(chain, args.samples, args.seed)
     config = _config(args)
@@ -303,6 +311,8 @@ def _read_csv_column(path: str, column: str | None, col_index: int | None, heade
 
 
 def _cmd_audit(args, out) -> int:
+    from .conformance import audit_dataset
+
     args.header = args.header or args.column is not None
     values = _read_csv_column(args.input, args.column, args.col_index, args.header)
     report = audit_dataset(values, args.base, args.bound, args.grid)

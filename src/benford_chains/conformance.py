@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .montecarlo import BLOCK_SIZE, _check_base, _in_order, _mantissas
+from ._closed import _check_base, benford_cdf, benford_digit_prob
+from .montecarlo import BLOCK_SIZE, _in_order, _mantissas
 
 __all__ = [
     "DigitStats",
@@ -87,27 +88,6 @@ class ConformanceReport:
             "bound_context": self.bound_context,
             "bound_consistent": self.bound_consistent,
         }
-
-
-def benford_cdf(s: float, base: int = 10) -> float:
-    """P(mantissa <= s) under the Benford law: log_base(s)."""
-    _check_base(base)
-    s = float(s)
-    if not 1.0 <= s <= base:
-        raise ValueError(f"s must lie in [1, {base}], got {s}")
-    if base == 10:
-        return math.log10(s)
-    return math.log(s) / math.log(base)
-
-
-def benford_digit_prob(d: int, base: int = 10) -> float:
-    """P(first digit = d) under the Benford law: log_base(1 + 1/d)."""
-    _check_base(base)
-    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= base - 1:
-        raise ValueError(f"digit must be an integer in [1, {base - 1}], got {d!r}")
-    if base == 10:
-        return math.log10(1.0 + 1.0 / d)
-    return math.log1p(1.0 / d) / math.log(base)
 
 
 def digit_stats(values, base: int = 10, grid_size: int = DEFAULT_GRID_SIZE) -> DigitStats:

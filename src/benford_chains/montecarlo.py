@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._closed import RNG_ALGORITHM, _check_base
 from .chains import ChainSpec, cumulative_powers
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "batch_mantissas",
 ]
 
-# Version-pinned generator identity, echoed into every CLI output.
-RNG_ALGORITHM = "numpy-philox4x64/seedseq(seed,(stream,block))/block65536"
 BLOCK_SIZE = 65536
 
 _SCALE_MIN = 1e-300
@@ -287,11 +286,6 @@ def sample_batch(chain: ChainSpec, count: int, seed: int, stream: int = 0) -> Sa
 def product_batch(chain: ChainSpec, count: int, seed: int, stream: int = 0) -> SampleBatch:
     """count draws of the product form prod_m Xi_m^(R_m)."""
     return _batch(chain, count, seed, stream, _product_kernel)
-
-
-def _check_base(base) -> None:
-    if isinstance(base, bool) or not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
 
 
 def _mantissas(x: np.ndarray, base: int) -> np.ndarray:

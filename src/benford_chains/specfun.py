@@ -2,8 +2,10 @@
 
 Everything here lives on or near the vertical line Re(s) = 1 of the complex
 plane, where Mellin transforms of densities are evaluated: the complex Gamma
-function, the closed form for |Gamma(1+ix)|, the zeta tail zeta(n) - 1, and
-the real Gamma function at integer arguments, each in plain math or numpy.
+function and the closed form for |Gamma(1+ix)|, in numpy.  The zeta tail
+zeta(n) - 1 and the real Gamma function at integer arguments are plain
+math; they live in the _closed module, which the closed-form CLI commands
+load without numpy, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -12,21 +14,14 @@ import math
 
 import numpy as np
 
+from ._closed import gamma_real, zeta_minus_one
+
 __all__ = [
     "complex_gamma",
     "gamma_abs_on_line",
     "zeta_minus_one",
     "gamma_real",
 ]
-
-# Euler-Maclaurin for zeta(n) - 1 (NIST DLMF 25.2.9): the terms below
-# _ZETA_CUT are summed directly, and B_2k / (2k)! for k = 1..7 weigh the
-# correction terms at the cut.
-_ZETA_CUT = 16
-_ZETA_BERNOULLI = (
-    1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
-    1.0 / 47900160.0, -691.0 / 1307674368000.0, 1.0 / 74724249600.0,
-)
 
 # Taylor coefficients of lnGamma(1 + w) = -euler*w + sum_{k>=2} (-1)^k zeta(k)/k w^k,
 # frozen from a 40-digit evaluation.  On |w| <= 1/8 the first omitted term
@@ -171,46 +166,3 @@ def gamma_abs_on_line(x):
     p = px[far]
     out[far] = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
     return float(out) if out.ndim == 0 else out
-
-
-def zeta_minus_one(n: int) -> float:
-    """zeta(n) - 1 = sum over l >= 2 of l**(-n), for integer n >= 2.
-
-    Euler-Maclaurin at N = 16 (NIST DLMF 25.2.9): the terms l = 2..15,
-    then N^(1-n)/(n-1) + N^(-n)/2 and seven Bernoulli terms
-    B_2k/(2k)! * n(n+1)...(n+2k-2) * N^(1-n-2k), added by math.fsum.  For
-    real n > 1 the remainder has the sign of the first omitted term (k = 8)
-    and is smaller in modulus; that term is below 7e-20 of the sum for
-    every n >= 2 (largest at n = 3).  Against a 200-digit evaluation the
-    result is the correctly rounded double at every n from 2 to 171 and at
-    the larger orders the tests freeze.
-
-    Past n = 1074 every term underflows (2.0**-1075 already rounds to 0),
-    so the value is set directly: zeta(n) - 1 = 2^-n (1 + e) with
-    0 < e < (2/3)^n rounds to the least subnormal at n = 1075, where it
-    lies just above half of it, and to 0 beyond.
-    """
-    if n < 2:
-        raise ValueError(f"zeta_minus_one requires n >= 2, got {n}")
-    if n > 1074:
-        return math.ulp(0.0) if n == 1075 else 0.0
-    terms = [ell**-n for ell in range(2, _ZETA_CUT)]
-    terms += [_ZETA_CUT ** (1 - n) / (n - 1), _ZETA_CUT**-n / 2]
-    rising = n  # n(n+1)...(n+2k-2)
-    for k, b in enumerate(_ZETA_BERNOULLI, 1):
-        terms.append(b * rising * _ZETA_CUT ** (1 - n - 2 * k))
-        rising *= (n + 2 * k - 1) * (n + 2 * k)
-    return math.fsum(terms)
-
-
-def gamma_real(n: int) -> float:
-    """Gamma(n) = (n-1)! for integer n >= 1, exact up to the double range.
-
-    Gamma(171) = 170! is the last factorial below the largest double, so
-    n > 171 raises ValueError before any factorial is built.
-    """
-    if n < 1:
-        raise ValueError(f"gamma_real requires n >= 1, got {n}")
-    if n > 171:
-        raise ValueError(f"gamma_real requires n <= 171 (Gamma(n) overflows a double), got {n}")
-    return float(math.factorial(n - 1))

@@ -70,6 +70,12 @@ def test_chain_spec_rejects_links_that_are_not_chain_links():
     assert ChainSpec(10, links).links == tuple(links)
 
 
+@pytest.mark.parametrize("links", [None, 5, 2.5])
+def test_chain_spec_rejects_links_that_are_not_a_sequence(links):
+    with pytest.raises(ChainSpecError, match=r"^links must be a sequence of ChainLink$"):
+        ChainSpec(10, links)
+
+
 def test_parse_chain_reports_offending_link():
     good = {"base": 10, "links": [{"family": "uniform", "power": 1}]}
     assert parse_chain(good).base == 10

@@ -317,7 +317,7 @@ def test_cli_stdout_is_bytewise_pinned(tmp_path, monkeypatch, name, command, lma
         return
     assert got == CLI_REPINNED[name, command, lmax]
     # The old stdout is the same command on the scalar reference's bound.
-    monkeypatch.setattr(cli, "deviation_bound", scalar_reference.deviation_bound)
+    monkeypatch.setattr(benford_chains.chains, "deviation_bound", scalar_reference.deviation_bound)
     old = io.StringIO()
     assert cli.main(argv, out=old) == 0
     assert hashlib.sha256(old.getvalue().encode()).hexdigest() == CLI_PINNED[name, command, lmax]

@@ -227,3 +227,10 @@ def test_gamma_real_factorials():
     # 171! overflows a double: a named error, not OverflowError
     with pytest.raises(ValueError, match="n <= 171"):
         gamma_real(172)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_gamma_real_takes_only_an_integer(n):
+    # a float used to reach math.factorial (TypeError), and True passed as 1
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        gamma_real(n)
