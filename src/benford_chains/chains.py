@@ -18,11 +18,13 @@ kernels run, a family also skips the frequencies past its zero_beyond,
 where they are proven to compute exactly 0.0 (exponential and
 half-Gaussian); S is the last nonzero product either way, so no output
 bit depends on the cut.  A benford link gives S = 0 at once.  The
-majorant tails are cut the same way.
+products of real family kernels, the certified moduli that deviation_bound
+sums and the majorants that close the tails, are one loop cut the same way.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and dominating the rest with
-  closed-form majorant tails.
+  closed-form majorant tails.  It takes |c_l| from the families'
+  closed-form moduli, rounded up, and needs no complex spectrum.
 * fold_probability: the semi-analytic value of P(Y_n in [a,b]) itself,
   from the truncated Fourier series plus a rigorous truncation error.
 * first_digit_probabilities: the fold probability of every leading-digit
@@ -59,7 +61,7 @@ from ._closed import (
     uniform_chain_cdf_terms,
     uniform_chain_density,
 )
-from .families import FAMILY_NAMES, Family, get_family, mellin_at
+from .families import _U, FAMILY_NAMES, Family, get_family, mellin_at
 
 __all__ = [
     "ChainSpecError",
@@ -85,12 +87,19 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# A digit table costs about (base - 1) * (L + 128) series terms: each of the
-# base - 1 intervals takes ~130 ns per term plus ~17 us of numpy calls
-# (measured on a 2-CPU Xeon VM).  2**24 terms take about 2 s, both at L = 1
-# (base ~130000) and at L = 65536 (base 256).
+# A digit table is costed at (base - 1) * (L + 128) series terms, the cost
+# of one interval at a time: ~130 ns per term plus ~17 us of numpy calls
+# per interval (2-CPU Xeon VM).  Blocks of intervals (_FOLD_BLOCK_TERMS)
+# share those calls, so the limit is generous at small L: base 130000 at
+# L = 1 takes ~0.1 s, base 256 at L = 65536 ~1 s.
 _DIGIT_INTERVAL_COST = 128
 _DIGIT_TABLE_MAX_COST = 2**24
+# Terms (intervals x S) of one block of fold intervals.  Its temporaries
+# take about 100 bytes a term, 0.4 MiB; each complex one is 64 KiB, below
+# malloc's default mmap threshold (128 KiB), so a block allocates no fresh
+# pages.  In blocks of 2**15 terms a base-10 table at L = 1024 ran 20-40%
+# slower than one interval at a time, and in blocks of 4096 as fast.
+_FOLD_BLOCK_TERMS = 4096
 
 @dataclass(frozen=True)
 class ChainLink:
@@ -219,8 +228,9 @@ class BoundResult:
     """A rigorous deviation bound and how it was assembled.
 
     value is the full bound (interval width included); moduli is a
-    read-only array of |c_l| for l = 1..L (|c_{-l}| is the same); tail
-    bounds everything beyond L, both signs, before width scaling.
+    read-only array of certified upper bounds on |c_l| for l = 1..L (on
+    |c_{-l}| too), each a product of closed-form family moduli rounded up;
+    tail bounds everything beyond L, both signs, before width scaling.
     Equality compares value, truncation_L and tail.
     """
 
@@ -320,18 +330,20 @@ def _spectrum(chain: ChainSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def _majorants(chain: ChainSpec, ells: np.ndarray) -> np.ndarray:
-    """Products of the family majorants at ells >= 1, up to the last nonzero.
+def _products(chain: ChainSpec, ells: np.ndarray, kernel) -> np.ndarray:
+    """Products over the links of a nonnegative family kernel at ells >= 1.
 
-    Majorants are >= 0, so a zero product stays +0.0 and is dropped with
-    every later frequency, as in _spectrum; so are the frequencies where
-    _live proves a family's majorant zero.
+    kernel is Family.majorant or Family.certified_modulus, called as
+    kernel(family, |R| * ells, base).  The values are >= 0, so a zero
+    product stays +0.0 and is dropped with every later frequency, as in
+    _spectrum; so are the frequencies where _live proves a family's kernel
+    zero.  The result runs up to the last nonzero product.
     """
     out = np.ones(ells.shape)
     for family, rs in _by_family(chain):
         n = _live(family, rs, ells, chain.base)
         ells, out = ells[:n], out[:n]
-        for m in family.majorant(np.abs(rs)[:, None] * ells, chain.base):
+        for m in kernel(family, np.abs(rs)[:, None] * ells, chain.base):
             out *= m
         S = _support(out != 0.0)
         ells, out = ells[:S], out[:S]
@@ -359,7 +371,7 @@ def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
     ell = _check_index(ell, "ell")
     if ell == 0:
         return 1.0
-    m = _majorants(chain, _frequencies(abs(ell), abs(ell)))
+    m = _products(chain, _frequencies(abs(ell), abs(ell)), Family.majorant)
     return float(m[0]) if m.size else 0.0
 
 
@@ -377,7 +389,7 @@ def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
     """
     L2 = max(2 * L, 256)
     ells = _frequencies(L + 1, L2)
-    plain = _majorants(chain, ells)
+    plain = _products(chain, ells, Family.majorant)
     weighted = (plain / (math.pi * ells[: plain.size])).tolist()
     plain = plain.tolist()
     if len(plain) < ells.size:
@@ -406,18 +418,33 @@ def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
     return close(plain, p_total), close(weighted, p_total + 1)
 
 
+def _round_up(k: int) -> float:
+    """A double >= 1 + gamma_k, gamma_k = k*u/(1 - k*u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).
+
+    A value that took k - 1 roundings, each a relative error of at most u,
+    times this factor (the k-th rounding) is at least its exact value.
+    """
+    return math.nextafter(1.0 + k * _U / (1.0 - k * _U), math.inf)
+
+
 def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> BoundResult:
     """Rigorous bound on |P(Y_n mod 1 in [a,b]) - (b-a)|.
 
     The bound is (b-a) * (sum of |spectrum(l)| over 0 < |l| <= L + tail),
     the triangle inequality applied to the folded Fourier series.  Both
     signs of l enter, with |c_{-l}| = |c_l|; the tail likewise covers both.
-    The two-sided sum is 2 * fsum(moduli): fsum is correctly rounded and
-    doubling is exact, so it has the bits of an fsum over both signs.
+    Each |c_l| is bounded from above by the product of the families'
+    certified closed-form moduli, which needs no complex Gamma, times
+    1 + gamma_k for the k - 1 rounded multiplies of k links.  The sum
+    2 * fsum(moduli) (fsum is correctly rounded and doubling is exact), the
+    width b - a, the tail add and the width multiply are four roundings,
+    and the value is rounded up by 1 + gamma_5 for them.
     """
     L = _check_L(L)
     width = interval.width
-    support = np.hypot(*_spectrum(chain, L))
+    support = _products(chain, _frequencies(1, L), Family.certified_modulus)
+    support *= _round_up(len(chain.links))
     # All family moduli decrease strictly in |l|, so the retained terms
     # must too; a violation means the spectrum code is wrong.
     grows = ~(support[1:] <= support[:-1] * (1.0 + 1e-12) + 1e-305)
@@ -431,14 +458,19 @@ def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> Bo
     if width == 0.0:
         value = 0.0
     else:
-        value = width * (2.0 * math.fsum(support.tolist()) + tail)
+        value = width * (2.0 * math.fsum(support.tolist()) + tail) * _round_up(5)
     return BoundResult(value=value, truncation_L=L, moduli=moduli, tail=tail)
 
 
-def _cis(ells: np.ndarray, x: float) -> np.ndarray:
-    """e^(i*(2*pi*x)*l) from numpy's complex exp, which gives cmath.exp's bits."""
-    y = np.zeros(ells.shape, dtype=np.complex128)
-    y.imag = (_TWO_PI * x) * ells
+def _cis(ells: np.ndarray, xs) -> np.ndarray:
+    """e^(i*(2*pi*x)*l), one row per x, from numpy's complex exp, which gives cmath.exp's bits.
+
+    Row by row the phases ascend, which keeps the exp's argument reduction
+    about a third faster than in the transposed order.
+    """
+    phase = (_TWO_PI * np.asarray(xs, dtype=np.float64))[:, None] * ells
+    y = np.zeros(phase.shape, dtype=np.complex128)
+    y.imag = phase
     return np.exp(y)
 
 
@@ -448,33 +480,39 @@ def _fold_series(chain: ChainSpec, edges: list[float], L: int) -> list[float]:
     Each l adds z = c_l * I_l, I_l = (e^(2 pi i b l) - e^(2 pi i a l))/(2 pi i l),
     and then c_{-l} * I_{-l} = conj(z), in that order and not as 2*Re(z),
     which rounds differently; the quotient and the product are spelled out
-    in real arithmetic in the order of the scalar complex operations.
-    Adjacent intervals share their common edge's exponentials, so memory
-    stays O(L).  The series runs over the support prefix c_1..c_S only:
-    the zero terms past S leave the sum as it is.  Widths 0 and 1 are
-    exact (every l != 0 integral vanishes) and need no c_l, and with S = 0
-    every interval is exactly its width.
+    in real arithmetic in the order of the scalar complex operations.  The
+    intervals go in blocks of consecutive ones, each block one (intervals x
+    S) product with a row-wise running sum, and adjacent intervals share
+    their common edge's exponentials; a block holds at most
+    _FOLD_BLOCK_TERMS terms, so memory stays O(L) and a few MiB.  Every
+    operation is elementwise or runs along its row, so each interval has
+    the bits of its own one-row series.  The series runs over the support
+    prefix c_1..c_S only: the zero terms past S leave the sum as it is.
+    Widths 0 and 1 are exact (every l != 0 integral vanishes) and need no
+    c_l, and with S = 0 every interval is exactly its width.
     """
-    ells = re = im = None
-    e_a = None
+    widths = [b - a for a, b in zip(edges, edges[1:])]
+    if all(width in (0.0, 1.0) for width in widths):
+        return widths
+    re, im = _spectrum(chain, L)
+    if not re.size:
+        return widths
+    ells = _frequencies(1, re.size)
+    denom = _TWO_PI * ells
+    rows = max(1, _FOLD_BLOCK_TERMS // ells.size)
+    e_a = _cis(ells, edges[:1])
     out = []
-    for a, b in zip(edges, edges[1:]):
-        width = b - a
-        if ells is None and width not in (0.0, 1.0):
-            re, im = _spectrum(chain, L)
-            ells = _frequencies(1, re.size)
-            denom = _TWO_PI * ells
-        if width in (0.0, 1.0) or not re.size:
-            out.append(width)
-            e_a = None
-            continue
-        if e_a is None:
-            e_a = _cis(ells, a)
-        e_b = _cis(ells, b)
-        diff = e_b - e_a
+    for start in range(0, len(widths), rows):
+        e_b = _cis(ells, edges[start + 1 : start + rows + 1])
+        diff = np.empty_like(e_b)
+        np.subtract(e_b[:1], e_a[-1:], out=diff[:1])
+        np.subtract(e_b[1:], e_b[:-1], out=diff[1:])
         z_re = re * (diff.imag / denom) - im * (-diff.real / denom)
-        acc = np.add.accumulate(np.repeat(z_re, 2))[-1]
-        out.append(width + float(acc))
+        # The running sum goes down the columns of the transpose: one
+        # vector add per term, each column one interval's sum.
+        acc = np.add.accumulate(np.repeat(z_re.T, 2, axis=0))[-1]
+        for width, a in zip(widths[start : start + rows], acc.tolist()):
+            out.append(width if width in (0.0, 1.0) else width + a)
         e_a = e_b
     return out
 

@@ -1,11 +1,12 @@
 """The table of one-parameter scale families and their Mellin machinery.
 
 Each family is a distribution on (0, infinity) closed under scaling,
-f_theta(x) = f(x/theta)/theta.  A chain analysis needs four things from a
+f_theta(x) = f(x/theta)/theta.  A chain analysis needs five things from a
 family: the exact Mellin transform of the unit-scale density on the line
-Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B), a monotone majorant of its
-modulus, the decay law of that majorant, which closes truncation tails,
-and a unit-scale sampler.  The Mellin values and the majorant are array
+Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B), a certified upper bound on
+its modulus from a closed form, a monotone majorant of that modulus, the
+decay law of the majorant, which closes truncation tails, and a unit-scale
+sampler.  The Mellin values, the moduli and the majorant are array
 kernels: one call evaluates every frequency of a spectrum.  Each family
 is one Family record of kernel functions: a row of _TABLE, or for benford
 a record that get_family builds for its own base.
@@ -28,6 +29,7 @@ __all__ = ["Family", "FAMILY_NAMES", "get_family", "mellin_at"]
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_PI = math.sqrt(math.pi)
+_U = 2.0**-53  # unit roundoff of a double
 
 
 def _omega(ells, base: int) -> np.ndarray:
@@ -37,13 +39,34 @@ def _omega(ells, base: int) -> np.ndarray:
     return _TWO_PI * np.asarray(ells, dtype=np.float64) / math.log(base)
 
 
+# Rounding error budget of the certified moduli.  u = 2**-53; R*l is rounded
+# once (exact below 2**53), math.pi is within 0.4u of pi, and math.log is
+# taken to be within 1 ulp; numpy's transcendental ufuncs (exp, sinh, sin,
+# hypot, ...) are taken to be within 4 ulp, 8u relative.  So the computed
+# w = 2*pi*R*l/ln B is w(1 + t) with |t| <= u + 0.4u + u + 2u + u < 6u, and a
+# closed form m(w) whose log has slope |d ln m/d ln w| <= s(w) moves by at
+# most s(w)*6u (plus second-order terms) from the argument alone.  Each
+# kernel then returns min(1, m * (1 + e)), e = (a + b*pi*w)*u, where a holds
+# the evaluation's roundings plus 4u for forming m * (1 + e) itself (3u and
+# the rounding of e), and b*pi*w the argument term.  Every |M f| <= 1 on
+# Re(s) = 1, so the cap costs nothing.  Below the normal range (2**-1022)
+# a value carries an absolute error of a few 2**-1074 instead, and a value
+# that underflows is reported as 0, as the majorant tails do.
+def _certified(m: np.ndarray, w: np.ndarray, a: float, b: float) -> np.ndarray:
+    """min(1, m * (1 + (a + b*pi*w)*u)): a closed-form modulus rounded up."""
+    return np.minimum(1.0, m * (1.0 + (a + (b * math.pi) * w) * _U))
+
+
 class Family(NamedTuple):
-    """One scale family: a name, four kernels and, for benford, its own base.
+    """One scale family: a name, five kernels and, for benford, its own base.
 
     mellin_exact(ells, base) is (M f)(1 - 2*pi*i*l/ln B) for the unit-scale
     density f: ells is an array of integer frequencies, of any shape and of
     an integer or float dtype, and the result a complex array of its shape.
-    majorant(ells, base) bounds its modulus from above and is nonincreasing
+    certified_modulus(ells, base) is an upper bound on its exact modulus in
+    floating point, from a closed form with its rounding error added (the
+    error budget of each family is derived at its kernel), for ells >= 0.
+    majorant(ells, base) bounds the modulus from above and is nonincreasing
     in l >= 1.  sample_unit_batch(rng, n) makes n unit-scale draws and
     consumes rng once per element.  Each kernel takes the family's own base
     first: None except for benford.
@@ -51,17 +74,21 @@ class Family(NamedTuple):
 
     name: str
     mellin: Callable  # (own, ells, base) -> complex array
+    modulus: Callable  # (own, ells, base) -> certified upper bound on |mellin|
     bound: Callable  # (own, ells, base) -> majorant array
     decay: Callable  # (own, |R|, base, ell0) -> (g, p) once the cap is off
     sample: Callable  # (own, rng, n) -> n unit-scale draws
-    # The angular frequency w = 2*pi*|R*l|/ln B at and beyond which both
-    # mellin_exact and majorant compute exactly 0.0; inf where neither
-    # underflows.
+    # The angular frequency w = 2*pi*|R*l|/ln B at and beyond which
+    # mellin_exact, certified_modulus and majorant all compute exactly 0.0;
+    # inf where none of them underflows.
     zero_beyond: float = math.inf
     base: int | None = None
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         return self.mellin(self.base, ells, base)
+
+    def certified_modulus(self, ells, base: int) -> np.ndarray:
+        return self.modulus(self.base, ells, base)
 
     def majorant(self, ells, base: int) -> np.ndarray:
         return self.bound(self.base, ells, base)
@@ -91,6 +118,18 @@ def _exponential_mellin(own, ells, base: int) -> np.ndarray:
     s.real = 1.0
     s.imag = -w
     return complex_gamma(s)  # Gamma(1) == 1 exactly at l = 0
+
+
+def _exponential_modulus(own, ells, base: int) -> np.ndarray:
+    # |Gamma(1 - iw)| = sqrt(p/sinh p), p = pi*w (DLMF 5.4.3), computed by
+    # gamma_abs_on_line.  p is rounded once more (1.4u: pi and the multiply),
+    # so p has relative error < 7.4u, and |d ln m/d ln p| = (p coth p - 1)/2
+    # <= p/2: the argument costs 3.7*pi*w*u.  Evaluation: sqrt(p/sinh p) is
+    # sinh 8u, divide u, then halved by the sqrt plus u: 5.5u; the exp-scaled
+    # form sqrt(2p) * exp(-p/2) / sqrt(-expm1(-2p)) is 1 + 8 + 1 + 1 + 1 = 12u.
+    # So e = (12 + 4 + 4*pi*w)*u.
+    w = np.abs(_omega(ells, base))
+    return _certified(gamma_abs_on_line(w), w, 16.0, 4.0)
 
 
 def _exponential_majorant(own, ells, base: int) -> np.ndarray:
@@ -133,6 +172,14 @@ def _uniform_mellin(own, ells, base: int) -> np.ndarray:
     return out
 
 
+def _uniform_modulus(own, ells, base: int) -> np.ndarray:
+    # |1/(1 - iw)| = 1/hypot(1, w).  |d ln m/d ln w| = w^2/(1 + w^2) <= 1, so
+    # the argument costs 6u; hypot 8u and the divide u: e = (15 + 4)u, flat
+    # in w.
+    w = np.abs(_omega(ells, base))
+    return _certified(1.0 / np.hypot(1.0, w), w, 20.0, 0.0)
+
+
 def _uniform_majorant(own, ells, base: int) -> np.ndarray:
     # 1/|s| <= 1/|Im s| = ln(B)/(2*pi*l); harmonic, not summable alone.
     return np.minimum(1.0, math.log(base) / (_TWO_PI * np.asarray(ells, dtype=np.float64)))
@@ -157,6 +204,19 @@ def _half_gaussian_mellin(own, ells, base: int) -> np.ndarray:
     s_half.real = 0.5
     s_half.imag = -0.5 * w
     return np.where(w == 0.0, 1.0, complex_gamma(s_half) / _SQRT_PI)
+
+
+def _half_gaussian_modulus(own, ells, base: int) -> np.ndarray:
+    # |Gamma(1/2 - iw/2)|/sqrt(pi) = 1/sqrt(cosh t), t = pi*w/2 (DLMF 5.4.4),
+    # in the exp-scaled form exp(-t/2) * sqrt(2/(1 + exp(-2t))), which never
+    # overflows.  t has relative error < 7.4u, and |d ln m/d ln t| =
+    # t*tanh(t)/2 <= t/2 = pi*w/4: the argument costs 1.85*pi*w*u.
+    # Evaluation: exp(-2t) adds at most 8u/2 to 1 + exp(-2t), the add and
+    # the divide u each, halved by the sqrt plus u: 4u; exp(-t/2) 8u and the
+    # multiply u.  So e = (13 + 4 + 2*pi*w)*u, rounded up to (18 + 2*pi*w)*u.
+    w = np.abs(_omega(ells, base))
+    t = (0.5 * math.pi) * w
+    return _certified(np.exp(-0.5 * t) * np.sqrt(2.0 / (1.0 + np.exp(-2.0 * t))), w, 18.0, 2.0)
 
 
 def _half_gaussian_majorant(own, ells, base: int) -> np.ndarray:
@@ -197,6 +257,25 @@ def _benford_mellin(own: int, ells, base: int) -> np.ndarray:
     return out
 
 
+def _benford_modulus(own: int, ells, base: int) -> np.ndarray:
+    """|(e^(-i theta) - 1)/(-i theta)| = |sin x|/x, x = theta/2 = w ln(b)/2.
+
+    Exactly 0 at the chain's own base b = B.  At a foreign base the exact
+    |sin x| may vanish (ln b/ln B rational), so no relative bound holds
+    there: x carries a relative error < 9u (w 6u, ln b 2u, the multiply u),
+    so |sin x| <= |sin x^| + 9u*x and |sin x|/x <= m^(1 + 9u) + 9u, and m^
+    itself is sin 8u and the divide u.  So the value is m^(1 + 22u) + 10u,
+    the extra 4u and 1u for forming it, capped at 1.
+    """
+    ells = np.abs(np.asarray(ells, dtype=np.float64))
+    if base == own:
+        return np.zeros(ells.shape)
+    x = 0.5 * (_omega(ells, base) * math.log(own))
+    with np.errstate(invalid="ignore"):
+        m = np.where(x == 0.0, 1.0, np.abs(np.sin(x)) / x)
+    return np.minimum(1.0, m * (1.0 + 22.0 * _U) + 10.0 * _U)
+
+
 def _benford_majorant(own: int, ells, base: int) -> np.ndarray:
     ells = np.asarray(ells, dtype=np.float64)
     if base == own:
@@ -215,25 +294,28 @@ def _benford_sample(own: int, rng, n: int) -> np.ndarray:
 
 _TABLE = {
     "exponential": Family(
-        "exponential", _exponential_mellin, _exponential_majorant, _exponential_decay,
-        _exponential_sample,
+        "exponential", _exponential_mellin, _exponential_modulus, _exponential_majorant,
+        _exponential_decay, _exponential_sample,
         # At w = 480, |Gamma(1+iw)| <= sqrt(2*pi*w) * e^(-pi*w/2) * (1 - e^(-2*pi*w))^(-1/2)
         # has log -749.98 < specfun._LOG_UNDERFLOW = -746, where complex_gamma
-        # returns 0, and the majorant's e^(-pi*w/2) = e^(-754) lies below half
-        # the least subnormal, e^(-745.13).  Both decrease in w.  (The last
-        # nonzero values of a dense sweep lie at w ~ 476.9 and 474.4.)
+        # returns 0, and the e^(-pi*w/2) = e^(-754) of the modulus and the
+        # majorant lies below half the least subnormal, e^(-745.13).  All three
+        # decrease in w.  (The last nonzero values of a dense sweep lie at
+        # w ~ 476.9 and 474.4.)
         480.0,
     ),
     "uniform": Family(
-        "uniform", _uniform_mellin, _uniform_majorant, _uniform_decay, _uniform_sample
+        "uniform", _uniform_mellin, _uniform_modulus, _uniform_majorant, _uniform_decay,
+        _uniform_sample,
     ),
     "half_gaussian": Family(
-        "half_gaussian", _half_gaussian_mellin, _half_gaussian_majorant, _half_gaussian_decay,
-        _half_gaussian_sample,
+        "half_gaussian", _half_gaussian_mellin, _half_gaussian_modulus, _half_gaussian_majorant,
+        _half_gaussian_decay, _half_gaussian_sample,
         # At w = 960, |Gamma(1/2 - iw/2)| = sqrt(pi/cosh(pi*w/2)) has log -753.06
-        # < -746, and the majorant's e^(-pi*w/4) = e^(-754) lies below half the
-        # least subnormal, e^(-745.13).  Both decrease in w.  (The last nonzero
-        # values of a dense sweep lie at w ~ 949.9 and 948.7.)
+        # < -746, and the e^(-pi*w/4) = e^(-754) of the modulus and the
+        # majorant lies below half the least subnormal, e^(-745.13).  All three
+        # decrease in w.  (The last nonzero values of a dense sweep lie at
+        # w ~ 949.9 and 948.7.)
         960.0,
     ),
 }
@@ -250,7 +332,10 @@ def _benford(base: int) -> Family:
     # the Python-level Family.__new__ and its cost; fields in Family's order.
     return tuple.__new__(
         Family,
-        ("benford", _benford_mellin, _benford_majorant, _benford_decay, _benford_sample, math.inf, base),
+        (
+            "benford", _benford_mellin, _benford_modulus, _benford_majorant, _benford_decay,
+            _benford_sample, math.inf, base,
+        ),
     )
 
 

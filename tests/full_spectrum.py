@@ -2,7 +2,11 @@
 prefix, kept as a test oracle: every family kernel runs on every frequency
 1..L, the majorant tails sum every term of L+1..max(2L, 256), and the bound
 builds its per_term tuple in full.  chains._spectrum keeps only c_1..c_S and
-the consumers built on it must still give these outputs bit for bit."""
+the consumers built on it must still give these outputs bit for bit.
+
+deviation_bound sums the certified closed-form moduli, as the package does;
+hypot_deviation_bound is the bound as it was before them, with |c_l| taken
+as hypot of the complex spectrum."""
 
 import math
 from itertools import groupby
@@ -10,7 +14,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from benford_chains.chains import SpectrumCheckError
+from benford_chains.chains import SpectrumCheckError, _round_up
+from benford_chains.families import Family
 
 _TWO_PI = 2.0 * math.pi
 
@@ -29,12 +34,16 @@ def spectrum(chain, ells):
     return re, im
 
 
-def majorants(chain, ells):
+def products(chain, ells, kernel):
     out = np.ones(ells.shape)
     for family, rs in _by_family(chain):
-        for m in family.majorant(np.abs(rs)[:, None] * ells, chain.base):
+        for m in kernel(family, np.abs(rs)[:, None] * ells, chain.base):
             out *= m
     return out
+
+
+def majorants(chain, ells):
+    return products(chain, ells, Family.majorant)
 
 
 def chain_spectrum(chain, ell: int) -> complex:
@@ -78,18 +87,28 @@ def majorant_tails(chain, L: int) -> tuple[float, float]:
     return close(plain, p_total), close(weighted, p_total + 1)
 
 
-def deviation_bound(chain, interval, L: int):
-    """(value, tail, per_term) of the bound."""
-    width = interval.width
-    moduli = np.hypot(*spectrum(chain, np.arange(1, L + 1, dtype=np.float64)))
+def _bound(chain, interval, L: int, moduli):
     grows = ~(moduli[1:] <= moduli[:-1] * (1.0 + 1e-12) + 1e-305)
     if grows.any():
         ell = int(np.argmax(grows)) + 2
         raise SpectrumCheckError(f"spectrum modulus grows from |l| = {ell - 1} to {ell}")
     per_term = tuple((sgn, m) for ell, m in enumerate(moduli.tolist(), 1) for sgn in (ell, -ell))
     tail, _ = majorant_tails(chain, L)
-    value = 0.0 if width == 0.0 else width * (math.fsum(m for _, m in per_term) + tail)
+    value = 0.0 if interval.width == 0.0 else interval.width * (math.fsum(m for _, m in per_term) + tail)
     return value, tail, per_term
+
+
+def deviation_bound(chain, interval, L: int):
+    """(value, tail, per_term) of the bound from the certified moduli."""
+    ells = np.arange(1, L + 1, dtype=np.float64)
+    moduli = products(chain, ells, Family.certified_modulus)
+    value, tail, per_term = _bound(chain, interval, L, moduli * _round_up(len(chain.links)))
+    return value * _round_up(5), tail, per_term
+
+
+def hypot_deviation_bound(chain, interval, L: int):
+    """(value, tail, per_term) of the bound before the certified moduli."""
+    return _bound(chain, interval, L, np.hypot(*spectrum(chain, np.arange(1, L + 1, dtype=np.float64))))
 
 
 def _cis(ells, x):

@@ -1,0 +1,132 @@
+"""The closed-form moduli that deviation_bound sums are upper bounds in
+floating point: each retained modulus lies at or above the exact |c_l|,
+frozen to 40 digits in tests/frozen_moduli.py (regenerate it with
+tests/freeze_moduli.py), and within 1e-11 relative of it.  The bound path
+evaluates no complex Gamma."""
+
+import io
+import json
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from benford_chains import chains, cli, families
+from benford_chains.chains import (
+    ChainLink,
+    ChainSpec,
+    FoldInterval,
+    deviation_bound,
+    fold_probability,
+    spectrum_majorant,
+)
+from benford_chains.families import get_family
+from frozen_moduli import CHAIN_MODULI, FAMILY_MODULI, HYPOT_BELOW
+
+U = 2.0**-53
+# e_f = (a + b*pi*w)*u of each family, as derived at its kernel in families.py
+STATED = {"exponential": (16.0, 4.0), "uniform": (20.0, 0.0), "half_gaussian": (18.0, 2.0)}
+
+
+def build(base, links):
+    return ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+
+
+def relative_excess(value: float, exact: str) -> Decimal:
+    """(value - exact)/exact, exactly enough: Decimal(float) is exact."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(value) - Decimal(exact)) / Decimal(exact)
+
+
+def bound_modulus(chain, ell):
+    return deviation_bound(chain, FoldInterval(0.0, 1.0), ell).moduli[ell - 1]
+
+
+def assert_certified(chain, ell, modulus, exact):
+    excess = relative_excess(modulus, exact)
+    assert 0 <= excess <= Decimal("1e-11"), (chain, ell, modulus, exact)
+    assert modulus <= spectrum_majorant(chain, ell), (chain, ell)
+
+
+def test_every_frozen_chain_modulus_is_certified_and_tight():
+    for base, links, ell, exact in CHAIN_MODULI:
+        chain = build(base, links)
+        assert_certified(chain, ell, bound_modulus(chain, ell), exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(CHAIN_MODULI),
+    extra=st.sampled_from([0, 1, 64]),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+)
+def test_the_bound_is_certified_on_frozen_chains(case, extra, ends):
+    base, links, ell, exact = case
+    chain = build(base, links)
+    interval = FoldInterval(*ends)
+    L = ell + extra
+    bound = deviation_bound(chain, interval, L)
+    assert_certified(chain, ell, bound.moduli[ell - 1], exact)
+    prob, err = fold_probability(chain, interval, L)
+    assert bound.value >= abs(prob - interval.width) - err
+
+
+@pytest.mark.parametrize("name", sorted(STATED))
+def test_family_moduli_keep_their_stated_error_budget(name):
+    # exact <= m * (1 + e) needs |m/exact - 1| <= e of the uninflated m, so
+    # the returned value lies in [exact, exact * (1 + 2e + 2u)]
+    a, b = STATED[name]
+    family = get_family(name)
+    cases = [case for case in FAMILY_MODULI if case[0] == name]
+    assert len(cases) >= 100
+    for _, base, n, exact in cases:
+        [got] = family.certified_modulus(np.array([float(n)]), base)
+        e = (a + b * math.pi * (2.0 * math.pi * n / math.log(base))) * U
+        excess = relative_excess(float(got), exact)
+        assert 0 <= excess <= Decimal(2.0 * e + 2.0 * U), (base, n, got, exact)
+
+
+def test_the_old_hypot_modulus_fell_below_the_exact_value():
+    # hypot of the complex spectrum, the moduli of the bound before the
+    # closed forms, lay below the exact |c_l| on this frozen case
+    base, links, ell, exact = CHAIN_MODULI[HYPOT_BELOW]
+    chain = build(base, links)
+    old = np.hypot(*chains._spectrum(chain, ell))[ell - 1]
+    assert relative_excess(float(old), exact) < 0
+    assert_certified(chain, ell, bound_modulus(chain, ell), exact)
+
+
+def test_the_bound_path_evaluates_no_complex_gamma(tmp_path, monkeypatch):
+    def refuse(z):
+        raise AssertionError("complex_gamma called")
+
+    monkeypatch.setattr(families, "complex_gamma", refuse)
+    links = [("exponential", 1), ("half_gaussian", -2), ("uniform", 3), ("exponential", 2)]
+    chain = build(10, links)
+    interval = FoldInterval(0.1, 0.45)
+    for L in (1, 64, 1024):
+        assert deviation_bound(chain, interval, L).value > 0.0
+    with pytest.raises(AssertionError, match="complex_gamma called"):
+        fold_probability(chain, interval, 64)
+
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps({"base": 10, "links": [{"family": f, "power": p} for f, p in links]}))
+    out = io.StringIO()
+    assert cli.main(["bound", "--chain", str(spec), "--a", "0.1", "--b", "0.45"], out=out) == 0
+    assert json.loads(out.getvalue())["value"] == deviation_bound(chain, interval, 64).value
+
+
+def test_the_moduli_carry_the_link_rounding_and_the_sum_its_own():
+    # the value is width * (2 * fsum + tail), rounded up for its four
+    # roundings, and never below the unrounded expression
+    chain = build(3, [("uniform", 1), ("uniform", -1)])
+    interval = FoldInterval(0.1, 0.45)
+    bound = deviation_bound(chain, interval, 64)
+    plain = interval.width * (2.0 * math.fsum(bound.moduli.tolist()) + bound.tail)
+    assert plain < bound.value <= plain * (1.0 + 8.0 * U)
+    raw = chains._products(chain, chains._frequencies(1, 64), families.Family.certified_modulus)
+    assert (raw < bound.moduli).all() and (bound.moduli <= raw * (1.0 + 4.0 * U)).all()

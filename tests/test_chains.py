@@ -15,6 +15,7 @@ from benford_chains.chains import (
     ChainSpecError,
     FoldInterval,
     SpectrumCheckError,
+    _round_up,
     chain_spectrum,
     cumulative_powers,
     deviation_bound,
@@ -251,9 +252,10 @@ def test_deviation_bound_structure():
     res = deviation_bound(ch, iv, L=8)
     assert isinstance(res, BoundResult)
     assert [ell for ell, _ in res.per_term] == [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8]
-    # the reported value is exactly reassembled from the reported pieces
+    # the reported value is exactly reassembled from the reported pieces,
+    # then rounded up for its own four roundings
     total = math.fsum(m for _, m in res.per_term) + res.tail
-    assert res.value == iv.width * total
+    assert res.value == iv.width * total * _round_up(5)
     moduli = [m for _, m in res.per_term]
     assert all(moduli[i] <= moduli[i - 2] * (1 + 1e-12) for i in range(2, len(moduli)))
 
@@ -272,7 +274,7 @@ def test_deviation_bound_degenerate_and_benford():
 def test_deviation_bound_rejects_a_growing_spectrum(monkeypatch):
     # A family whose modulus grows in |l| breaks the triangle-inequality
     # bookkeeping; the check must raise a named error, also under -O.
-    growing = _TABLE["uniform"]._replace(mellin=lambda own, ells, base: np.abs(ells) + 0j)
+    growing = _TABLE["uniform"]._replace(modulus=lambda own, ells, base: np.abs(ells))
     monkeypatch.setitem(_TABLE, "uniform", growing)
     with pytest.raises(SpectrumCheckError, match=r"\|l\| = 1 to 2"):
         deviation_bound(chain("uniform"), FoldInterval(0.0, 0.5), L=4)

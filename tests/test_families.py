@@ -156,6 +156,38 @@ def test_majorant_dominates_modulus():
             assert abs(mellin_at(fam, ell, BASE)) <= fam.majorant(ell, BASE), (name, ell)
 
 
+def test_certified_modulus_frozen_values():
+    # at or above the 50-digit moduli, within 1e-13 relative
+    for (name, ell), ref in MELLIN_ABS.items():
+        [got] = get_family(name).certified_modulus(np.array([float(ell)]), BASE)
+        assert ref <= got <= ref * (1.0 + 1e-13), (name, ell)
+
+
+def test_certified_modulus_bounds_the_mellin_modulus():
+    # |mellin_exact| is within 4e-12 of the exact modulus, far above the
+    # closed forms' rounding allowance
+    ells = np.array([0.0, 1.0, 2.0, 3.0, 17.0, 64.0, 333.0, 1e4, 1e9])
+    for name in ("exponential", "uniform", "half_gaussian"):
+        fam = get_family(name)
+        for base in (2, 10, 1000):
+            got = fam.certified_modulus(ells, base)
+            ref = np.abs(fam.mellin_exact(ells, base))
+            assert got[0] == 1.0 and (got <= 1.0).all()
+            assert np.allclose(got, ref, rtol=4e-12, atol=1e-300), (name, base)
+    foreign = get_family("benford", 2)
+    got = foreign.certified_modulus(ells, 10)
+    assert got[0] == 1.0
+    assert (np.abs(got - np.abs(foreign.mellin_exact(ells, 10))) <= 1e-14).all()
+    assert not get_family("benford", 10).certified_modulus(ells[1:], 10).any()
+
+
+def test_certified_modulus_of_a_benford_base_whose_modulus_vanishes():
+    # base-100 benford in base-10 frequencies: x = 2*pi*l, where the exact
+    # modulus is 0; the rounding allowance keeps the value a small upper bound
+    got = get_family("benford", 100).certified_modulus(np.arange(1.0, 65.0), 10)
+    assert (got > 0.0).all() and (got < 1e-14).all()
+
+
 def test_majorant_nonincreasing_and_capped():
     for name in FAMILY_NAMES:
         fam = get_family(name, BASE)

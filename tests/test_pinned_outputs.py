@@ -11,6 +11,12 @@ left scipy for numpy.  Their new values are pinned in REPINNED and
 CLI_REPINNED; the old pins stay, as a check that the old values (frozen
 scalars, and the scalar reference's sequences, whose digests equal the old
 ones) lie within 1e-12 relative of the new values.
+
+The deviation_bound value and per_term moduli of every chain with a nonzero
+spectrum moved once more, to the certified closed-form moduli.  They are
+pinned in BOUND_REPINNED and CLI_BOUND_REPINNED, and the pins before them
+stay the same way: the bound that took |c_l| as hypot of the spectrum
+(tests/full_spectrum.py) reproduces them, within 1e-12 of the new values.
 """
 
 import hashlib
@@ -27,9 +33,11 @@ import numpy as np
 import pytest
 
 import benford_chains
+import full_spectrum as full
 import scalar_reference
 from benford_chains import cli
 from benford_chains.chains import (
+    BoundResult,
     ChainLink,
     ChainSpec,
     FoldInterval,
@@ -227,6 +235,26 @@ REPINNED = {
     ),
 }
 
+# (chain, L) -> (bound value, digest of per_term) since the certified
+# closed-form moduli; the other four entries of PINNED/REPINNED keep their bits.
+BOUND_REPINNED = {
+    ("base2", 1): ("0x1.1013d24d5d1a7p-28", "26e7aa11f248c601d64ffff67f7dad3b0eb04c475475cb591ff631b92aab92d1"),
+    ("base2", 64): ("0x1.1013d24d542b2p-28", "edd362671a232b552378962038c8008243bb2cdaca0b64bcfc51babf6d65b655"),
+    ("base2", 1024): ("0x1.1013d24d542b2p-28", "411bab83d5107e0c339ac18145cc9455db6730a1799a90850e82c722210b07f9"),
+    ("benford_link", 1): ("0x0.0p+0", "23f9b93325f49139fd73c2e751dec5b244a884b87d0f53397b1a1c280ddc11b2"),
+    ("benford_link", 64): ("0x0.0p+0", "bce83fe5faed452827c2e49255e078b00eb627479a1a50713f70a293c91d3137"),
+    ("benford_link", 1024): ("0x0.0p+0", "be69a6c86f112c4d9dd39ad25d37afbb5c36dcb8e003b7fc13e0abc73578d4be"),
+    ("mixed_negative", 1): ("0x1.f033ab0bea74ep-45", "e0fcfadca3d1de0dca10359079443687abbf71e9210100e9b3aac430d3bad314"),
+    ("mixed_negative", 64): ("0x1.f033ab0bea74ep-45", "e0cbb56dee6288d4e77a1e092ab92867715a46785ca5de6f53f13231a9add613"),
+    ("mixed_negative", 1024): ("0x1.f033ab0bea74ep-45", "8e5cbb5051a6b8253e5edc34d0be0092cd539f075349307c472eb2958d90871a"),
+    ("single_uniform", 1): ("inf", "eb71900de6d82eb0f90c3fd1fc2aae764e59996014b3f3d28309facf19228a30"),
+    ("single_uniform", 64): ("inf", "19e9f6c5a93af0e515ae7d56de962bcd6ba6bc6aa37c1251a1d84d097e65fa43"),
+    ("single_uniform", 1024): ("inf", "79b54ed7e800fa93ae75389e6741c224221e069410560fcd18b72656d781ecd1"),
+    ("uniform_pair", 1): ("0x1.1b2e4f98f3fdbp-5", "1180fd7fbccbd69460b5a276564ed5e1ef6f6b0142782e5924dcae6db0997b9f"),
+    ("uniform_pair", 64): ("0x1.1abe1440996d2p-5", "8271d0801824ff7b43a848b247e0a71f867d66cab1769bd85af52a3647884c74"),
+    ("uniform_pair", 1024): ("0x1.1abdbda481f1fp-5", "f07ad63f67521451d463eb99a2500949823bc9e33c3db2f8153891e450d9ccdb"),
+}
+
 # (chain, command, --lmax) -> sha256 of stdout, run on ./chain.json
 CLI_PINNED = {
     ("mixed_negative", "bound", 64): "8d77d2a4228deb028d2490daab0745633d20bf31337b1646a30ee851ab0f72c3",
@@ -249,6 +277,14 @@ CLI_REPINNED = {
     ("mixed_negative", "bound", 1024): "d40578260d60acb388498e6530b58529e17e16e3e6534ce762d2e8df9a1ead7b",
 }
 
+# Pins of the bound stdout since the certified closed-form moduli.
+CLI_BOUND_REPINNED = {
+    ("mixed_negative", "bound", 64): "23aa70513554d74d6ad07341b7ddd719586c4a8e9908e31277c49ff625151b12",
+    ("mixed_negative", "bound", 1024): "6487fe54bcc6772fe3a55065192cdeb7a37644d73c60f321f592f05ca7caf59b",
+    ("uniform_pair", "bound", 64): "76134190936fb4af262f6785a313b8a1a0f496ae00340d275f285e2f96888b32",
+    ("uniform_pair", "bound", 1024): "5b18954d074031fbd5c6691e62ed3de4344f8a42df3bd1ceac141e1683266895",
+}
+
 
 def build(name):
     base, links = CHAINS[name]
@@ -266,7 +302,14 @@ def per_term_digest(bound):
 def assert_within_1e12(new, old):
     assert len(new) == len(old)
     for i, (x, y) in enumerate(zip(new, old)):
-        assert abs(x - y) <= 1e-12 * abs(y) + 1e-300, (i, x, y)
+        assert x == y or abs(x - y) <= 1e-12 * abs(y) + 1e-300, (i, x, y)
+
+
+def hypot_bound(chain, interval, L):
+    """deviation_bound as it was before the certified moduli."""
+    value, tail, per_term = full.hypot_deviation_bound(chain, interval, L)
+    moduli = np.array([m for ell, m in per_term if ell > 0])
+    return BoundResult(value=value, truncation_L=L, moduli=moduli, tail=tail)
 
 
 @pytest.mark.parametrize("name,L", sorted(PINNED))
@@ -284,19 +327,51 @@ def test_analytic_outputs_are_bitwise_pinned(name, L):
         err.hex(),
         digest(digits),
     )
+    assert (got[0], got[2]) == BOUND_REPINNED[name, L]
+    previous = REPINNED.get((name, L), PINNED[name, L])
+    assert got[1] == previous[1] and got[3:] == previous[3:]
+    # The bound before the certified moduli has the previous pins' bits.
+    before = hypot_bound(ch, iv, L)
+    assert (before.value.hex(), per_term_digest(before)) == (previous[0], previous[2])
+    assert_within_1e12(
+        [bound.value] + [m for _, m in bound.per_term], [before.value] + [m for _, m in before.per_term]
+    )
     if (name, L) not in REPINNED:
-        assert got == PINNED[name, L]
         return
-    assert got == REPINNED[name, L]
+    # and before the numpy Gamma, on the scalar reference
     old = PINNED[name, L]
     old_bound = scalar_reference.deviation_bound(ch, iv, L)
     old_digits = scalar_reference.first_digit_probabilities(ch, L)
     assert (per_term_digest(old_bound), digest(old_digits)) == (old[2], old[5])
     assert_within_1e12(
-        [bound.value, bound.tail, prob, err], [float.fromhex(old[i]) for i in (0, 1, 3, 4)]
+        [before.value, bound.tail, prob, err], [float.fromhex(old[i]) for i in (0, 1, 3, 4)]
     )
-    assert_within_1e12([m for _, m in bound.per_term], [m for _, m in old_bound.per_term])
+    assert_within_1e12([m for _, m in before.per_term], [m for _, m in old_bound.per_term])
     assert_within_1e12(digits, old_digits)
+
+
+def run_cli(monkeypatch, argv, bound=None):
+    """stdout of one command; bound replaces deviation_bound when given."""
+    with monkeypatch.context() as patch:
+        if bound is not None:
+            patch.setattr(benford_chains.chains, "deviation_bound", bound)
+        buf = io.StringIO()
+        assert cli.main(argv, out=buf) == 0
+    return buf.getvalue()
+
+
+def assert_stdout_within_1e12(new, old):
+    new, old = json.loads(new), json.loads(old)
+    assert new["config"] == old["config"]
+    assert [ell for ell, _ in new["per_term"]] == [ell for ell, _ in old["per_term"]]
+    assert_within_1e12(
+        [new["value"], new["tail"]] + [m for _, m in new["per_term"]],
+        [old["value"], old["tail"]] + [m for _, m in old["per_term"]],
+    )
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,command,lmax", sorted(CLI_PINNED))
@@ -309,25 +384,22 @@ def test_cli_stdout_is_bytewise_pinned(tmp_path, monkeypatch, name, command, lma
     argv = [command, "--chain", "chain.json", "--lmax", str(lmax)]
     if command != "digits":
         argv += ["--a", str(INTERVAL[0]), "--b", str(INTERVAL[1])]
-    buf = io.StringIO()
-    assert cli.main(argv, out=buf) == 0
-    got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    if (name, command, lmax) not in CLI_REPINNED:
-        assert got == CLI_PINNED[name, command, lmax]
+    key = (name, command, lmax)
+    stdout = run_cli(monkeypatch, argv)
+    if command != "bound":
+        assert sha256(stdout) == CLI_PINNED[key]
         return
-    assert got == CLI_REPINNED[name, command, lmax]
-    # The old stdout is the same command on the scalar reference's bound.
-    monkeypatch.setattr(benford_chains.chains, "deviation_bound", scalar_reference.deviation_bound)
-    old = io.StringIO()
-    assert cli.main(argv, out=old) == 0
-    assert hashlib.sha256(old.getvalue().encode()).hexdigest() == CLI_PINNED[name, command, lmax]
-    new, old = json.loads(buf.getvalue()), json.loads(old.getvalue())
-    assert new["config"] == old["config"]
-    assert [ell for ell, _ in new["per_term"]] == [ell for ell, _ in old["per_term"]]
-    assert_within_1e12(
-        [new["value"], new["tail"]] + [m for _, m in new["per_term"]],
-        [old["value"], old["tail"]] + [m for _, m in old["per_term"]],
-    )
+    assert sha256(stdout) == CLI_BOUND_REPINNED[key]
+    # The stdout before the certified moduli is the same command on the
+    # bound that took hypot of the spectrum.
+    before = run_cli(monkeypatch, argv, hypot_bound)
+    assert sha256(before) == CLI_REPINNED.get(key, CLI_PINNED[key])
+    assert_stdout_within_1e12(stdout, before)
+    if key in CLI_REPINNED:
+        # and before the numpy Gamma, on the scalar reference's bound
+        old = run_cli(monkeypatch, argv, scalar_reference.deviation_bound)
+        assert sha256(old) == CLI_PINNED[key]
+        assert_stdout_within_1e12(before, old)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
@@ -523,7 +595,7 @@ def run_cold_child(tmp_path, prelude=""):
     assert got["simulate"][0] == SIMULATE_PINNED[name][1]
     assert got["audit"][0] == SIMULATE_PINNED[name][2]
     assert hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest() == SIMULATE_PINNED[name][0]
-    assert got["bound"][0] == CLI_REPINNED[name, "bound", 64]
+    assert got["bound"][0] == CLI_BOUND_REPINNED[name, "bound", 64]
     assert got["fold"][0] == CLI_PINNED[name, "fold", 64]
     assert got["digits"][0] == CLI_PINNED[name, "digits", 64]
     for command, digest in SHORT_PINNED.items():

@@ -1,10 +1,11 @@
 """The frequencies where a complex-Gamma family provably computes zero.
 
 Each family's zero_beyond is the angular frequency w = 2*pi*|R*l|/ln B at
-and beyond which its mellin_exact and majorant return exactly 0.0, and
-chains._spectrum and chains._majorants skip those frequencies before the
-kernel calls.  The skipped entries were exact zeros, so every output keeps
-the bits of the full-length loop in tests/full_spectrum.py."""
+and beyond which its mellin_exact, certified_modulus and majorant return
+exactly 0.0, and chains._spectrum and chains._products skip those
+frequencies before the kernel calls.  The skipped entries were exact zeros,
+so every output keeps the bits of the full-length loop in
+tests/full_spectrum.py."""
 
 import math
 
@@ -40,6 +41,7 @@ def assert_zero_at(family, x, base):
     for sign in (1.0, -1.0):
         m = family.mellin_exact(sign * x, base)
         assert not m.real.any() and not m.imag.any(), (family, base, sign)
+    assert not family.certified_modulus(x, base).any(), (family, base)
     assert not family.majorant(x, base).any(), (family, base)
 
 
@@ -82,6 +84,7 @@ def test_zero_beyond_lies_within_15_of_the_last_nonzero_value(name):
     family = get_family(name)
     w = np.linspace(family.zero_beyond - 15.0, family.zero_beyond, 15001)
     assert np.abs(family.mellin_exact(scaled(w, 10), 10)).any()
+    assert family.certified_modulus(scaled(w, 10), 10).any()
     assert family.majorant(scaled(w, 10), 10).any()
 
 
@@ -107,6 +110,11 @@ def assert_matches_the_full_loop(chain, L, interval=FoldInterval(0.125, 0.6)):
     bound = deviation_bound(chain, interval, L)
     assert bits([bound.value, bound.tail]) == bits([value, tail])
     assert bits([m for _, m in bound.per_term]) == bits([m for _, m in per_term])
+    # the bound before the certified moduli, within 1e-12 relative
+    old_value, _, old_per_term = full.hypot_deviation_bound(chain, interval, L)
+    new = [bound.value] + [m for _, m in bound.per_term]
+    for x, y in zip(new, [old_value] + [m for _, m in old_per_term]):
+        assert x == y or abs(x - y) <= 1e-12 * abs(y) + 1e-300, (x, y)
     assert bits(fold_probability(chain, interval, L)) == bits(full.fold_probability(chain, interval, L))
     assert bits(first_digit_probabilities(chain, L)) == bits(full.first_digit_probabilities(chain, L))
     return S
@@ -143,7 +151,7 @@ def test_a_chain_cut_to_l_1_that_computes_zero_there_has_S_0():
         assert assert_matches_the_full_loop(chain, L) == 0
 
 
-def test_a_base_10_bound_at_L_1024_evaluates_90_complex_gamma_points(monkeypatch):
+def test_at_L_1024_a_fold_evaluates_90_complex_gamma_points_and_a_bound_none(monkeypatch):
     # R = 6, 3, 1: the cut keeps l <= floor(480 ln 10 / (12 pi)) + 1 = 30
     points = []
     original = families.complex_gamma
@@ -155,4 +163,6 @@ def test_a_base_10_bound_at_L_1024_evaluates_90_complex_gamma_points(monkeypatch
     monkeypatch.setattr(families, "complex_gamma", counting)
     chain = chain_of(10, [("exponential", 1), ("exponential", 2), ("exponential", 3)])
     deviation_bound(chain, FoldInterval(0.0, 0.5), 1024)
+    assert points == []
+    fold_probability(chain, FoldInterval(0.0, 0.5), 1024)
     assert points == [3 * 30]

@@ -267,11 +267,13 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
         assert chain_spectrum(chain, -ell) == complex(re[ell - 1], -im[ell - 1])
         assert same(spectrum_majorant(chain, ell), ref.spectrum_majorant(chain, ell))
 
+    # The bound's moduli and value moved for every chain with the certified
+    # closed-form moduli, so they compare within 1e-12; the tail keeps its bits.
     new_b, old_b = deviation_bound(chain, interval, L), ref.deviation_bound(chain, interval, L)
     assert [ell for ell, _ in new_b.per_term] == [ell for ell, _ in old_b.per_term]
     for new, old in zip(new_b.per_term, old_b.per_term):
-        assert same(new[1], old[1])
-    assert same(new_b.value, old_b.value)
+        assert close(new[1], old[1])
+    assert close(new_b.value, old_b.value)
     assert same(new_b.tail, old_b.tail)
 
     # A truncated series can cancel to far below its terms, so fold values

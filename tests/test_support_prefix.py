@@ -1,7 +1,9 @@
 """The support prefix of the chain spectrum: chains._spectrum keeps c_1..c_S
 and drops the frequencies where the product is exactly zero.  Every output
 must keep the bits of the full-length loop in tests/full_spectrum.py, and
-the integer frequency and truncation arguments are checked."""
+the integer frequency and truncation arguments are checked.  The bound moved
+once, to the certified closed-form moduli; the bound before them stays as a
+check that its values lie within 1e-12 relative of the new ones."""
 
 import math
 import re
@@ -57,6 +59,12 @@ def cbits(c: complex) -> list[int]:
     return bits([c.real, c.imag])
 
 
+def assert_within_1e12(new, old):
+    assert len(new) == len(old)
+    for i, (x, y) in enumerate(zip(new, old)):
+        assert x == y or abs(x - y) <= 1e-12 * abs(y) + 1e-300, (i, x, y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     base=st.integers(2, 1000),
@@ -94,6 +102,15 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
         assert bits([bound.value, bound.tail]) == bits([value, tail])
         assert [ell for ell, _ in bound.per_term] == [ell for ell, _ in per_term]
         assert bits([m for _, m in bound.per_term]) == bits([m for _, m in per_term])
+        if foreign is None or all(f != "benford" for f, _, _ in links):
+            # A foreign-base benford modulus carries an absolute rounding
+            # allowance (its exact value may vanish), so only chains without
+            # one compare relatively.
+            old_value, old_tail, old_per_term = full.hypot_deviation_bound(chain, interval, L)
+            assert bits(bound.tail) == bits(old_tail)
+            assert_within_1e12(
+                [bound.value] + [m for _, m in bound.per_term], [old_value] + [m for _, m in old_per_term]
+            )
 
     assert bits(fold_probability(chain, interval, L)) == bits(full.fold_probability(chain, interval, L))
     if (base - 1) * L <= 50000:
@@ -203,3 +220,16 @@ def test_ell_must_be_an_integer(entry, ell):
 def test_numpy_integer_ell_gives_the_python_int_value(ell):
     assert cbits(chain_spectrum(CHAIN, ell)) == cbits(chain_spectrum(CHAIN, int(ell)))
     assert spectrum_majorant(CHAIN, ell) == spectrum_majorant(CHAIN, int(ell))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_fold_series_in_blocks_keeps_every_bit(monkeypatch, block):
+    # blocks of one interval or several, cut anywhere, with zero-width and
+    # full-circle intervals inside a block: each interval keeps the bits
+    # of its own one-row series
+    monkeypatch.setattr(chains, "_FOLD_BLOCK_TERMS", block)
+    chain = ChainSpec(10, (ChainLink("exponential", 1), ChainLink("uniform", 2), ChainLink("uniform", -1)))
+    rng = np.random.default_rng(7)
+    edges = sorted(rng.random(40).tolist()) + [0.0, 0.0, 1.0, 1.0, 0.25, 0.25, 0.5]
+    for L in (1, 3, 64):
+        assert bits(chains._fold_series(chain, edges, L)) == bits(full.fold_series(chain, edges, L)), L
