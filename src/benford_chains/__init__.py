@@ -31,12 +31,12 @@ _HOMES = {
     "RngSeed": "montecarlo",
     "SampleBatch": "montecarlo",
     "SpectrumCheckError": "_closed",
+    "arg_gamma": "specfun",
     "audit_dataset": "conformance",
     "batch_mantissas": "montecarlo",
     "benford_cdf": "_closed",
     "benford_digit_prob": "_closed",
     "chain_spectrum": "chains",
-    "complex_gamma": "specfun",
     "cumulative_powers": "chains",
     "deviation_bound": "chains",
     "digit_stats": "conformance",

@@ -9,22 +9,25 @@ of per-family Mellin values (the chain spectrum).
 Three consumers of the spectrum live here.  Each call evaluates the
 spectrum once, as numpy arrays (c_{-l} = conj(c_l)), and the majorant tails
 at most once; a digit table shares one spectrum across its intervals and
-computes no tail.  The spectrum is kept only on its support prefix
-c_1..c_S, S <= L: the family kernels run in the _factors order (benford
-first, then the complex-Gamma families, uniform last), each only on the
-frequencies where the product so far is nonzero, and every c_l past S is
-exactly zero because a factor (or the running product) is.  Before its
-kernels run, a family also skips the frequencies past its zero_beyond,
-where they are proven to compute exactly 0.0 (exponential and
-half-Gaussian); S is the last nonzero product either way, so no output
-bit depends on the cut.  A benford link gives S = 0 at once.  The
-products of real family kernels, the certified moduli that deviation_bound
-sums and the majorants that close the tails, are one loop cut the same way.
+computes no tail.  The spectrum is polar: each c_l is the product of the
+families' certified closed-form moduli times e^(i*phi_l), phi_l the sum of
+the families' phases, so all three consumers share one loop of real
+products, _products, and no complex Gamma is evaluated.  The spectrum is
+kept only on its support prefix c_1..c_S, S <= L: the family kernels run
+in the _factors order (benford first, then the Gamma families, uniform
+last), each only on the frequencies where the product so far is nonzero,
+and every c_l past S is exactly zero because a factor (or the running
+product) is.  Before its kernels run, a family also skips the frequencies
+past its zero_beyond, where they are proven to compute exactly 0.0
+(exponential and half-Gaussian); S is the last nonzero product either way,
+so no output bit depends on the cut.  A benford link gives S = 0 at once.
+The majorants that close the tails are products of the same loop, cut the
+same way.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and dominating the rest with
   closed-form majorant tails.  It takes |c_l| from the families'
-  closed-form moduli, rounded up, and needs no complex spectrum.
+  closed-form moduli, rounded up, and needs no phase.
 * fold_probability: the semi-analytic value of P(Y_n in [a,b]) itself,
   from the truncated Fourier series plus a rigorous truncation error.
 * first_digit_probabilities: the fold probability of every leading-digit
@@ -61,7 +64,7 @@ from ._closed import (
     uniform_chain_cdf_terms,
     uniform_chain_density,
 )
-from .families import _U, FAMILY_NAMES, Family, get_family, mellin_at
+from .families import _U, FAMILY_NAMES, Family, get_family
 
 __all__ = [
     "ChainSpecError",
@@ -301,43 +304,17 @@ def _live(family: Family, rs: np.ndarray, ells: np.ndarray, base: int) -> int:
     return min(ells.size, max(0, last - int(ells[0]) + 1))
 
 
-def _spectrum(chain: ChainSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of c_1..c_S, the support prefix of the chain spectrum up to L.
-
-    One kernel call per family evaluates every link of that family, in the
-    _factors order, and the Mellin values are multiplied in that order.
-    Each complex product is spelled out as real multiplies and a subtract
-    or an add, in the order of the scalar complex product: numpy's complex
-    multiply may fuse them into FMAs, which round differently.  Before each
-    family's kernel call the frequencies where _live proves it zero are
-    dropped, and after it those past the last nonzero product: the product
-    there is (signed) zero and stays so, and the later kernels never see
-    them.  The kernels are elementwise, so every retained entry has the
-    bits of the full-length product.
-    """
-    ells = _frequencies(1, L)
-    re = np.ones(ells.shape)
-    im = np.zeros(ells.shape)
-    for family, rs in _by_family(chain):
-        n = _live(family, rs, ells, chain.base)
-        ells, re, im = ells[:n], re[:n], im[:n]
-        for m in family.mellin_exact(rs[:, None] * ells, chain.base):
-            re, im = re * m.real - im * m.imag, re * m.imag + im * m.real
-        S = _support((re != 0.0) | (im != 0.0))
-        ells, re, im = ells[:S], re[:S], im[:S]
-        if not S:
-            break
-    return re, im
-
-
 def _products(chain: ChainSpec, ells: np.ndarray, kernel) -> np.ndarray:
     """Products over the links of a nonnegative family kernel at ells >= 1.
 
     kernel is Family.majorant or Family.certified_modulus, called as
-    kernel(family, |R| * ells, base).  The values are >= 0, so a zero
-    product stays +0.0 and is dropped with every later frequency, as in
-    _spectrum; so are the frequencies where _live proves a family's kernel
-    zero.  The result runs up to the last nonzero product.
+    kernel(family, |R| * ells, base), one call per family for all its
+    links, in the _factors order.  Before each family's kernel call the
+    frequencies where _live proves it zero are dropped, and after it those
+    past the last nonzero product: the values are >= 0, so a zero product
+    stays +0.0, and the later kernels never see it.  The result runs up to
+    the last nonzero product; the kernels are elementwise, so every entry
+    has the bits of the full-length product.
     """
     out = np.ones(ells.shape)
     for family, rs in _by_family(chain):
@@ -352,18 +329,39 @@ def _products(chain: ChainSpec, ells: np.ndarray, kernel) -> np.ndarray:
     return out
 
 
-def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
-    """Fourier coefficient of the folded chain at frequency l.
+def _spectrum(chain: ChainSpec, L: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of c_l on the support prefix of the frequencies first..L.
 
-    The product over every link, zero factors included, so a vanishing
-    coefficient keeps the sign of its zeros.
+    The modulus is the product of the certified closed-form moduli from
+    _products, the loop deviation_bound sums; the phase is the sum of the
+    families' phases in the _factors order, on the retained prefix only.
+    Every entry has the bits of the full-length loop.
+    """
+    ells = _frequencies(first, L)
+    m = _products(chain, ells, Family.certified_modulus)
+    if not m.size:
+        return m, m
+    ells = ells[: m.size]
+    phase = np.zeros(m.shape)
+    for family, rs in _by_family(chain):
+        for p in family.mellin_phase(rs[:, None] * ells, chain.base):
+            phase += p
+    return m * np.cos(phase), m * np.sin(phase)
+
+
+def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
+    """Fourier coefficient c_l of the folded chain: c_{-l} = conj(c_l).
+
+    The entry of the spectrum that the fold and the digit table use, and
+    exactly 0j where the product of the moduli vanishes.
     """
     ell = _check_index(ell, "ell")
-    out = 1.0 + 0.0j
-    if ell != 0:
-        for family, r in chain._factors:
-            out *= mellin_at(family, float(r) * abs(ell), chain.base)
-    return out if ell >= 0 else out.conjugate()
+    if ell == 0:
+        return 1.0 + 0.0j
+    re, im = _spectrum(chain, abs(ell), abs(ell))
+    if not re.size:
+        return 0j
+    return complex(re[0], im[0] if ell > 0 else -im[0])
 
 
 def spectrum_majorant(chain: ChainSpec, ell: int) -> float:

@@ -254,15 +254,8 @@ def _cmd_density_uniform(args, out) -> int:
     return 0
 
 
-def _format_rows(first: int, values, mants, digits) -> bytes:
-    """simulate CSV rows numbered from first: the bytes of the template
-    "%d,%.17g,%.17g,%d\\n" per row (see _rows.format_rows)."""
-    from ._rows import format_rows  # first use only: see the module docstring
-
-    return format_rows(first, values, mants, digits)
-
-
 def _cmd_simulate(args, out) -> int:
+    from ._rows import format_rows
     from .chains import load_chain
     from .montecarlo import _blocks, batch_mantissas
 
@@ -278,7 +271,7 @@ def _cmd_simulate(args, out) -> int:
             digits = mants.astype(int)
             for lo in range(0, len(values), _CHUNK):
                 hi = lo + _CHUNK
-                fh.buffer.write(_format_rows(count + lo, values[lo:hi], mants[lo:hi], digits[lo:hi]))
+                fh.buffer.write(format_rows(count + lo, values[lo:hi], mants[lo:hi], digits[lo:hi]))
             count += len(values)
             failures += failed
             del values, mants, digits  # the next two blocks are drawn beside none of this one
@@ -296,25 +289,12 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _read_csv_column(path: str, column: str | None, col_index: int | None, header: bool):
-    """One numeric column of a CSV file as float64; unparsable cells become NaN.
-
-    Lines that are blank or start with '#' are skipped.  numpy reads the
-    file in chunks of about 1 MiB, and csv.reader reads from the first
-    chunk on which a comma split might read a line apart from csv (a
-    quote, a CR, a non-ASCII byte; see _column._chunk), with the same
-    values and errors; a pipe takes the same single pass.
-    """
-    from ._column import read_column  # first use only: see the module docstring
-
-    return read_column(path, column, col_index, header)
-
-
 def _cmd_audit(args, out) -> int:
+    from ._column import read_column
     from .conformance import audit_dataset
 
     args.header = args.header or args.column is not None
-    values = _read_csv_column(args.input, args.column, args.col_index, args.header)
+    values = read_column(args.input, args.column, args.col_index, args.header)
     report = audit_dataset(values, args.base, args.bound, args.grid)
     _print_json(
         {

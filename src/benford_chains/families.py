@@ -2,14 +2,16 @@
 
 Each family is a distribution on (0, infinity) closed under scaling,
 f_theta(x) = f(x/theta)/theta.  A chain analysis needs five things from a
-family: the exact Mellin transform of the unit-scale density on the line
-Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B), a certified upper bound on
-its modulus from a closed form, a monotone majorant of that modulus, the
-decay law of the majorant, which closes truncation tails, and a unit-scale
-sampler.  The Mellin values, the moduli and the majorant are array
-kernels: one call evaluates every frequency of a spectrum.  Each family
-is one Family record of kernel functions: a row of _TABLE, or for benford
-a record that get_family builds for its own base.
+family: the Mellin transform of the unit-scale density on the line
+Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B) in polar form, as a
+certified upper bound on its modulus from a closed form and its phase; a
+monotone majorant of that modulus; the decay law of the majorant, which
+closes truncation tails; and a unit-scale sampler.  The phases, the moduli
+and the majorant are array kernels: one call evaluates every frequency of
+a spectrum.  No kernel is complex: the Mellin value is the modulus times
+e^(i*phase).  Each family is one Family record of kernel functions: a row
+of _TABLE, or for benford a record that get_family builds for its own
+base.
 
 Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 (density 2/sqrt(pi*theta^2) * exp(-(x/theta)^2)), and "benford" (density
@@ -23,12 +25,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .specfun import complex_gamma, gamma_abs_on_line
+from .specfun import arg_gamma, gamma_abs_on_line
 
 __all__ = ["Family", "FAMILY_NAMES", "get_family", "mellin_at"]
 
 _TWO_PI = 2.0 * math.pi
-_SQRT_PI = math.sqrt(math.pi)
 _U = 2.0**-53  # unit roundoff of a double
 
 
@@ -60,12 +61,17 @@ def _certified(m: np.ndarray, w: np.ndarray, a: float, b: float) -> np.ndarray:
 class Family(NamedTuple):
     """One scale family: a name, five kernels and, for benford, its own base.
 
-    mellin_exact(ells, base) is (M f)(1 - 2*pi*i*l/ln B) for the unit-scale
-    density f: ells is an array of integer frequencies, of any shape and of
-    an integer or float dtype, and the result a complex array of its shape.
-    certified_modulus(ells, base) is an upper bound on its exact modulus in
-    floating point, from a closed form with its rounding error added (the
-    error budget of each family is derived at its kernel), for ells >= 0.
+    ells is an array of integer frequencies, of any shape and of an integer
+    or float dtype, and each kernel's result an array of its shape.
+    certified_modulus(ells, base) is an upper bound on the exact modulus of
+    (M f)(1 - 2*pi*i*l/ln B) for the unit-scale density f, in floating
+    point, from a closed form with its rounding error added (the error
+    budget of each family is derived at its kernel), even in l.
+    mellin_phase(ells, base) is its phase, odd in l, with an absolute error
+    of about |phase| * u.  mellin_exact(ells, base) is the complex value
+    certified_modulus * e^(i*mellin_phase), for a caller that wants one
+    (a foreign-base benford value carries the absolute 10u of its modulus);
+    the chain spectrum multiplies the moduli and adds the phases instead.
     majorant(ells, base) bounds the modulus from above and is nonincreasing
     in l >= 1.  sample_unit_batch(rng, n) makes n unit-scale draws and
     consumes rng once per element.  Each kernel takes the family's own base
@@ -73,19 +79,22 @@ class Family(NamedTuple):
     """
 
     name: str
-    mellin: Callable  # (own, ells, base) -> complex array
-    modulus: Callable  # (own, ells, base) -> certified upper bound on |mellin|
+    phase: Callable  # (own, ells, base) -> arg of the Mellin value
+    modulus: Callable  # (own, ells, base) -> certified upper bound on its modulus
     bound: Callable  # (own, ells, base) -> majorant array
     decay: Callable  # (own, |R|, base, ell0) -> (g, p) once the cap is off
     sample: Callable  # (own, rng, n) -> n unit-scale draws
     # The angular frequency w = 2*pi*|R*l|/ln B at and beyond which
-    # mellin_exact, certified_modulus and majorant all compute exactly 0.0;
+    # certified_modulus, majorant and so mellin_exact compute exactly 0.0;
     # inf where none of them underflows.
     zero_beyond: float = math.inf
     base: int | None = None
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
-        return self.mellin(self.base, ells, base)
+        return self.certified_modulus(ells, base) * np.exp(1j * self.mellin_phase(ells, base))
+
+    def mellin_phase(self, ells, base: int) -> np.ndarray:
+        return self.phase(self.base, ells, base)
 
     def certified_modulus(self, ells, base: int) -> np.ndarray:
         return self.modulus(self.base, ells, base)
@@ -111,13 +120,9 @@ class Family(NamedTuple):
         return self.sample(self.base, rng, n)
 
 
-def _exponential_mellin(own, ells, base: int) -> np.ndarray:
+def _exponential_phase(own, ells, base: int) -> np.ndarray:
     """Exponential: f(x) = exp(-x) on x >= 0; Mellin value Gamma(s)."""
-    w = _omega(ells, base)
-    s = np.empty(w.shape, dtype=np.complex128)
-    s.real = 1.0
-    s.imag = -w
-    return complex_gamma(s)  # Gamma(1) == 1 exactly at l = 0
+    return -arg_gamma(1.0, _omega(ells, base))
 
 
 def _exponential_modulus(own, ells, base: int) -> np.ndarray:
@@ -154,22 +159,9 @@ def _exponential_sample(own, rng, n: int) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _uniform_mellin(own, ells, base: int) -> np.ndarray:
+def _uniform_phase(own, ells, base: int) -> np.ndarray:
     """Uniform on [0, theta]: f(x) = 1 on [0,1]; Mellin value 1/s."""
-    # 1/(1 - iw) with the two branches of CPython's complex division
-    # written out, so each value is the scalar quotient bit for bit.
-    w = _omega(ells, base)
-    out = np.empty(w.shape, dtype=np.complex128)
-    small = np.abs(w) <= 1.0
-    ws = w[small]
-    denom = 1.0 + ws * ws
-    out.real[small] = 1.0 / denom
-    out.imag[small] = ws / denom
-    ratio = -1.0 / w[~small]
-    denom = ratio - w[~small]
-    out.real[~small] = ratio / denom
-    out.imag[~small] = -1.0 / denom
-    return out
+    return np.arctan(_omega(ells, base))  # arg 1/(1 - iw)
 
 
 def _uniform_modulus(own, ells, base: int) -> np.ndarray:
@@ -180,9 +172,19 @@ def _uniform_modulus(own, ells, base: int) -> np.ndarray:
     return _certified(1.0 / np.hypot(1.0, w), w, 20.0, 0.0)
 
 
+# 1/|s| < 1/|Im s| = ln(B)/(2*pi*l); harmonic, not summable alone.  At
+# large w = 2*pi*l/ln B the exact 1/sqrt(1 + w^2) = (1/w)(1 - 1/(2w^2) + ...)
+# lies within u of 1/w (at w > 1e8), so the rounding of the quotient decides
+# the order: l (the product R*l, u), math.log (2u), 2*pi (0.4u), the
+# multiply and the divide (u each) put the computed quotient within 5.4u of
+# ln(B)/(2*pi*l).  Times 1 + 8u (exact in doubles) and one more rounding it
+# is at least (1 - 5.4u)(1 + 8u)(1 - u) > 1 times that, above the modulus.
+_UNIFORM_PAD = 1.0 + 8.0 * _U
+
+
 def _uniform_majorant(own, ells, base: int) -> np.ndarray:
-    # 1/|s| <= 1/|Im s| = ln(B)/(2*pi*l); harmonic, not summable alone.
-    return np.minimum(1.0, math.log(base) / (_TWO_PI * np.asarray(ells, dtype=np.float64)))
+    quotient = math.log(base) / (_TWO_PI * np.asarray(ells, dtype=np.float64))
+    return np.minimum(1.0, _UNIFORM_PAD * quotient)
 
 
 def _uniform_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
@@ -193,17 +195,13 @@ def _uniform_sample(own, rng, n: int) -> np.ndarray:
     return rng.random(n)
 
 
-def _half_gaussian_mellin(own, ells, base: int) -> np.ndarray:
+def _half_gaussian_phase(own, ells, base: int) -> np.ndarray:
     """|N(0, theta/sqrt(2))|: f(x) = 2/sqrt(pi) * exp(-x^2) on x >= 0.
 
     Mellin value Gamma(s/2)/sqrt(pi); on the evaluation line its modulus
     is exactly 1/sqrt(cosh(pi^2 l / ln B)).
     """
-    w = _omega(ells, base)
-    s_half = np.empty(w.shape, dtype=np.complex128)
-    s_half.real = 0.5
-    s_half.imag = -0.5 * w
-    return np.where(w == 0.0, 1.0, complex_gamma(s_half) / _SQRT_PI)
+    return -arg_gamma(0.5, 0.5 * _omega(ells, base))
 
 
 def _half_gaussian_modulus(own, ells, base: int) -> np.ndarray:
@@ -237,40 +235,40 @@ def _half_gaussian_sample(own, rng, n: int) -> np.ndarray:
     return z
 
 
-def _benford_mellin(own: int, ells, base: int) -> np.ndarray:
+def _benford_x(own: int, ells, base: int) -> np.ndarray:
+    """x = theta/2 = w ln(b)/2, b = own, where the Mellin value
+    (e^(-i theta) - 1)/(-i theta) of the benford density equals
+    e^(-ix) * sin(x)/x."""
+    return 0.5 * (_omega(ells, base) * math.log(own))
+
+
+def _benford_phase(own: int, ells, base: int) -> np.ndarray:
     """Benford density 1/(x ln b) on [1, b), b = own: the absorbing element.
 
     At the chain's base B = b its Mellin value at integer l != 0 vanishes
     identically, which is the absorbing property: one benford link zeroes
-    the whole chain spectrum.  At a foreign base B != b it does not.
+    the whole chain spectrum.  At a foreign base B != b it does not, and its
+    phase is -x, plus pi (of the sign of x) where sin(x)/x < 0.
     """
-    ells = np.asarray(ells, dtype=np.float64)
-    out = np.zeros(ells.shape, dtype=np.complex128)
-    nonzero = ells != 0.0
-    if base != own:
-        # General closed form (e^w - 1)/w at w = (s-1) ln(own base).
-        w = np.empty(out.shape, dtype=np.complex128)
-        w.real = 0.0
-        w.imag = -_omega(ells, base) * math.log(own)
-        out[nonzero] = (np.exp(w[nonzero]) - 1.0) / w[nonzero]
-    out[~nonzero] = 1.0
-    return out
+    x = _benford_x(own, ells, base)
+    return np.where(x * np.sin(x) < 0.0, np.copysign(math.pi, x), 0.0) - x
 
 
 def _benford_modulus(own: int, ells, base: int) -> np.ndarray:
     """|(e^(-i theta) - 1)/(-i theta)| = |sin x|/x, x = theta/2 = w ln(b)/2.
 
-    Exactly 0 at the chain's own base b = B.  At a foreign base the exact
-    |sin x| may vanish (ln b/ln B rational), so no relative bound holds
-    there: x carries a relative error < 9u (w 6u, ln b 2u, the multiply u),
-    so |sin x| <= |sin x^| + 9u*x and |sin x|/x <= m^(1 + 9u) + 9u, and m^
-    itself is sin 8u and the divide u.  So the value is m^(1 + 22u) + 10u,
-    the extra 4u and 1u for forming it, capped at 1.
+    Exactly 0 at the chain's own base b = B, except 1 at l = 0.  At a
+    foreign base the exact |sin x| may vanish (ln b/ln B rational), so no
+    relative bound holds there: x carries a relative error < 9u (w 6u,
+    ln b 2u, the multiply u), so |sin x| <= |sin x^| + 9u*x and
+    |sin x|/x <= m^(1 + 9u) + 9u, and m^ itself is sin 8u and the divide u.
+    So the value is m^(1 + 22u) + 10u, the extra 4u and 1u for forming it,
+    capped at 1.
     """
     ells = np.abs(np.asarray(ells, dtype=np.float64))
     if base == own:
-        return np.zeros(ells.shape)
-    x = 0.5 * (_omega(ells, base) * math.log(own))
+        return (ells == 0.0).astype(np.float64)
+    x = _benford_x(own, ells, base)
     with np.errstate(invalid="ignore"):
         m = np.where(x == 0.0, 1.0, np.abs(np.sin(x)) / x)
     return np.minimum(1.0, m * (1.0 + 22.0 * _U) + 10.0 * _U)
@@ -294,28 +292,23 @@ def _benford_sample(own: int, rng, n: int) -> np.ndarray:
 
 _TABLE = {
     "exponential": Family(
-        "exponential", _exponential_mellin, _exponential_modulus, _exponential_majorant,
+        "exponential", _exponential_phase, _exponential_modulus, _exponential_majorant,
         _exponential_decay, _exponential_sample,
-        # At w = 480, |Gamma(1+iw)| <= sqrt(2*pi*w) * e^(-pi*w/2) * (1 - e^(-2*pi*w))^(-1/2)
-        # has log -749.98 < specfun._LOG_UNDERFLOW = -746, where complex_gamma
-        # returns 0, and the e^(-pi*w/2) = e^(-754) of the modulus and the
-        # majorant lies below half the least subnormal, e^(-745.13).  All three
-        # decrease in w.  (The last nonzero values of a dense sweep lie at
-        # w ~ 476.9 and 474.4.)
+        # At w = 480 the e^(-pi*w/2) = e^(-754) of the modulus and the majorant
+        # lies below half the least subnormal, e^(-745.13).  Both decrease in
+        # w.  (Their last nonzero values in a dense sweep lie at w ~ 474.4.)
         480.0,
     ),
     "uniform": Family(
-        "uniform", _uniform_mellin, _uniform_modulus, _uniform_majorant, _uniform_decay,
+        "uniform", _uniform_phase, _uniform_modulus, _uniform_majorant, _uniform_decay,
         _uniform_sample,
     ),
     "half_gaussian": Family(
-        "half_gaussian", _half_gaussian_mellin, _half_gaussian_modulus, _half_gaussian_majorant,
+        "half_gaussian", _half_gaussian_phase, _half_gaussian_modulus, _half_gaussian_majorant,
         _half_gaussian_decay, _half_gaussian_sample,
-        # At w = 960, |Gamma(1/2 - iw/2)| = sqrt(pi/cosh(pi*w/2)) has log -753.06
-        # < -746, and the e^(-pi*w/4) = e^(-754) of the modulus and the
-        # majorant lies below half the least subnormal, e^(-745.13).  All three
-        # decrease in w.  (The last nonzero values of a dense sweep lie at
-        # w ~ 949.9 and 948.7.)
+        # At w = 960 the e^(-pi*w/4) = e^(-754) of the modulus and the majorant
+        # lies below half the least subnormal, e^(-745.13).  Both decrease in
+        # w.  (Their last nonzero values in a dense sweep lie at w ~ 948.7.)
         960.0,
     ),
 }
@@ -333,7 +326,7 @@ def _benford(base: int) -> Family:
     return tuple.__new__(
         Family,
         (
-            "benford", _benford_mellin, _benford_modulus, _benford_majorant, _benford_decay,
+            "benford", _benford_phase, _benford_modulus, _benford_majorant, _benford_decay,
             _benford_sample, math.inf, base,
         ),
     )
@@ -352,5 +345,12 @@ def get_family(name: str, base: int = 10) -> Family:
 
 
 def mellin_at(family: Family, ell: int, base: int) -> complex:
-    """Exact Mellin value (M f)(1 - 2*pi*i*l/ln B) of the family density."""
+    """Mellin value (M f)(1 - 2*pi*i*l/ln B) of the family density, in
+    polar form: Family.certified_modulus times e^(i*phase).
+
+    The modulus is rounded up, so the value is within a few 1e-13 relative
+    of the exact one, except for benford at a base other than its own:
+    there the modulus carries an absolute 10u (u = 2**-53), so where the
+    exact value vanishes (ln b/ln B rational, e.g. b = 4, B = 2) this
+    returns about 1.1e-15 in place of 0."""
     return complex(family.mellin_exact(np.array([ell], dtype=np.float64), base)[0])

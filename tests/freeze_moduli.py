@@ -1,4 +1,4 @@
-"""Regenerate tests/frozen_moduli.py: chain spectrum moduli to 40 digits.
+"""Regenerate tests/frozen_moduli.py: chain spectra and phases to 40 digits.
 
 Run from the root of a checkout:
 
@@ -10,7 +10,11 @@ Mellin transforms themselves, evaluated by mpmath at 50 digits:
 |Gamma(1 - iw)| (exponential), |1/(1 - iw)| (uniform) and
 |Gamma(1/2 - iw/2)|/sqrt(pi) (half-Gaussian), at w = 2*pi*|R|*l/ln B with
 the exact R, l and B, not from the closed forms the package computes.
-The draws are seeded, so a rerun writes the same file.
+The same chains' complex coefficients c_l come from the complex Mellin
+values, at the signed R.  The phases Im lnGamma(x + iy) are mpmath's
+loggamma, and the uniform moduli far out (l = 1e9..1e9+199, base 10)
+check the uniform majorant.  The draws are seeded, so a rerun writes the
+same file.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ try:
 except ImportError:
     sys.exit("freeze_moduli.py needs mpmath (pip install mpmath); the test suite does not")
 
-import numpy as np
-
-from benford_chains import chains
 from benford_chains.chains import ChainLink, ChainSpec, cumulative_powers
 
 OUT = Path(__file__).with_name("frozen_moduli.py")
@@ -40,18 +41,26 @@ FAMILY_CASES = 120  # per family
 # The largest w of each family's single-link cases: a little below the w
 # where the double result leaves the normal range.
 W_MAX = {"exponential": 440.0, "uniform": 1e9, "half_gaussian": 880.0}
+ARG_GAMMA_X = (1, 0.5)
+ARG_GAMMA_Y = (0.03, 0.3, 3, 30, 300, 1500)
+UNIFORM_FAR_ELLS = range(10**9, 10**9 + 200)
 
 mp.mp.dps = 50
 
 
-def exact_modulus(family: str, n: int, base: int):
-    """|M f(1 - iw)| at w = 2*pi*n/ln B, n = |R|*l."""
+def exact_mellin(family: str, n: int, base: int):
+    """M f(1 - iw) at w = 2*pi*n/ln B, n = R*l with the sign of R."""
     w = 2 * mp.pi * n / mp.log(base)
     if family == "exponential":
-        return abs(mp.gamma(mp.mpc(1, -w)))
+        return mp.gamma(mp.mpc(1, -w))
     if family == "uniform":
-        return 1 / abs(mp.mpc(1, -w))
-    return abs(mp.gamma(mp.mpc(0.5, -w / 2))) / mp.sqrt(mp.pi)
+        return 1 / mp.mpc(1, -w)
+    return mp.gamma(mp.mpc(0.5, -w / 2)) / mp.sqrt(mp.pi)
+
+
+def exact_modulus(family: str, n: int, base: int):
+    """|M f(1 - iw)| at w = 2*pi*n/ln B."""
+    return abs(exact_mellin(family, n, base))
 
 
 def chain_modulus(base: int, links, ell: int):
@@ -59,6 +68,14 @@ def chain_modulus(base: int, links, ell: int):
     out = mp.mpf(1)
     for (family, _), r in zip(links, cumulative_powers(chain)):
         out *= exact_modulus(family, abs(r) * ell, base)
+    return out
+
+
+def chain_value(base: int, links, ell: int):
+    chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+    out = mp.mpc(1)
+    for (family, _), r in zip(links, cumulative_powers(chain)):
+        out *= exact_mellin(family, r * ell, base)
     return out
 
 
@@ -70,13 +87,6 @@ def draw_chain(rng: random.Random):
         (rng.choice(FAMILIES), 1 if i == 0 else rng.choice(POWERS)) for i in range(count)
     )
     return base, links, rng.choice(ELLS)
-
-
-def hypot_modulus(base: int, links, ell: int) -> float:
-    """|c_l| as the bound took it before the closed-form moduli: hypot of the spectrum."""
-    chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
-    support = np.hypot(*chains._spectrum(chain, ell))
-    return float(support[ell - 1]) if support.size == ell else 0.0
 
 
 def main() -> None:
@@ -96,19 +106,8 @@ def main() -> None:
             n = rng.randint(1, n_max if rng.random() < 0.7 else min(n_max, 50))
             family_cases.append((family, base, n, exact_modulus(family, n, base)))
 
-    # The case where hypot of the spectrum falls furthest below the exact
-    # modulus (relative): the bound before the closed-form moduli was not
-    # an upper bound there.
-    undershoot = [
-        (float((exact - hypot_modulus(base, links, ell)) / exact), i)
-        for i, (base, links, ell, exact) in enumerate(chain_cases)
-    ]
-    worst, index = max(undershoot)
-    if worst <= 0.0:
-        sys.exit("no frozen case has the hypot modulus below the exact value")
-
     lines = [
-        '"""Chain spectrum moduli frozen to 40 significant digits.',
+        '"""Chain spectra, moduli and Gamma phases frozen to 40 significant digits.',
         "",
         "Written by tests/freeze_moduli.py (mpmath at 50 digits, from the Mellin",
         "transforms, not the package's closed forms); do not edit by hand.",
@@ -132,14 +131,33 @@ def main() -> None:
     lines += [
         ")",
         "",
-        "# Index into CHAIN_MODULI of the case where hypot of the spectrum lay",
-        f"# furthest below the exact modulus, by {worst:.3g} relative.",
-        f"HYPOT_BELOW = {index}",
-        "",
+        "# (Re c_l, Im c_l) of the chains of CHAIN_MODULI, in their order.",
+        "CHAIN_VALUES = (",
     ]
+    for base, links, ell, _ in chain_cases:
+        c = chain_value(base, links, ell)
+        lines.append(f'    ("{mp.nstr(c.real, 40)}", "{mp.nstr(c.imag, 40)}"),')
+    lines += [
+        ")",
+        "",
+        "# (x, y, Im lnGamma(x + iy)), the continuous branch that is 0 at y = 0.",
+        "ARG_GAMMA = (",
+    ]
+    for x in ARG_GAMMA_X:
+        for y in ARG_GAMMA_Y:
+            lines.append(f'    ({x}, {y}, "{mp.nstr(mp.loggamma(mp.mpc(x, y)).imag, 40)}"),')
+    lines += [
+        ")",
+        "",
+        f"# |1/(1 - iw)| at w = 2*pi*l/ln 10 for l = {UNIFORM_FAR_ELLS.start}, ... in order.",
+        "UNIFORM_FAR_MODULI = (",
+    ]
+    for ell in UNIFORM_FAR_ELLS:
+        lines.append(f'    "{mp.nstr(exact_modulus("uniform", ell, 10), 40)}",')
+    lines += [")", ""]
     OUT.write_text("\n".join(lines))
-    print(f"wrote {OUT}: {len(chain_cases)} chain and {len(family_cases)} family moduli;"
-          f" hypot below the exact value in {sum(u > 0 for u, _ in undershoot)} chain cases")
+    print(f"wrote {OUT}: {len(chain_cases)} chain moduli and values, {len(family_cases)} family"
+          f" moduli, {len(ARG_GAMMA_X) * len(ARG_GAMMA_Y)} phases, {len(UNIFORM_FAR_ELLS)} far uniform moduli")
 
 
 if __name__ == "__main__":

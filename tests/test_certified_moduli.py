@@ -1,34 +1,44 @@
 """The closed-form moduli that deviation_bound sums are upper bounds in
 floating point: each retained modulus lies at or above the exact |c_l|,
 frozen to 40 digits in tests/frozen_moduli.py (regenerate it with
-tests/freeze_moduli.py), and within 1e-11 relative of it.  The bound path
-evaluates no complex Gamma."""
+tests/freeze_moduli.py), and within 1e-11 relative of it.  The polar
+spectrum, those moduli times e^(i*phase), lies within 2e-12 relative of
+the frozen complex c_l.  The bound path evaluates no phase, and the package
+has no complex Gamma at all."""
 
+import ast
 import io
 import json
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import benford_chains
 from benford_chains import chains, cli, families
 from benford_chains.chains import (
     ChainLink,
     ChainSpec,
     FoldInterval,
+    chain_spectrum,
     deviation_bound,
     fold_probability,
     spectrum_majorant,
 )
 from benford_chains.families import get_family
-from frozen_moduli import CHAIN_MODULI, FAMILY_MODULI, HYPOT_BELOW
+from frozen_moduli import CHAIN_MODULI, CHAIN_VALUES, FAMILY_MODULI, UNIFORM_FAR_MODULI
 
 U = 2.0**-53
 # e_f = (a + b*pi*w)*u of each family, as derived at its kernel in families.py
 STATED = {"exponential": (16.0, 4.0), "uniform": (20.0, 0.0), "half_gaussian": (18.0, 2.0)}
+# (index into CHAIN_MODULI, float.hex of |c_l|) as the bound took it before
+# the closed-form moduli: hypot of the spectrum that complex Gamma gave,
+# furthest below the exact modulus of the frozen cases, by 1.27e-13 relative.
+HYPOT_BELOW = (158, "0x1.c7273abca81c0p-410")
 
 
 def build(base, links):
@@ -93,24 +103,58 @@ def test_family_moduli_keep_their_stated_error_budget(name):
 def test_the_old_hypot_modulus_fell_below_the_exact_value():
     # hypot of the complex spectrum, the moduli of the bound before the
     # closed forms, lay below the exact |c_l| on this frozen case
-    base, links, ell, exact = CHAIN_MODULI[HYPOT_BELOW]
+    index, old = HYPOT_BELOW
+    base, links, ell, exact = CHAIN_MODULI[index]
     chain = build(base, links)
-    old = np.hypot(*chains._spectrum(chain, ell))[ell - 1]
-    assert relative_excess(float(old), exact) < 0
+    assert relative_excess(float.fromhex(old), exact) < 0
     assert_certified(chain, ell, bound_modulus(chain, ell), exact)
 
 
-def test_the_bound_path_evaluates_no_complex_gamma(tmp_path, monkeypatch):
-    def refuse(z):
-        raise AssertionError("complex_gamma called")
+def test_the_polar_spectrum_matches_the_frozen_coefficients():
+    for (base, links, ell, _), (re, im) in zip(CHAIN_MODULI, CHAIN_VALUES, strict=True):
+        chain = build(base, links)
+        exact = complex(float(re), float(im))
+        assert abs(chain_spectrum(chain, ell) - exact) <= 2e-12 * abs(exact), (base, links, ell)
+        assert chain_spectrum(chain, -ell) == chain_spectrum(chain, ell).conjugate()
 
-    monkeypatch.setattr(families, "complex_gamma", refuse)
+
+def test_the_uniform_majorant_lies_above_the_modulus_far_out():
+    # At l ~ 1e9 ln(B)/(2*pi*l) is within u of 1/sqrt(1 + w^2), so only the
+    # rounding pad keeps the majorant above it; unpadded, it fell below on
+    # two of these frequencies.
+    chain = build(10, [("uniform", 1)])
+    for ell, exact in enumerate(UNIFORM_FAR_MODULI, 10**9):
+        assert Decimal(spectrum_majorant(chain, ell)) >= Decimal(exact), ell
+        assert relative_excess(spectrum_majorant(chain, ell), exact) <= Decimal(16.0 * U)
+
+
+def test_the_package_has_no_complex_gamma():
+    with pytest.raises(AttributeError):
+        benford_chains.complex_gamma
+    # every Gamma a module defines or imports is a phase or a modulus on the
+    # line, or the real factorial
+    defined, imported = set(), set()
+    for path in Path(benford_chains.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "gamma" in node.name:
+                defined.add(node.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(a.name for a in node.names if "gamma" in a.name)
+    assert defined == {"arg_gamma", "gamma_abs_on_line", "gamma_real"}
+    assert imported <= defined
+
+
+def test_the_bound_path_evaluates_no_phase(tmp_path, monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("arg_gamma called")
+
+    monkeypatch.setattr(families, "arg_gamma", refuse)
     links = [("exponential", 1), ("half_gaussian", -2), ("uniform", 3), ("exponential", 2)]
     chain = build(10, links)
     interval = FoldInterval(0.1, 0.45)
     for L in (1, 64, 1024):
         assert deviation_bound(chain, interval, L).value > 0.0
-    with pytest.raises(AssertionError, match="complex_gamma called"):
+    with pytest.raises(AssertionError, match="arg_gamma called"):
         fold_probability(chain, interval, 64)
 
     spec = tmp_path / "chain.json"

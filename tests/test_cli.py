@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benford_chains import cli
+from benford_chains import _rows, cli
 from benford_chains.chains import SpectrumCheckError, exponential_chain_bound, uniform_chain_density
 from benford_chains.families import _TABLE
 from benford_chains.montecarlo import BLOCK_SIZE, RNG_ALGORITHM
@@ -331,7 +331,7 @@ positive_doubles = st.one_of(
 def test_row_template_matches_per_row_fmt(first, rows):
     values, mants, digits = (np.array(column) for column in zip(*rows))
     per_row = "".join(f"{i},{cli._fmt(v)},{cli._fmt(m)},{d}\n" for i, (v, m, d) in enumerate(rows, first))
-    assert cli._format_rows(first, values, mants, digits) == per_row.encode()
+    assert _rows.format_rows(first, values, mants, digits) == per_row.encode()
 
 def test_simulate_audit_round_trip(tmp_path):
     spec = tmp_path / "exp5.json"

@@ -63,7 +63,7 @@ def outcome(read, path, column, col_index, header):
 
 
 def assert_reads_like_the_loop(path, column, col_index, header):
-    assert outcome(cli._read_csv_column, path, column, col_index, header) == outcome(
+    assert outcome(_column.read_column, path, column, col_index, header) == outcome(
         csv_loop, path, column, col_index, header
     )
 
@@ -229,7 +229,7 @@ def test_a_pipe_is_read_in_one_pass(tmp_path, csv_log):
     writer = threading.Thread(target=fifo.write_text, args=(text,))
     writer.start()
     try:
-        got = cli._read_csv_column(str(fifo), "v", None, True)
+        got = _column.read_column(str(fifo), "v", None, True)
     finally:
         writer.join(timeout=60)
     assert not writer.is_alive()
@@ -250,7 +250,7 @@ def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, csv_log, cell
         report = json.loads(out.getvalue())["report"]
         assert (report["count"], report["skipped"]) == (3 - cells.count("n/a"), cells.count("n/a"))
         args = (str(path), "value" if head else None, None if head else 0, bool(head))
-        assert np.array_equal(cli._read_csv_column(*args), expected, equal_nan=True)
+        assert np.array_equal(_column.read_column(*args), expected, equal_nan=True)
         assert numpy_chunk(path, *args[1:]) is not None
     assert csv_log == []
 
@@ -295,7 +295,7 @@ def read_pipe(tmp_path, data, column, col_index, header):
     writer = threading.Thread(target=feed, args=(fifo, data))
     writer.start()
     try:
-        return outcome(cli._read_csv_column, fifo, column, col_index, header)
+        return outcome(_column.read_column, fifo, column, col_index, header)
     finally:
         writer.join(timeout=60)
         assert not writer.is_alive()
@@ -341,7 +341,7 @@ def test_a_byte_that_is_not_utf8_after_the_first_chunk_fails_as_in_the_csv_loop(
     path = write(tmp_path / "data.csv", data)
     expected = outcome(csv_loop, path, "v", None, True)
     assert expected[:2] == ("error", UnicodeDecodeError)
-    assert outcome(cli._read_csv_column, path, "v", None, True) == expected
+    assert outcome(_column.read_column, path, "v", None, True) == expected
     assert read_pipe(tmp_path, data, "v", None, True) == expected
 
 
@@ -366,7 +366,7 @@ def test_a_long_non_ascii_echo_reads_like_the_csv_loop(tmp_path, csv_log, bom, b
     path = write(tmp_path / "data.csv", data)
     expected = outcome(csv_from_the_top if bom else csv_loop, path, "v", None, True)
     assert expected[0] == ("error" if bad else "values")
-    assert outcome(cli._read_csv_column, path, "v", None, True) == expected
+    assert outcome(_column.read_column, path, "v", None, True) == expected
     assert (csv_log[:1] == [0]) == cut
     assert bool(csv_log) == (cut or bad)
     if bad:
@@ -380,7 +380,7 @@ def test_a_dirty_body_reads_from_a_pipe_as_from_a_file(tmp_path, csv_log):
     assert len(data) > 2 * CHUNK
     path = write(tmp_path / "data.csv", data)
     expected = outcome(csv_loop, path, "v", None, True)
-    assert outcome(cli._read_csv_column, path, "v", None, True) == expected
+    assert outcome(_column.read_column, path, "v", None, True) == expected
     assert read_pipe(tmp_path, data, "v", None, True) == expected
     assert csv_log == []
 
@@ -405,7 +405,7 @@ def test_the_reader_holds_the_column_and_about_one_chunk(tmp_path, rows):
     rows = dirty_file(path, rows)
     tracemalloc.start()
     try:
-        values = cli._read_csv_column(str(path), "v", None, True)
+        values = _column.read_column(str(path), "v", None, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

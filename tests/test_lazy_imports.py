@@ -26,8 +26,8 @@ PUBLIC = [
     "__version__", "BLOCK_SIZE", "BoundResult", "ChainLink", "ChainSpec",
     "ChainSpecError", "ConformanceReport", "DigitStats", "FAMILY_NAMES", "Family",
     "FoldInterval", "RNG_ALGORITHM", "RngSeed", "SampleBatch", "SpectrumCheckError",
-    "audit_dataset", "batch_mantissas", "benford_cdf", "benford_digit_prob",
-    "chain_spectrum", "complex_gamma", "cumulative_powers", "deviation_bound",
+    "arg_gamma", "audit_dataset", "batch_mantissas", "benford_cdf", "benford_digit_prob",
+    "chain_spectrum", "cumulative_powers", "deviation_bound",
     "digit_stats", "exponential_chain_bound", "first_digit", "first_digit_probabilities",
     "fold_probability", "gamma_abs_on_line", "gamma_real", "get_family", "load_chain",
     "make_rng", "mantissa", "mellin_at", "parse_chain", "product_batch", "sample_batch",

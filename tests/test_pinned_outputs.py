@@ -14,9 +14,17 @@ ones) lie within 1e-12 relative of the new values.
 
 The deviation_bound value and per_term moduli of every chain with a nonzero
 spectrum moved once more, to the certified closed-form moduli.  They are
-pinned in BOUND_REPINNED and CLI_BOUND_REPINNED, and the pins before them
-stay the same way: the bound that took |c_l| as hypot of the spectrum
-(tests/full_spectrum.py) reproduces them, within 1e-12 of the new values.
+pinned in BOUND_REPINNED and CLI_BOUND_REPINNED.
+
+The spectrum then became polar, the certified moduli times e^(i*phase), and
+the uniform majorant gained a rounding pad.  The outputs that moved, fold
+and digit values of uniform chains and the tails (so the fold errors and
+bound values) of chains with uniform links, are pinned in POLAR_REPINNED
+and CLI_POLAR_REPINNED.  The code of the complex-Gamma spectrum is gone, so
+the pins in between are no longer reproduced; every earlier scalar pin
+stays as a check within 1e-12 relative of the new value, and the scalar
+reference, which reproduces the oldest sequence and stdout pins bit for
+bit, checks the sequences and the stdout the same way.
 """
 
 import hashlib
@@ -33,11 +41,9 @@ import numpy as np
 import pytest
 
 import benford_chains
-import full_spectrum as full
 import scalar_reference
 from benford_chains import cli
 from benford_chains.chains import (
-    BoundResult,
     ChainLink,
     ChainSpec,
     FoldInterval,
@@ -183,7 +189,8 @@ PINNED = {
 }
 
 # Pins of PINNED entries that moved with the numpy Gamma: the bound value
-# and the per_term moduli of chains with exponential or half-Gaussian links.
+# and the per_term moduli of chains with exponential or half-Gaussian links
+# (the per_term digests are a record: the code that made them is gone).
 REPINNED = {
     ("base2", 1): (
         "0x1.1013d24d5d128p-28",
@@ -255,6 +262,67 @@ BOUND_REPINNED = {
     ("uniform_pair", 1024): ("0x1.1abdbda481f1fp-5", "f07ad63f67521451d463eb99a2500949823bc9e33c3db2f8153891e450d9ccdb"),
 }
 
+# (chain, L) -> all six entries since the polar spectrum and the padded
+# uniform majorant, where any moved; the other entries keep their bits.
+POLAR_REPINNED = {
+    ("mixed_negative", 1): (
+        "0x1.f033ab0bea74ep-45",
+        "0x1.157c7673df821p-89",
+        "e0fcfadca3d1de0dca10359079443687abbf71e9210100e9b3aac430d3bad314",
+        "0x1.6666666666980p-2",
+        "0x1.614e6ef59623dp-92",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+    ("single_uniform", 1): (
+        "inf",
+        "inf",
+        "eb71900de6d82eb0f90c3fd1fc2aae764e59996014b3f3d28309facf19228a30",
+        "0x1.4496257eb89b7p-3",
+        "0x1.3427286ae8be8p-3",
+        "0cfd8f322369f2030fc915dcc267811860d045490a128fff3b41459b57d164b4",
+    ),
+    ("single_uniform", 64): (
+        "inf",
+        "inf",
+        "19e9f6c5a93af0e515ae7d56de962bcd6ba6bc6aa37c1251a1d84d097e65fa43",
+        "0x1.62d591a1d8477p-3",
+        "0x1.da51c1155265fp-9",
+        "ccd59b7393535a383e8f424833e08f29f7b055cbd554a08785fc60627f1ef451",
+    ),
+    ("single_uniform", 1024): (
+        "inf",
+        "inf",
+        "79b54ed7e800fa93ae75389e6741c224221e069410560fcd18b72656d781ecd1",
+        "0x1.62dcf5c5d16e3p-3",
+        "0x1.dd9ff3f366248p-13",
+        "f30713fc16e7370a9735057c76639947af9dafdfe96e596e39396dbc1fbb81fe",
+    ),
+    ("uniform_pair", 1): (
+        "0x1.1b2e4f98f3fdfp-5",
+        "0x1.430cc397fac4bp-5",
+        "1180fd7fbccbd69460b5a276564ed5e1ef6f6b0142782e5924dcae6db0997b9f",
+        "0x1.63b4582f03821p-2",
+        "0x1.01ba93ad48c01p-8",
+        "b6c54972635558ee4d8fd7cd7ad13ade35ad92c68b2d020036f8c97e10ed7d88",
+    ),
+    ("uniform_pair", 64): (
+        "0x1.1abe1440996d2p-5",
+        "0x1.f13fc8d471952p-11",
+        "8271d0801824ff7b43a848b247e0a71f867d66cab1769bd85af52a3647884c74",
+        "0x1.61a1874728742p-2",
+        "0x1.3a03f9e0a8d5ap-19",
+        "1a1a81e5fe0970e981f17508c11c2c5e53459860f68a4801f4acf85c1b9961e1",
+    ),
+    ("uniform_pair", 1024): (
+        "0x1.1abdbda481f1fp-5",
+        "0x1.f4b6e3fdee970p-15",
+        "f07ad63f67521451d463eb99a2500949823bc9e33c3db2f8153891e450d9ccdb",
+        "0x1.61a18c2063424p-2",
+        "0x1.3e9bed76a793ap-27",
+        "e0b7a9df97d8b3a6ea24dda704efb5cda2580e5bcb38943ce3343dd377b06f00",
+    ),
+}
+
 # (chain, command, --lmax) -> sha256 of stdout, run on ./chain.json
 CLI_PINNED = {
     ("mixed_negative", "bound", 64): "8d77d2a4228deb028d2490daab0745633d20bf31337b1646a30ee851ab0f72c3",
@@ -271,12 +339,6 @@ CLI_PINNED = {
     ("uniform_pair", "digits", 1024): "c33b266a04918918d765fade60ac2415bfae110f20bd24654aedc300e1a5d667",
 }
 
-# Pins of CLI_PINNED entries that moved with the numpy Gamma.
-CLI_REPINNED = {
-    ("mixed_negative", "bound", 64): "9970934b7c996cfb53ca8fa3b765d770db7e7e6aa92dee924d5607ed338c796a",
-    ("mixed_negative", "bound", 1024): "d40578260d60acb388498e6530b58529e17e16e3e6534ce762d2e8df9a1ead7b",
-}
-
 # Pins of the bound stdout since the certified closed-form moduli.
 CLI_BOUND_REPINNED = {
     ("mixed_negative", "bound", 64): "23aa70513554d74d6ad07341b7ddd719586c4a8e9908e31277c49ff625151b12",
@@ -284,6 +346,21 @@ CLI_BOUND_REPINNED = {
     ("uniform_pair", "bound", 64): "76134190936fb4af262f6785a313b8a1a0f496ae00340d275f285e2f96888b32",
     ("uniform_pair", "bound", 1024): "5b18954d074031fbd5c6691e62ed3de4344f8a42df3bd1ceac141e1683266895",
 }
+
+# Pins of the stdout since the polar spectrum and the padded uniform majorant.
+CLI_POLAR_REPINNED = {
+    ("uniform_pair", "bound", 64): "b6fced469a96e436cfba430ff0e9b215d171325104d03f022aa66ede3353c648",
+    ("uniform_pair", "bound", 1024): "cb6c92e44dcda85c87915081d9bc2da8a9e526ff376e847d3a4d1eebe018bcdc",
+    ("uniform_pair", "digits", 64): "ecd98b9ac344e1eddd5138c154de51dd56e2411fa7ab1ff75a7947944ddaedbb",
+    ("uniform_pair", "digits", 1024): "ac91d0b6d6ff83f84351b3cb46a11d174a2971f0fc3345f92f7f1f5e7c8ff0de",
+    ("uniform_pair", "fold", 64): "2906dfa3f3da9f6c6d8e28225b40455ec477411efd3d65ff68c3bcf7d2950c2c",
+    ("uniform_pair", "fold", 1024): "c42535d5520cb4ab8afa3e30742005bdcadee8312be0d143e4160ee0f2749900",
+}
+
+
+def cli_pin(key):
+    """The stdout pin of a (chain, command, --lmax) key today."""
+    return CLI_POLAR_REPINNED.get(key, CLI_BOUND_REPINNED.get(key, CLI_PINNED[key]))
 
 
 def build(name):
@@ -305,13 +382,6 @@ def assert_within_1e12(new, old):
         assert x == y or abs(x - y) <= 1e-12 * abs(y) + 1e-300, (i, x, y)
 
 
-def hypot_bound(chain, interval, L):
-    """deviation_bound as it was before the certified moduli."""
-    value, tail, per_term = full.hypot_deviation_bound(chain, interval, L)
-    moduli = np.array([m for ell, m in per_term if ell > 0])
-    return BoundResult(value=value, truncation_L=L, moduli=moduli, tail=tail)
-
-
 @pytest.mark.parametrize("name,L", sorted(PINNED))
 def test_analytic_outputs_are_bitwise_pinned(name, L):
     ch = build(name)
@@ -327,47 +397,58 @@ def test_analytic_outputs_are_bitwise_pinned(name, L):
         err.hex(),
         digest(digits),
     )
-    assert (got[0], got[2]) == BOUND_REPINNED[name, L]
     previous = REPINNED.get((name, L), PINNED[name, L])
-    assert got[1] == previous[1] and got[3:] == previous[3:]
-    # The bound before the certified moduli has the previous pins' bits.
-    before = hypot_bound(ch, iv, L)
-    assert (before.value.hex(), per_term_digest(before)) == (previous[0], previous[2])
-    assert_within_1e12(
-        [bound.value] + [m for _, m in bound.per_term], [before.value] + [m for _, m in before.per_term]
-    )
-    if (name, L) not in REPINNED:
-        return
-    # and before the numpy Gamma, on the scalar reference
-    old = PINNED[name, L]
+    value, moduli = BOUND_REPINNED[name, L]
+    before = (value, previous[1], moduli, *previous[3:])
+    assert got == POLAR_REPINNED.get((name, L), before)
+    # Every earlier scalar pin lies within 1e-12 relative of the new value.
+    for pins in (PINNED[name, L], previous, before):
+        assert_within_1e12([bound.value, bound.tail, prob, err], [float.fromhex(pins[i]) for i in (0, 1, 3, 4)])
+    # The scalar reference reproduces the oldest sequences, and the new ones
+    # lie within 1e-12 relative of them.
     old_bound = scalar_reference.deviation_bound(ch, iv, L)
     old_digits = scalar_reference.first_digit_probabilities(ch, L)
-    assert (per_term_digest(old_bound), digest(old_digits)) == (old[2], old[5])
-    assert_within_1e12(
-        [before.value, bound.tail, prob, err], [float.fromhex(old[i]) for i in (0, 1, 3, 4)]
-    )
-    assert_within_1e12([m for _, m in before.per_term], [m for _, m in old_bound.per_term])
+    assert (per_term_digest(old_bound), digest(old_digits)) == (PINNED[name, L][2], PINNED[name, L][5])
+    assert_within_1e12([m for _, m in bound.per_term], [m for _, m in old_bound.per_term])
     assert_within_1e12(digits, old_digits)
 
 
-def run_cli(monkeypatch, argv, bound=None):
-    """stdout of one command; bound replaces deviation_bound when given."""
+# The library function behind each analytic command.
+ENTRY = {"bound": "deviation_bound", "fold": "fold_probability", "digits": "first_digit_probabilities"}
+
+
+def run_cli(monkeypatch, argv, reference=False):
+    """stdout of one command; on the scalar reference's function when reference is set."""
     with monkeypatch.context() as patch:
-        if bound is not None:
-            patch.setattr(benford_chains.chains, "deviation_bound", bound)
+        if reference:
+            name = ENTRY[argv[0]]
+            patch.setattr(benford_chains.chains, name, getattr(scalar_reference, name))
         buf = io.StringIO()
         assert cli.main(argv, out=buf) == 0
     return buf.getvalue()
 
 
-def assert_stdout_within_1e12(new, old):
-    new, old = json.loads(new), json.loads(old)
-    assert new["config"] == old["config"]
-    assert [ell for ell, _ in new["per_term"]] == [ell for ell, _ in old["per_term"]]
-    assert_within_1e12(
-        [new["value"], new["tail"]] + [m for _, m in new["per_term"]],
-        [old["value"], old["tail"]] + [m for _, m in old["per_term"]],
-    )
+def stdout_numbers(command, text):
+    """The floats of one command's stdout, in order."""
+    if command == "digits":
+        rows = [line.split(",") for line in text.splitlines() if line and line[0].isdigit()]
+        return [float(x) for row in rows for x in row[1:3]]
+    out = json.loads(text)
+    if command == "fold":
+        return [out["probability"], out["truncation_error"]]
+    return [out["value"], out["tail"]] + [m for _, m in out["per_term"]]
+
+
+def assert_stdout_within_1e12(command, new, old):
+    if command != "digits":
+        assert json.loads(new)["config"] == json.loads(old)["config"]
+        if command == "bound":
+            assert [ell for ell, _ in json.loads(new)["per_term"]] == [ell for ell, _ in json.loads(old)["per_term"]]
+    else:
+        assert [line for line in new.splitlines() if line.startswith("#")] == [
+            line for line in old.splitlines() if line.startswith("#")
+        ]
+    assert_within_1e12(stdout_numbers(command, new), stdout_numbers(command, old))
 
 
 def sha256(text):
@@ -386,20 +467,12 @@ def test_cli_stdout_is_bytewise_pinned(tmp_path, monkeypatch, name, command, lma
         argv += ["--a", str(INTERVAL[0]), "--b", str(INTERVAL[1])]
     key = (name, command, lmax)
     stdout = run_cli(monkeypatch, argv)
-    if command != "bound":
-        assert sha256(stdout) == CLI_PINNED[key]
-        return
-    assert sha256(stdout) == CLI_BOUND_REPINNED[key]
-    # The stdout before the certified moduli is the same command on the
-    # bound that took hypot of the spectrum.
-    before = run_cli(monkeypatch, argv, hypot_bound)
-    assert sha256(before) == CLI_REPINNED.get(key, CLI_PINNED[key])
-    assert_stdout_within_1e12(stdout, before)
-    if key in CLI_REPINNED:
-        # and before the numpy Gamma, on the scalar reference's bound
-        old = run_cli(monkeypatch, argv, scalar_reference.deviation_bound)
-        assert sha256(old) == CLI_PINNED[key]
-        assert_stdout_within_1e12(before, old)
+    assert sha256(stdout) == cli_pin(key)
+    # The oldest pin is the same command on the scalar reference's code,
+    # within 1e-12 relative of the new stdout.
+    old = run_cli(monkeypatch, argv, reference=True)
+    assert sha256(old) == CLI_PINNED[key]
+    assert_stdout_within_1e12(command, stdout, old)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
@@ -595,9 +668,8 @@ def run_cold_child(tmp_path, prelude=""):
     assert got["simulate"][0] == SIMULATE_PINNED[name][1]
     assert got["audit"][0] == SIMULATE_PINNED[name][2]
     assert hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest() == SIMULATE_PINNED[name][0]
-    assert got["bound"][0] == CLI_BOUND_REPINNED[name, "bound", 64]
-    assert got["fold"][0] == CLI_PINNED[name, "fold", 64]
-    assert got["digits"][0] == CLI_PINNED[name, "digits", 64]
+    for command in ("bound", "fold", "digits"):
+        assert got[command][0] == cli_pin((name, command, 64)), command
     for command, digest in SHORT_PINNED.items():
         assert got[command][0] == digest, command
     return got

@@ -1,9 +1,9 @@
-"""The frequencies where a complex-Gamma family provably computes zero.
+"""The frequencies where a Gamma family provably computes zero.
 
 Each family's zero_beyond is the angular frequency w = 2*pi*|R*l|/ln B at
 and beyond which its mellin_exact, certified_modulus and majorant return
-exactly 0.0, and chains._spectrum and chains._products skip those
-frequencies before the kernel calls.  The skipped entries were exact zeros,
+exactly 0.0, and chains._products, on which chains._spectrum builds, skips
+those frequencies before the kernel calls.  The skipped entries were exact zeros,
 so every output keeps the bits of the full-length loop in
 tests/full_spectrum.py."""
 
@@ -151,18 +151,25 @@ def test_a_chain_cut_to_l_1_that_computes_zero_there_has_S_0():
         assert assert_matches_the_full_loop(chain, L) == 0
 
 
-def test_at_L_1024_a_fold_evaluates_90_complex_gamma_points_and_a_bound_none(monkeypatch):
-    # R = 6, 3, 1: the cut keeps l <= floor(480 ln 10 / (12 pi)) + 1 = 30
+def test_at_L_1024_a_fold_evaluates_at_most_90_phase_gamma_points_and_a_bound_none(monkeypatch):
+    # R = 6, 3, 1: the cut keeps l <= floor(480 ln 10 / (12 pi)) + 1 = 30,
+    # and the phases run on the support prefix of the moduli only.  With
+    # w_k = 2 pi R_k l / ln 10 the product of the |Gamma(1 + i w_k)| is
+    # about prod sqrt(2 pi w_k) * e^(-pi (w_1 + w_2 + w_3) / 2)
+    # = e^(-10 pi^2 l / ln 10 + ...) = e^(-42.86 l + 10.0) near l = 17:
+    # e^-718.7 (subnormal) at l = 17 and e^-761.5 < 2^-1074 at l = 18, so
+    # the support is l <= 17, three phase points each
     points = []
-    original = families.complex_gamma
+    original = families.arg_gamma
 
-    def counting(z):
-        points.append(np.size(z))
-        return original(z)
+    def counting(x, y):
+        points.append(np.size(y))
+        return original(x, y)
 
-    monkeypatch.setattr(families, "complex_gamma", counting)
+    monkeypatch.setattr(families, "arg_gamma", counting)
     chain = chain_of(10, [("exponential", 1), ("exponential", 2), ("exponential", 3)])
     deviation_bound(chain, FoldInterval(0.0, 0.5), 1024)
     assert points == []
     fold_probability(chain, FoldInterval(0.0, 0.5), 1024)
-    assert points == [3 * 30]
+    [count] = points
+    assert count == 3 * 17

@@ -1,6 +1,6 @@
 """The simulate row writer against CPython's '%.17g': every byte the same.
 
-`cli._format_rows` rounds to 17 digits in numpy and lays the digits out by
+`_rows.format_rows` rounds to 17 digits in numpy and lays the digits out by
 %g's rules; the oracle is the one Python template it replaced.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import benford_chains
-from benford_chains import cli
+from benford_chains import _rows
 
 SEED = 20261019
 CHUNK = 8192
@@ -35,7 +35,7 @@ def template_rows(first, values, mants, digits):
 def assert_rows_match(values, mants, digits, first=0):
     for lo in range(0, len(values), CHUNK):
         cut = slice(lo, lo + CHUNK)
-        got = cli._format_rows(first + lo, values[cut], mants[cut], digits[cut])
+        got = _rows.format_rows(first + lo, values[cut], mants[cut], digits[cut])
         want = template_rows(first + lo, values[cut], mants[cut], digits[cut])
         if got != want:
             pairs = zip(got.split(b"\n"), want.split(b"\n"))

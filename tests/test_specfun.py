@@ -1,4 +1,8 @@
-"""Gamma and zeta helper checks against frozen high-precision values."""
+"""Gamma and zeta helper checks against frozen high-precision values.
+
+The phases of Gamma are checked against 40-digit values in
+tests/frozen_moduli.py (regenerate it with tests/freeze_moduli.py) and the
+moduli against scipy's loggamma, an independent implementation."""
 
 import math
 import os
@@ -6,15 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import benford_chains
+import scalar_reference as ref
 from benford_chains.specfun import (
-    complex_gamma,
+    arg_gamma,
     gamma_abs_on_line,
     gamma_real,
     zeta_minus_one,
 )
+from frozen_moduli import ARG_GAMMA
+
+U = 2.0**-53
 
 # |Gamma(1 + ix)| reference points, frozen from a 50-digit evaluation.
 GAMMA_ABS_REF = {
@@ -28,51 +37,61 @@ GAMMA_ABS_REF = {
 }
 
 
-def test_complex_gamma_integers():
-    assert complex_gamma(1) == 1.0 + 0.0j
-    assert abs(complex_gamma(5) - 24.0) <= 24.0 * 1e-14
-    assert abs(complex_gamma(0.5) ** 2 - math.pi) <= math.pi * 1e-14
+def test_arg_gamma_matches_40_digit_values():
+    # the error is about |value| * u plus a few u from the shift sum
+    for x, y, exact in ARG_GAMMA:
+        got = float(arg_gamma(x, y))
+        assert abs(got - float(exact)) <= 8.0 * U * (abs(float(exact)) + 4.0), (x, y)
 
 
-def test_complex_gamma_conjugate_symmetry():
-    for x in (0.3, 1.0, 4.5):
-        for y in (0.25, 1.0, 7.0):
-            a = complex_gamma(complex(x, y))
-            b = complex_gamma(complex(x, -y))
-            assert a == b.conjugate()
+def test_arg_gamma_is_zero_on_the_real_axis_and_odd_in_y():
+    for x in (0.3, 0.5, 1.0, 4.5, 9.0):
+        assert arg_gamma(x, 0.0) == 0.0
+        for y in (1e-300, 0.25, 1.0, 7.0, 480.0, 1e22):
+            assert arg_gamma(x, -y) == -arg_gamma(x, y)
+    ys = np.array([[-3.0, 0.0], [2.5, 1e6]])
+    got = arg_gamma(0.5, ys)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[float(arg_gamma(0.5, y)) for y in row] for row in ys.tolist()]
 
 
-def test_complex_gamma_rejects_left_half_plane():
-    with pytest.raises(ValueError):
-        complex_gamma(0.0)
-    with pytest.raises(ValueError):
-        complex_gamma(complex(-1.0, 2.0))
+def test_arg_gamma_is_minus_euler_gamma_times_y_near_one():
+    # Im lnGamma(1 + iy) = -euler*y + O(y^3)
+    for y in (1e-12, 1e-9, 1e-6):
+        assert float(arg_gamma(1.0, y)) == pytest.approx(-0.5772156649015329 * y, rel=1e-10)
+
+
+def test_arg_gamma_rejects_x_at_or_below_zero():
+    with pytest.raises(ValueError, match="x > 0"):
+        arg_gamma(0.0, 1.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        arg_gamma(np.array([1.0, -1.0]), 2.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        arg_gamma(math.nan, 2.0)
 
 
 def test_first_calls_in_a_fresh_interpreter_bind_scipy_and_match_frozen_bits():
-    # complex_gamma and zeta_minus_one are numpy and math alone: no scipy
+    # arg_gamma and zeta_minus_one are numpy and math alone: no scipy
     # module is loaded after either call, and the first calls already give
     # the frozen bits.
     src = str(Path(benford_chains.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys\n"
-        "from benford_chains.specfun import complex_gamma, zeta_minus_one\n"
-        "g = complex_gamma(1 + 2j)\n"
+        "from benford_chains.specfun import arg_gamma, zeta_minus_one\n"
+        "g = float(arg_gamma(1.0, 2.0))\n"
         "assert 'scipy' not in sys.modules\n"
         "z = zeta_minus_one(3)\n"
         "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "print(g.real.hex(), g.imag.hex(), z.hex())\n"
+        "print(g.hex(), z.hex())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    re_hex, im_hex, zeta_hex = proc.stdout.split()
-    # Gamma(1 + 2i) = 0.15190400267003615 + 0.01980488016185498i: the numpy
-    # value, and the scipy value it replaced within 1e-14 relative
-    assert [re_hex, im_hex] == ["0x1.3719721ccb5f7p-3", "0x1.447bb0262ae0ep-6"]
-    old = complex(float.fromhex("0x1.3719721ccb5efp-3"), float.fromhex("0x1.447bb0262adddp-6"))
-    assert abs(complex(float.fromhex(re_hex), float.fromhex(im_hex)) - old) <= 1e-14 * abs(old)
+    arg_hex, zeta_hex = proc.stdout.split()
+    # Im lnGamma(1 + 2i) = 0.12964631630978831138...
+    assert arg_hex == "0x1.09840204c7820p-3"
+    assert abs(float.fromhex(arg_hex) - 0.1296463163097883113837) <= 1e-15
     # zeta(3) - 1
     assert zeta_hex == "0x1.9dd002780310ap-3"
 
@@ -84,9 +103,9 @@ def test_gamma_abs_on_line_frozen_values():
 
 
 def test_gamma_abs_on_line_matches_reflection_identity():
-    # |Gamma(1+ix)|^2 = pi x / sinh(pi x), checked via the complex gamma route
+    # |Gamma(1+ix)|^2 = pi x / sinh(pi x), checked via scipy's complex Gamma
     for x in (0.5, 1.0, 2.72875, 5.0, 8.0):
-        direct = abs(complex_gamma(complex(1.0, x))) ** 2
+        direct = abs(ref.gamma(complex(1.0, x))) ** 2
         closed = math.pi * x / math.sinh(math.pi * x)
         assert direct == pytest.approx(closed, rel=1e-12)
         assert gamma_abs_on_line(x) ** 2 == pytest.approx(closed, rel=1e-12)
