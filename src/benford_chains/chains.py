@@ -6,30 +6,29 @@ with independent unit-scale draws Xi_m and cumulative exponents R_m, so
 the Fourier coefficients of Y_n = log_B X_n mod 1 factor into a product
 of per-family Mellin values (the chain spectrum).
 
-Three consumers of the spectrum live here.  Each call evaluates the
-spectrum once, as numpy arrays (c_{-l} = conj(c_l)), and the majorant tails
-at most once; a digit table shares one spectrum across its intervals and
-computes no tail.  The spectrum is polar: each c_l is the product of the
-families' certified closed-form moduli times e^(i*phi_l), phi_l the sum of
-the families' phases, so all three consumers share one loop of real
-products, _products, and no complex Gamma is evaluated.  The spectrum is
-kept only on its support prefix c_1..c_S, S <= L: the family kernels run
-in the _factors order (benford first, then the Gamma families, uniform
-last), each only on the frequencies where the product so far is nonzero,
-and every c_l past S is exactly zero because a factor (or the running
-product) is.  Before its kernels run, a family also skips the frequencies
-past its zero_beyond, where they are proven to compute exactly 0.0
-(exponential and half-Gaussian); S is the last nonzero product either way,
-so no output bit depends on the cut.  A benford link gives S = 0 at once.
-The majorants that close the tails are products of the same loop, cut the
-same way.
+Three consumers of the spectrum live here.  Each call makes one pass of
+the families' certified closed-form moduli, _products, as numpy arrays
+(c_{-l} = conj(c_l)): a bound or a fold over 1..max(2L, 256), whose first
+L moduli feed its sum or its series and the rest the tails, and a digit
+table over 1..L, shared across its intervals.  The spectrum is polar:
+each c_l is the product of the moduli times e^(i*phi_l), phi_l the sum of
+the families' phases, so no complex Gamma is evaluated.  The pass keeps
+only the support prefix c_1..c_S: the family kernels run in the _factors
+order (benford first, then the Gamma families, uniform last), each only on
+the frequencies where the product so far is nonzero, and every c_l past S
+is exactly zero because a factor (or the running product) is.  Before its
+kernels run, a family also skips the frequencies past its zero_beyond,
+where they are proven to compute exactly 0.0 (exponential and
+half-Gaussian); S is the last nonzero product either way, so no output bit
+depends on the cut.  A benford link gives S = 0 at once.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
-  truncating the spectrum at |l| <= L and dominating the rest with
-  closed-form majorant tails.  It takes |c_l| from the families'
-  closed-form moduli, rounded up, and needs no phase.
+  truncating the spectrum at |l| <= L and bounding the rest with the
+  tails.  It takes |c_l| from the families' closed-form moduli, rounded
+  up, and needs no phase.
 * fold_probability: the semi-analytic value of P(Y_n in [a,b]) itself,
-  from the truncated Fourier series plus a rigorous truncation error.
+  from the truncated Fourier series, with an error that adds a bound on
+  the series' rounding (_fold_rounding) to the tails.
 * first_digit_probabilities: the fold probability of every leading-digit
   interval [log_B d, log_B(d+1)], all from one spectrum.
 
@@ -329,19 +328,17 @@ def _products(chain: ChainSpec, ells: np.ndarray, kernel) -> np.ndarray:
     return out
 
 
-def _spectrum(chain: ChainSpec, L: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of c_l on the support prefix of the frequencies first..L.
+def _spectrum(chain: ChainSpec, m: np.ndarray, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of c_l at the frequencies first, first + 1, ..., one per modulus of m.
 
-    The modulus is the product of the certified closed-form moduli from
-    _products, the loop deviation_bound sums; the phase is the sum of the
-    families' phases in the _factors order, on the retained prefix only.
+    m is a prefix of the certified moduli _products gives for frequencies
+    from first on, the loop deviation_bound sums; the phase is the sum of
+    the families' phases in the _factors order, on those frequencies only.
     Every entry has the bits of the full-length loop.
     """
-    ells = _frequencies(first, L)
-    m = _products(chain, ells, Family.certified_modulus)
     if not m.size:
         return m, m
-    ells = ells[: m.size]
+    ells = _frequencies(first, first + m.size - 1)
     phase = np.zeros(m.shape)
     for family, rs in _by_family(chain):
         for p in family.mellin_phase(rs[:, None] * ells, chain.base):
@@ -358,7 +355,8 @@ def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
     ell = _check_index(ell, "ell")
     if ell == 0:
         return 1.0 + 0.0j
-    re, im = _spectrum(chain, abs(ell), abs(ell))
+    m = _products(chain, _frequencies(abs(ell), abs(ell)), Family.certified_modulus)
+    re, im = _spectrum(chain, m, abs(ell))
     if not re.size:
         return 0j
     return complex(re[0], im[0] if ell > 0 else -im[0])
@@ -373,36 +371,32 @@ def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
     return float(m[0]) if m.size else 0.0
 
 
-def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
+def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
     """Two-sided bounds (plain, weighted) on the spectrum beyond |l| = L.
 
     plain bounds sum_{|l| > L} |c_l|; weighted bounds the same sum with
     each term carrying the extra 1/(pi*|l|) that bounds the fold integral
-    |I_l|.  Terms up to L2 = max(2L, 256) are summed explicitly, in one
-    pass for both, up to the last nonzero one plus a final 0.0 where the
-    products vanish before L2; beyond that each family contributes a
-    per-step ratio bound g * (l/(l+1))**p, closing the sum geometrically
-    when the combined g < 1, by integral comparison when the combined
-    polynomial degree is >= 2, and honestly reporting infinity otherwise.
+    |I_l|.  The terms up to L2 = max(2L, 256) are moduli[L:], upper bounds
+    on |c_l| on the support prefix of 1..L2.  Past L2 one majorant call per
+    family at |R| * L2 gives their product A >= |c_L2| and per link a ratio
+    bound g * (l/(l+1))**p, the family's decay law, or (1, 0) while
+    min(1, .) still caps its majorant; the rest is A * g/(1 - g) when the
+    combined g < 1, A * L2/(p - 1) when the combined p >= 2, exactly 0
+    where A underflows, and honestly infinity otherwise.
     """
     L2 = max(2 * L, 256)
-    ells = _frequencies(L + 1, L2)
-    plain = _products(chain, ells, Family.majorant)
-    weighted = (plain / (math.pi * ells[: plain.size])).tolist()
-    plain = plain.tolist()
-    if len(plain) < ells.size:
-        plain.append(0.0)
-        weighted.append(0.0)
+    explicit = moduli[L:]
+    weighted = explicit / (math.pi * _frequencies(L + 1, L + explicit.size))
+    anchor, g_total, p_total = 1.0, 1.0, 0
+    for family, rs in _by_family(chain):
+        rs = np.abs(rs)
+        for r, m in zip(rs.tolist(), family.majorant(rs * L2, chain.base).tolist()):
+            anchor *= m
+            g, p = (1.0, 0) if m >= 1.0 else family.decay(family.base, r, chain.base, L2)
+            g_total *= g
+            p_total += p
 
-    g_total = 1.0
-    p_total = 0
-    for family, r in chain._factors:
-        g, p = family.majorant_tail_profile(r, chain.base, L2)
-        g_total *= g
-        p_total += p
-
-    def close(terms: list[float], p: int) -> float:
-        last = terms[-1]
+    def close(terms: np.ndarray, last: float, p: int) -> float:
         if g_total < 1.0:
             rest = last * g_total / (1.0 - g_total)
         elif p >= 2:
@@ -411,9 +405,9 @@ def _majorant_tails(chain: ChainSpec, L: int) -> tuple[float, float]:
             rest = 0.0
         else:
             rest = math.inf
-        return 2.0 * (math.fsum(terms) + rest)
+        return 2.0 * (math.fsum(terms.tolist()) + rest)
 
-    return close(plain, p_total), close(weighted, p_total + 1)
+    return close(explicit, anchor, p_total), close(weighted, anchor / (math.pi * L2), p_total + 1)
 
 
 def _round_up(k: int) -> float:
@@ -434,15 +428,17 @@ def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> Bo
     signs of l enter, with |c_{-l}| = |c_l|; the tail likewise covers both.
     Each |c_l| is bounded from above by the product of the families'
     certified closed-form moduli, which needs no complex Gamma, times
-    1 + gamma_k for the k - 1 rounded multiplies of k links.  The sum
-    2 * fsum(moduli) (fsum is correctly rounded and doubling is exact), the
-    width b - a, the tail add and the width multiply are four roundings,
-    and the value is rounded up by 1 + gamma_5 for them.
+    1 + gamma_k for the k - 1 rounded multiplies of k links; one pass over
+    1..max(2L, 256) gives the sum's moduli and the tail's explicit terms.
+    The sum 2 * fsum(moduli) (fsum is correctly rounded and doubling is
+    exact), the width b - a, the tail add and the width multiply are four
+    roundings, and the value is rounded up by 1 + gamma_5 for them.
     """
     L = _check_L(L)
     width = interval.width
-    support = _products(chain, _frequencies(1, L), Family.certified_modulus)
-    support *= _round_up(len(chain.links))
+    bounds = _products(chain, _frequencies(1, max(2 * L, 256)), Family.certified_modulus)
+    bounds *= _round_up(len(chain.links))
+    support = bounds[:L]
     # All family moduli decrease strictly in |l|, so the retained terms
     # must too; a violation means the spectrum code is wrong.
     grows = ~(support[1:] <= support[:-1] * (1.0 + 1e-12) + 1e-305)
@@ -452,7 +448,7 @@ def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> Bo
     moduli = np.zeros(L)
     moduli[: support.size] = support
     moduli.flags.writeable = False
-    tail, _ = _majorant_tails(chain, L)
+    tail, _ = _tails(chain, bounds, L)
     if width == 0.0:
         value = 0.0
     else:
@@ -472,27 +468,25 @@ def _cis(ells: np.ndarray, xs) -> np.ndarray:
     return np.exp(y)
 
 
-def _fold_series(chain: ChainSpec, edges: list[float], L: int) -> list[float]:
-    """Truncated fold series on [edges[k], edges[k+1]], sharing one c_1..c_L.
+def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray) -> list[float]:
+    """Truncated fold series on [edges[k], edges[k+1]], sharing one spectrum.
 
-    Each l adds z = c_l * I_l, I_l = (e^(2 pi i b l) - e^(2 pi i a l))/(2 pi i l),
-    and then c_{-l} * I_{-l} = conj(z), in that order and not as 2*Re(z),
-    which rounds differently; the quotient and the product are spelled out
-    in real arithmetic in the order of the scalar complex operations.  The
-    intervals go in blocks of consecutive ones, each block one (intervals x
-    S) product with a row-wise running sum, and adjacent intervals share
-    their common edge's exponentials; a block holds at most
-    _FOLD_BLOCK_TERMS terms, so memory stays O(L) and a few MiB.  Every
-    operation is elementwise or runs along its row, so each interval has
-    the bits of its own one-row series.  The series runs over the support
-    prefix c_1..c_S only: the zero terms past S leave the sum as it is.
-    Widths 0 and 1 are exact (every l != 0 integral vanishes) and need no
-    c_l, and with S = 0 every interval is exactly its width.
+    moduli are the certified moduli of c_1, c_2, ... on the support prefix,
+    cut at L: the zero terms past it would leave the sum as it is.  Each l adds
+    z = c_l * I_l, I_l = (e^(2 pi i b l) - e^(2 pi i a l))/(2 pi i l), and
+    then c_{-l} * I_{-l} = conj(z), in that order and not as 2*Re(z), which
+    rounds differently; the quotient and the product are spelled out in real
+    arithmetic in the order of the scalar complex operations.  The intervals
+    go in blocks of consecutive ones, each block one (intervals x S) product
+    with a row-wise running sum, and adjacent intervals share their common
+    edge's exponentials; a block holds at most _FOLD_BLOCK_TERMS terms, so
+    memory stays O(L) and a few MiB.  Every operation is elementwise or runs
+    along its row, so each interval has the bits of its own one-row series.
+    Widths 0 and 1 are exact (every l != 0 integral vanishes), and with an
+    empty prefix every interval is exactly its width.
     """
     widths = [b - a for a, b in zip(edges, edges[1:])]
-    if all(width in (0.0, 1.0) for width in widths):
-        return widths
-    re, im = _spectrum(chain, L)
+    re, im = _spectrum(chain, moduli)
     if not re.size:
         return widths
     ells = _frequencies(1, re.size)
@@ -515,21 +509,76 @@ def _fold_series(chain: ChainSpec, edges: list[float], L: int) -> list[float]:
     return out
 
 
+# Rounding error of the fold series against the exact truncated sum, with
+# u = 2**-53 and M_l >= |c_l| the certified moduli rounded up.  For l = 1..S
+# the series adds Re(c_l * I_l) twice, I_l = (e_b - e_a)/(2*pi*i*l) with
+# e_x = e^(2*pi*i*x*l), and then adds the sum to the width b - a.
+# * I_l.  The phase (2*pi*x)*l takes three roundings (math.pi 0.35u and two
+#   multiplies): an absolute 2.4u*2*pi*x*l, which no |I_l| scales down.
+#   numpy's exp is taken to be within 4 ulp a component, 8u in all; the
+#   difference rounds by 2u, and the divides by 2*pi*l (its 1.35u, their u)
+#   by 2.4u of |e_b - e_a| <= 2.  So |I^_l - I_l| <= 2.4u*(a + b) +
+#   11.5u/(pi*l), and |I^_l| <= 1/(pi*l) to first order.
+# * c_l.  Each family's certified modulus lies within (2e_f + 2u) relative
+#   of its exact value (e_f as families.py derives it at its kernel), and
+#   each of the k - 1 products rounds by u.  Each phase has arg_gamma's
+#   2.1u*(|phi| + 4) and the 6u of w times |d phi/dw| = |Re psi|, where
+#   |Re psi(1 + iy)| <= 1 + ln(1 + y) and |Re psi(1/2 + iy)| <= 2 + ln(1 + y);
+#   below its zero_beyond (w < 480, y = w/2 < 480) that is 8.4u + 58.2u*w
+#   (exponential) and 8.4u + 33.2u*w (half-Gaussian), and arctan w (4 ulp,
+#   and 6u*w/(1 + w^2)) gives 15.6u.  With the modulus, a link's error is
+#   at most (59 + 84*w)*u of M_l.  Adding the k phases, each at most
+#   1.6 + 7.2*w, rounds k - 1 times, and cos, sin and the multiply by the
+#   modulus add 9u.  So |c^_l - c_l| <= M_l*eps_l with eps_l = (9 + 59k +
+#   1.6k(k - 1) + (84 + 7.2(k - 1))*W*l)*u, W*l the sum of the links' w at l.
+# * Re(c*I) is two multiplies and a subtract, 2.2u*M_l/(pi*l); the running
+#   sum of 2S terms, each at most M_l/(pi*l), is off by 2S*u times their
+#   sum; and b - a and the final add are off by u*(b - a) and u*|p|.
+# In all, 2u * sum_l M_l*(2.4(a + b) + (84 + 7.2(k - 1))*W/pi + (22.7 + 2S +
+# 59k + 1.6k(k - 1))/(pi*l)) + u*(b - a + |p|).  A benford link leaves S = 0:
+# a ChainSpec gives it the chain's base.  Each constant below is rounded up
+# by more than 1%, which covers the second-order terms and the roundings of
+# this sum.
+def _fold_rounding(chain: ChainSpec, interval: FoldInterval, moduli: np.ndarray, prob: float) -> float:
+    """A bound on the rounding error of the fold series over c_1..c_S, S = moduli.size.
+
+    moduli are the certified moduli rounded up, the terms the series ran
+    over.  With S = 0 the probability is the width b - a as computed and
+    the bound is 0.0, so the rounding of that subtraction, at most
+    u*(b - a), is left uncounted there.
+    """
+    S = moduli.size
+    if not S:
+        return 0.0
+    k = len(chain.links)
+    w = _TWO_PI * sum(abs(r) for _, r in chain._factors) / math.log(chain.base)
+    flat = 2.5 * (interval.a + interval.b) + (86.0 + 7.4 * (k - 1)) * w / math.pi
+    per_l = 23.0 + 2.1 * S + 60.0 * k + 1.7 * k * (k - 1)
+    ells = _frequencies(1, S)
+    series = flat * float(moduli.sum()) + per_l / math.pi * float((moduli / ells).sum())
+    return 2.0 * _U * series + _U * (interval.width + abs(prob))
+
+
 def fold_probability(
     chain: ChainSpec, interval: FoldInterval, L: int = 64
 ) -> tuple[float, float]:
     """P(Y_n mod 1 in [a,b]) from the truncated Fourier series.
 
-    Returns (probability, truncation_error).  The truncation error is the
-    smaller of two rigorous majorant tails: the width-scaled plain tail
-    and the tail weighted by |I_l| <= 1/(pi*l).
+    Returns (probability, error).  The error is the smaller of two rigorous
+    tails, the width-scaled plain tail and the tail weighted by
+    |I_l| <= 1/(pi*l), plus a bound on the series' rounding.  Widths 0 and
+    1 are exact, with error 0.0 and no spectrum.
     """
     L = _check_L(L)
-    [prob] = _fold_series(chain, [interval.a, interval.b], L)
-    if interval.width in (0.0, 1.0):
-        return prob, 0.0
-    tail_plain, tail_weighted = _majorant_tails(chain, L)
-    return prob, min(interval.width * tail_plain, tail_weighted)
+    width = interval.width
+    if width in (0.0, 1.0):
+        return width, 0.0
+    m = _products(chain, _frequencies(1, max(2 * L, 256)), Family.certified_modulus)
+    [prob] = _fold_series(chain, [interval.a, interval.b], m[:L])
+    bounds = m * _round_up(len(chain.links))
+    tail_plain, tail_weighted = _tails(chain, bounds, L)
+    rounding = _fold_rounding(chain, interval, bounds[:L], prob)
+    return prob, min(width * tail_plain, tail_weighted) + rounding
 
 
 def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
@@ -545,6 +594,8 @@ def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
             f"a base-{chain.base} digit table at L = {L} costs (base - 1) * (L + "
             f"{_DIGIT_INTERVAL_COST}) = {cost} series terms, above the limit {_DIGIT_TABLE_MAX_COST}"
         )
+    if chain.base == 2:  # the one digit's interval is [0, 1], exact
+        return [1.0]
     log_base = math.log(chain.base)
     edges = [math.log(d) / log_base for d in range(1, chain.base + 1)]
-    return _fold_series(chain, edges, L)
+    return _fold_series(chain, edges, _products(chain, _frequencies(1, L), Family.certified_modulus))

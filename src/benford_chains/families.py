@@ -73,9 +73,15 @@ class Family(NamedTuple):
     (a foreign-base benford value carries the absolute 10u of its modulus);
     the chain spectrum multiplies the moduli and adds the phases instead.
     majorant(ells, base) bounds the modulus from above and is nonincreasing
-    in l >= 1.  sample_unit_batch(rng, n) makes n unit-scale draws and
-    consumes rng once per element.  Each kernel takes the family's own base
-    first: None except for benford.
+    in l >= 1; the chain tails use it only past max(2L, 256).
+    decay(own, |R|, base, ell0) gives (g, p) such that the majorant ratio
+    between consecutive l >= ell0 is at most g * (l/(l+1))**p: g < 1 and
+    p = 0 for geometric families, (1, 1) for harmonic ones.  It holds once
+    min(1, .) no longer caps majorant(|R| * ell0); while the cap binds only
+    (1, 0) is safe, and the chain tails apply that rule.
+    sample_unit_batch(rng, n) makes n unit-scale draws and consumes rng once
+    per element.  Each kernel takes the family's own base first: None
+    except for benford.
     """
 
     name: str
@@ -101,20 +107,6 @@ class Family(NamedTuple):
 
     def majorant(self, ells, base: int) -> np.ndarray:
         return self.bound(self.base, ells, base)
-
-    def majorant_tail_profile(self, scaled_power: int, base: int, ell0: int) -> tuple[float, int]:
-        """Decay profile of majorant(|scaled_power| * l) for l >= ell0.
-
-        Returns (g, p) such that the majorant ratio between consecutive l
-        is at most g * (l/(l+1))**p for every l >= ell0.  Geometric
-        families report g < 1 and p = 0; harmonic ones g = 1 and p = 1.
-        While the min(1, .) cap in the majorant still binds at ell0 the
-        only safe claim is (1, 0); every majorant is nonincreasing, so
-        that fallback is always valid.
-        """
-        if self.majorant(abs(scaled_power) * ell0, base) >= 1.0:
-            return 1.0, 0
-        return self.decay(self.base, abs(scaled_power), base, ell0)
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         return self.sample(self.base, rng, n)

@@ -13,8 +13,11 @@ the exact R, l and B, not from the closed forms the package computes.
 The same chains' complex coefficients c_l come from the complex Mellin
 values, at the signed R.  The phases Im lnGamma(x + iy) are mpmath's
 loggamma, and the uniform moduli far out (l = 1e9..1e9+199, base 10)
-check the uniform majorant.  The draws are seeded, so a rerun writes the
-same file.
+check the uniform majorant.  FOLD_SUMS holds truncated fold series
+(b - a) + 2 * sum_{l <= L} Re(c_l I_l) of a few chains over 1-ulp, ordinary
+and near-0 intervals, from the exact c_l and the exact endpoints, and
+EXPLICIT_TAILS the explicit part of the tails, sum_{L < l <= L2} |c_l| with
+L2 = max(2L, 256).  The draws are seeded, so a rerun writes the same file.
 """
 
 from __future__ import annotations
@@ -44,6 +47,35 @@ W_MAX = {"exponential": 440.0, "uniform": 1e9, "half_gaussian": 880.0}
 ARG_GAMMA_X = (1, 0.5)
 ARG_GAMMA_Y = (0.03, 0.3, 3, 30, 300, 1500)
 UNIFORM_FAR_ELLS = range(10**9, 10**9 + 200)
+# (base, links, L) of the fold sums and the explicit tails.  The first is
+# the 1-ulp case where the fold's rounding once went unbounded.
+FOLD_CHAINS = (
+    (719, (("uniform", 1), ("uniform", -7)), 61),
+    (10, (("exponential", 1), ("uniform", -2), ("half_gaussian", 3), ("exponential", -1)), 64),
+    (3, (("uniform", 1), ("uniform", -1)), 64),
+    (10, (("exponential", 1), ("exponential", 2), ("exponential", 3)), 64),
+    (16, (("half_gaussian", 1), ("uniform", -2)), 128),
+    (10, (("uniform", 1), ("uniform", 3)), 4096),
+)
+FOLD_INTERVALS = (
+    (0.9999999999999999, 1.0),  # 1 ulp at the top
+    (0.5, 0.5000000000000001),  # 1 ulp in the middle
+    (0.1, 0.45),
+    (2.0**-40, 3 * 2.0**-40),  # near 0
+    (0.0, 1e-300),
+)
+# Every tail's first term lies in the normal range, where the certificate
+# holds: past it a modulus that underflows is reported as 0.
+TAIL_CHAINS = (
+    FOLD_CHAINS[0],
+    FOLD_CHAINS[2],
+    (10, (("exponential", 1), ("uniform", -2), ("half_gaussian", 3), ("exponential", -1)), 1),
+    (3, (("uniform", 1), ("uniform", -1)), 1),
+    (2, (("exponential", 1), ("half_gaussian", 1)), 1),
+    (16, (("half_gaussian", 1), ("uniform", -2)), 8),
+    (10, (("uniform", 1),), 64),
+    (10, (("uniform", 1), ("uniform", 3)), 1024),
+)
 
 mp.mp.dps = 50
 
@@ -77,6 +109,22 @@ def chain_value(base: int, links, ell: int):
     for (family, _), r in zip(links, cumulative_powers(chain)):
         out *= exact_mellin(family, r * ell, base)
     return out
+
+
+def fold_sum(base: int, links, L: int, a: float, b: float):
+    """(b - a) + 2 * sum_{l=1..L} Re(c_l * I_l), I_l = (e^(2 pi i b l) - e^(2 pi i a l))/(2 pi i l)."""
+    with mp.workdps(70):
+        a, b = mp.mpf(a), mp.mpf(b)  # the doubles exactly
+        total = b - a
+        for ell in range(1, L + 1):
+            i_ell = (mp.expj(2 * mp.pi * b * ell) - mp.expj(2 * mp.pi * a * ell)) / (2j * mp.pi * ell)
+            total += 2 * mp.re(chain_value(base, links, ell) * i_ell)
+        return total
+
+
+def explicit_tail(base: int, links, L: int):
+    """sum_{L < l <= max(2L, 256)} |c_l|."""
+    return mp.fsum(chain_modulus(base, links, ell) for ell in range(L + 1, max(2 * L, 256) + 1))
 
 
 def draw_chain(rng: random.Random):
@@ -154,10 +202,30 @@ def main() -> None:
     ]
     for ell in UNIFORM_FAR_ELLS:
         lines.append(f'    "{mp.nstr(exact_modulus("uniform", ell, 10), 40)}",')
+    lines += [
+        ")",
+        "",
+        "# (base, links, L, float.hex(a), float.hex(b), (b - a) + 2 * sum_{l <= L}",
+        "# Re(c_l I_l)) from the exact c_l and the exact endpoints.",
+        "FOLD_SUMS = (",
+    ]
+    for base, links, L in FOLD_CHAINS:
+        for a, b in FOLD_INTERVALS:
+            exact = mp.nstr(fold_sum(base, links, L, a, b), 40)
+            lines.append(f'    ({base}, {links!r}, {L}, "{a.hex()}", "{b.hex()}", "{exact}"),')
+    lines += [
+        ")",
+        "",
+        "# (base, links, L, sum_{L < l <= L2} |c_l|), L2 = max(2L, 256).",
+        "EXPLICIT_TAILS = (",
+    ]
+    for base, links, L in TAIL_CHAINS:
+        lines.append(f'    ({base}, {links!r}, {L}, "{mp.nstr(explicit_tail(base, links, L), 40)}"),')
     lines += [")", ""]
     OUT.write_text("\n".join(lines))
     print(f"wrote {OUT}: {len(chain_cases)} chain moduli and values, {len(family_cases)} family"
-          f" moduli, {len(ARG_GAMMA_X) * len(ARG_GAMMA_Y)} phases, {len(UNIFORM_FAR_ELLS)} far uniform moduli")
+          f" moduli, {len(ARG_GAMMA_X) * len(ARG_GAMMA_Y)} phases, {len(UNIFORM_FAR_ELLS)} far uniform moduli,"
+          f" {len(FOLD_CHAINS) * len(FOLD_INTERVALS)} fold sums, {len(TAIL_CHAINS)} explicit tails")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """The numpy spectrum and its consumers without the support prefix, kept as
-a test oracle: every family kernel runs on every frequency 1..L, the
-majorant tails sum every term of L+1..max(2L, 256), and the bound builds
-its per_term tuple in full.  chains._spectrum keeps only c_1..c_S and the
-consumers built on it must still give these outputs bit for bit.
+a test oracle: every family kernel runs on every frequency 1..max(2L, 256),
+the tails sum every term of L+1..max(2L, 256), and the bound builds its
+per_term tuple in full.  chains keeps only c_1..c_S and the consumers built
+on it must still give these outputs bit for bit.
 
 The spectrum is the polar one of the package: the product of the certified
 closed-form moduli times e^(i*phi), phi the sum of the family phases.
-deviation_bound sums the certified moduli, as the package does;
-hypot_deviation_bound takes |c_l| as hypot of the spectrum instead, with no
-rounding allowance, and stays within 1e-12 relative of it."""
+deviation_bound and fold_probability take their tails from those moduli,
+rounded up, as the package does; majorant_tails is the tail before that,
+with majorants in place of the moduli up to L2 as well, kept as the
+reference the new tails must stay below within a rounding slack.
+hypot_deviation_bound takes |c_l| as hypot of the spectrum instead, with
+no rounding allowance, and stays within 1e-12 relative of the bound."""
 
 import math
 from itertools import groupby
@@ -16,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from benford_chains.chains import SpectrumCheckError, _round_up
+from benford_chains.chains import SpectrumCheckError, _fold_rounding, _round_up
 from benford_chains.families import Family
 
 _TWO_PI = 2.0 * math.pi
@@ -63,21 +66,23 @@ def spectrum_majorant(chain, ell: int) -> float:
     return float(majorants(chain, np.arange(abs(ell), abs(ell) + 1, dtype=np.float64))[0])
 
 
-def majorant_tails(chain, L: int) -> tuple[float, float]:
-    L2 = max(2 * L, 256)
-    ells = np.arange(L + 1, L2 + 1, dtype=np.float64)
-    plain = majorants(chain, ells)
-    weighted = (plain / (math.pi * ells)).tolist()
-    plain = plain.tolist()
+def _profile(family, r, base, ell0):
+    """The majorant's decay law (g, p) past ell0, or (1, 0) while its cap binds."""
+    if family.majorant(abs(r) * ell0, base) >= 1.0:
+        return 1.0, 0
+    return family.decay(family.base, abs(r), base, ell0)
+
+
+def _close(chain, L2, plain, weighted, last):
+    """2 * (sum + rest) of the plain and weighted terms, rest closing past L2 from last."""
     g_total = 1.0
     p_total = 0
     for family, r in chain._factors:
-        g, p = family.majorant_tail_profile(r, chain.base, L2)
+        g, p = _profile(family, r, chain.base, L2)
         g_total *= g
         p_total += p
 
-    def close(terms, p):
-        last = terms[-1]
+    def close(terms, last, p):
         if g_total < 1.0:
             rest = last * g_total / (1.0 - g_total)
         elif p >= 2:
@@ -88,31 +93,56 @@ def majorant_tails(chain, L: int) -> tuple[float, float]:
             rest = math.inf
         return 2.0 * (math.fsum(terms) + rest)
 
-    return close(plain, p_total), close(weighted, p_total + 1)
+    return close(plain, last, p_total), close(weighted, last / (math.pi * L2), p_total + 1)
 
 
-def _bound(chain, interval, L: int, moduli):
+def majorant_tails(chain, L: int) -> tuple[float, float]:
+    """The tails before the certified moduli: majorant terms L+1..L2, closed from the last."""
+    L2 = max(2 * L, 256)
+    ells = np.arange(L + 1, L2 + 1, dtype=np.float64)
+    plain = majorants(chain, ells)
+    weighted = (plain / (math.pi * ells)).tolist()
+    return _close(chain, L2, plain.tolist(), weighted, float(plain[-1]))
+
+
+def moduli(chain, L: int):
+    """The certified moduli rounded up, at every frequency 1..max(2L, 256)."""
+    ells = np.arange(1, max(2 * L, 256) + 1, dtype=np.float64)
+    return products(chain, ells, Family.certified_modulus) * _round_up(len(chain.links))
+
+
+def tails(chain, L: int) -> tuple[float, float]:
+    """The tails: moduli L+1..L2, closed from the majorant product at L2."""
+    L2 = max(2 * L, 256)
+    ells = np.arange(L + 1, L2 + 1, dtype=np.float64)
+    explicit = moduli(chain, L)[L:]
+    weighted = (explicit / (math.pi * ells)).tolist()
+    last = float(majorants(chain, np.array([float(L2)]))[0])
+    return _close(chain, L2, explicit.tolist(), weighted, last)
+
+
+def _bound(chain, interval, L: int, moduli, tail):
     grows = ~(moduli[1:] <= moduli[:-1] * (1.0 + 1e-12) + 1e-305)
     if grows.any():
         ell = int(np.argmax(grows)) + 2
         raise SpectrumCheckError(f"spectrum modulus grows from |l| = {ell - 1} to {ell}")
     per_term = tuple((sgn, m) for ell, m in enumerate(moduli.tolist(), 1) for sgn in (ell, -ell))
-    tail, _ = majorant_tails(chain, L)
     value = 0.0 if interval.width == 0.0 else interval.width * (math.fsum(m for _, m in per_term) + tail)
     return value, tail, per_term
 
 
 def deviation_bound(chain, interval, L: int):
     """(value, tail, per_term) of the bound from the certified moduli."""
-    ells = np.arange(1, L + 1, dtype=np.float64)
-    moduli = products(chain, ells, Family.certified_modulus)
-    value, tail, per_term = _bound(chain, interval, L, moduli * _round_up(len(chain.links)))
+    tail, _ = tails(chain, L)
+    value, tail, per_term = _bound(chain, interval, L, moduli(chain, L)[:L], tail)
     return value * _round_up(5), tail, per_term
 
 
 def hypot_deviation_bound(chain, interval, L: int):
-    """(value, tail, per_term) of the bound before the certified moduli."""
-    return _bound(chain, interval, L, np.hypot(*spectrum(chain, np.arange(1, L + 1, dtype=np.float64))))
+    """(value, tail, per_term) of the bound before the certified moduli and their tails."""
+    tail, _ = majorant_tails(chain, L)
+    ells = np.arange(1, L + 1, dtype=np.float64)
+    return _bound(chain, interval, L, np.hypot(*spectrum(chain, ells)), tail)
 
 
 def _cis(ells, x):
@@ -150,11 +180,35 @@ def fold_probability(chain, interval, L: int) -> tuple[float, float]:
     [prob] = fold_series(chain, [interval.a, interval.b], L)
     if interval.width in (0.0, 1.0):
         return prob, 0.0
-    tail_plain, tail_weighted = majorant_tails(chain, L)
-    return prob, min(interval.width * tail_plain, tail_weighted)
+    tail_plain, tail_weighted = tails(chain, L)
+    # the rounding bound counts the terms up to the last nonzero modulus of
+    # 1..L2, cut at L
+    bounds = moduli(chain, L)
+    support = np.flatnonzero(bounds)
+    S = min(L, int(support[-1]) + 1) if support.size else 0
+    rounding = _fold_rounding(chain, interval, bounds[:S], prob)
+    return prob, min(interval.width * tail_plain, tail_weighted) + rounding
 
 
 def first_digit_probabilities(chain, L: int) -> list[float]:
     log_base = math.log(chain.base)
     edges = [math.log(d) / log_base for d in range(1, chain.base + 1)]
     return fold_series(chain, edges, L)
+
+
+def tail_slack(chain) -> float:
+    """s with every tail <= s * its majorant_tails value, for chains without
+    a benford factor at a base other than the chain's.
+
+    A uniform certified modulus lies within 42u above the exact one (20u
+    budget, families.py), which its majorant covers, and can exceed the
+    majorant by that much far out; the exponential and half-Gaussian
+    majorants' pads (1.0002, 1.01) cover their moduli.  The k - 1 product
+    roundings of each side differ by 2(k - 1)u, the round-up by 1 + gamma_k
+    and its multiply add (k + 3)u, and fsum, the closure and the final adds
+    are monotone but for a few last roundings (4u).
+    """
+    U = 2.0**-53
+    k = len(chain.links)
+    uniform = sum(family.name == "uniform" for family, _ in chain._factors)
+    return 1.0 + (42 * uniform + 3 * k + 8) * U

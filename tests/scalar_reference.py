@@ -1,7 +1,10 @@
 """The scalar spectrum, bound and fold code as it was before the numpy
 spectrum, kept as a test oracle: one Python complex per family factor and
 frequency, complex Gamma from scipy.special.loggamma, and a per-l fold loop.
-Its outputs reproduce the parent pins in test_pinned_outputs bit for bit."""
+Its outputs reproduce the parent pins in test_pinned_outputs bit for bit,
+with the tails of that time: majorant terms up to max(2L, 256), closed
+from the last one.  tails gives the tails the package has since taken from
+the moduli, here from this module's own |c_l|."""
 
 import cmath
 import math
@@ -82,19 +85,19 @@ def spectrum_majorant(chain, ell: int) -> float:
     return out
 
 
-def majorant_tails(chain, L: int) -> tuple[float, float]:
-    L2 = max(2 * L, 256)
-    plain = [spectrum_majorant(chain, ell) for ell in range(L + 1, L2 + 1)]
-    weighted = [t / (math.pi * ell) for ell, t in enumerate(plain, L + 1)]
+def _close(chain, L2, plain, last):
+    """(plain, weighted) tails: the terms L+1..L2 of plain, closed past L2 from last."""
+    weighted = [t / (math.pi * ell) for ell, t in enumerate(plain, L2 - len(plain) + 1)]
     g_total = 1.0
     p_total = 0
     for family, r in chain._factors:
-        g, p = family.majorant_tail_profile(r, chain.base, L2)
+        # the decay law holds once min(1, .) no longer caps the majorant
+        capped = family.majorant(abs(r) * L2, chain.base) >= 1.0
+        g, p = (1.0, 0) if capped else family.decay(family.base, abs(r), chain.base, L2)
         g_total *= g
         p_total += p
 
-    def close(terms, p):
-        last = terms[-1]
+    def close(terms, last, p):
         if g_total < 1.0:
             rest = last * g_total / (1.0 - g_total)
         elif p >= 2:
@@ -105,7 +108,19 @@ def majorant_tails(chain, L: int) -> tuple[float, float]:
             rest = math.inf
         return 2.0 * (math.fsum(terms) + rest)
 
-    return close(plain, p_total), close(weighted, p_total + 1)
+    return close(plain, last, p_total), close(weighted, last / (math.pi * L2), p_total + 1)
+
+
+def majorant_tails(chain, L: int) -> tuple[float, float]:
+    L2 = max(2 * L, 256)
+    plain = [spectrum_majorant(chain, ell) for ell in range(L + 1, L2 + 1)]
+    return _close(chain, L2, plain, plain[-1])
+
+
+def tails(chain, L: int) -> tuple[float, float]:
+    L2 = max(2 * L, 256)
+    plain = [abs(chain_spectrum(chain, ell)) for ell in range(L + 1, L2 + 1)]
+    return _close(chain, L2, plain, spectrum_majorant(chain, L2))
 
 
 def deviation_bound(chain, interval, L: int = 64) -> BoundResult:

@@ -4,7 +4,9 @@ frozen to 40 digits in tests/frozen_moduli.py (regenerate it with
 tests/freeze_moduli.py), and within 1e-11 relative of it.  The polar
 spectrum, those moduli times e^(i*phase), lies within 2e-12 relative of
 the frozen complex c_l.  The bound path evaluates no phase, and the package
-has no complex Gamma at all."""
+has no complex Gamma at all.  The explicit part of the tails lies at or
+above the frozen exact sum of |c_l| over L+1..max(2L, 256), and the fold's
+rounding bound covers the distance to frozen exact truncated series."""
 
 import ast
 import io
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import benford_chains
@@ -30,7 +32,14 @@ from benford_chains.chains import (
     spectrum_majorant,
 )
 from benford_chains.families import get_family
-from frozen_moduli import CHAIN_MODULI, CHAIN_VALUES, FAMILY_MODULI, UNIFORM_FAR_MODULI
+from frozen_moduli import (
+    CHAIN_MODULI,
+    CHAIN_VALUES,
+    EXPLICIT_TAILS,
+    FAMILY_MODULI,
+    FOLD_SUMS,
+    UNIFORM_FAR_MODULI,
+)
 
 U = 2.0**-53
 # e_f = (a + b*pi*w)*u of each family, as derived at its kernel in families.py
@@ -74,6 +83,10 @@ def test_every_frozen_chain_modulus_is_certified_and_tight():
     extra=st.sampled_from([0, 1, 64]),
     ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
 )
+# A 1-ulp interval: the rounded phases (2*pi*x)*l put an absolute few u*x
+# into every I_l, so the series read 1.61e-16 against the width 1.11e-16,
+# beyond bound + error until the error carried its rounding bound.
+@example(case=CHAIN_MODULI[1], extra=0, ends=[0.9999999999999999, 1.0])
 def test_the_bound_is_certified_on_frozen_chains(case, extra, ends):
     base, links, ell, exact = case
     chain = build(base, links)
@@ -174,3 +187,34 @@ def test_the_moduli_carry_the_link_rounding_and_the_sum_its_own():
     assert plain < bound.value <= plain * (1.0 + 8.0 * U)
     raw = chains._products(chain, chains._frequencies(1, 64), families.Family.certified_modulus)
     assert (raw < bound.moduli).all() and (bound.moduli <= raw * (1.0 + 4.0 * U)).all()
+
+
+def certified_moduli(chain, L):
+    """The rounded-up certified moduli of 1..max(2L, 256) that a bound or a fold sums."""
+    ells = chains._frequencies(1, max(2 * L, 256))
+    moduli = chains._products(chain, ells, families.Family.certified_modulus)
+    return moduli * chains._round_up(len(chain.links))
+
+
+@pytest.mark.parametrize("base, links, L, exact", EXPLICIT_TAILS)
+def test_the_explicit_tail_lies_at_or_above_the_exact_one(base, links, L, exact):
+    chain = build(base, links)
+    explicit = math.fsum(certified_moduli(chain, L)[L:].tolist())
+    assert Decimal(explicit) >= Decimal(exact)
+    assert relative_excess(explicit, exact) <= Decimal("1e-11")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert Decimal(deviation_bound(chain, FoldInterval(0.0, 1.0), L).tail) >= 2 * Decimal(exact)
+
+
+@pytest.mark.parametrize("base, links, L, a, b, exact", FOLD_SUMS)
+def test_the_fold_rounding_bound_covers_the_exact_truncated_series(base, links, L, a, b, exact):
+    chain = build(base, links)
+    interval = FoldInterval(float.fromhex(a), float.fromhex(b))
+    prob, err = fold_probability(chain, interval, L)
+    rounding = chains._fold_rounding(chain, interval, certified_moduli(chain, L)[:L], prob)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        distance = abs(Decimal(prob) - Decimal(exact))
+        assert distance <= Decimal(rounding) <= Decimal(err)
+        assert Decimal(prob) - Decimal(err) <= Decimal(exact) <= Decimal(prob) + Decimal(err)

@@ -198,45 +198,52 @@ def test_majorant_nonincreasing_and_capped():
             prev = m
 
 
-def test_majorant_tail_profile_shapes():
-    assert get_family("uniform").majorant_tail_profile(1, BASE, 64) == (1.0, 1)
-    assert get_family("benford", BASE).majorant_tail_profile(1, BASE, 64) == (0.0, 0)
-    g, p = get_family("exponential").majorant_tail_profile(1, BASE, 64)
-    assert p == 0 and 0.0 < g < 1.0
-    g, p = get_family("half_gaussian").majorant_tail_profile(1, BASE, 64)
-    assert p == 0 and 0.0 < g < 1.0
+def decay(fam, r, base, ell0):
+    return fam.decay(fam.base, r, base, ell0)
 
 
-def test_majorant_tail_profile_is_a_valid_ratio_bound():
+def test_decay_shapes():
+    assert decay(get_family("uniform"), 1, BASE, 64) == (1.0, 1)
+    assert decay(get_family("benford", BASE), 1, BASE, 64) == (0.0, 0)
+    g, p = decay(get_family("exponential"), 1, BASE, 64)
+    assert p == 0 and 0.0 < g < 1.0
+    g, p = decay(get_family("half_gaussian"), 1, BASE, 64)
+    assert p == 0 and 0.0 < g < 1.0
+    # a benford family at another base decays harmonically
+    assert decay(get_family("benford", BASE), 1, 10**200, 64) == (1.0, 1)
+
+
+def test_decay_is_a_valid_ratio_bound_once_the_cap_is_off():
     # majorant(r*(l+1)) <= majorant(r*l) * g * (l/(l+1))**p for l >= ell0
     for name in ("exponential", "uniform", "half_gaussian"):
         fam = get_family(name, BASE)
         for r in (1, 2, 3):
-            g, p = fam.majorant_tail_profile(r, BASE, 64)
+            assert fam.majorant(r * 64, BASE) < 1.0
+            g, p = decay(fam, r, BASE, 64)
             for ell in range(64, 400):
                 lhs = fam.majorant(r * (ell + 1), BASE)
                 rhs = fam.majorant(r * ell, BASE) * g * (ell / (ell + 1)) ** p
                 assert lhs <= rhs * (1.0 + 1e-12) + 1e-300, (name, r, ell)
 
 
-def test_majorant_tail_profile_cap_fallback_at_absurd_base():
-    # with base huge the majorants are still clipped at 1 for small l; the
-    # profile must then refuse to claim any decay
-    huge = 10**200
-    assert get_family("exponential").majorant(1, huge) == 1.0
-    g, p = get_family("exponential").majorant_tail_profile(1, huge, 1)
-    assert (g, p) == (1.0, 0)
-    g, p = get_family("uniform").majorant_tail_profile(1, huge, 1)
-    assert (g, p) == (1.0, 0)
-    assert get_family("half_gaussian").majorant(1, huge) == 1.0
-    assert get_family("half_gaussian").majorant_tail_profile(1, huge, 1) == (1.0, 0)
-    foreign = get_family("benford", BASE)
-    assert foreign.majorant(1, huge) == 1.0
-    assert foreign.majorant_tail_profile(1, huge, 1) == (1.0, 0)
-    # past the cap the same foreign base decays harmonically ...
-    assert foreign.majorant_tail_profile(1, huge, 64) == (1.0, 1)
-    # ... and in its own base benford's majorant is 0, never clipped
-    assert get_family("benford", huge).majorant_tail_profile(1, huge, 1) == (0.0, 0)
+def test_the_tails_claim_no_decay_while_the_cap_binds():
+    # At these absurd bases min(1, .) still caps the majorant at L2 = 256,
+    # so the tails must not close with the decay law, which would claim g < 1
+    # (half-Gaussian) or a degree p = 2 (two uniform links).
+    from benford_chains import chains
+
+    for base, links, capped in [
+        (10**2000, [("half_gaussian", 1)], "half_gaussian"),
+        (10**700, [("uniform", 1), ("uniform", 1)], "uniform"),
+    ]:
+        fam = get_family(capped)
+        assert fam.majorant(256, base) == 1.0 and decay(fam, 1, base, 256) != (1.0, 0)
+        chain = chains.ChainSpec(base, tuple(chains.ChainLink(f, p) for f, p in links))
+        assert chains.deviation_bound(chain, chains.FoldInterval(0.1, 0.6), 128).tail == math.inf
+    # At base 10 the same chains close
+    for links in ([("half_gaussian", 1)], [("uniform", 1), ("uniform", 1)]):
+        chain = chains.ChainSpec(10, tuple(chains.ChainLink(f, p) for f, p in links))
+        assert chains.deviation_bound(chain, chains.FoldInterval(0.1, 0.6), 128).tail < math.inf
 
 
 def test_mellin_numeric_matches_exact():

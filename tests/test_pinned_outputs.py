@@ -25,6 +25,15 @@ the pins in between are no longer reproduced; every earlier scalar pin
 stays as a check within 1e-12 relative of the new value, and the scalar
 reference, which reproduces the oldest sequence and stdout pins bit for
 bit, checks the sequences and the stdout the same way.
+
+The tails then took the certified moduli up to max(2L, 256) in place of the
+majorants, and the fold error gained a bound on the series' rounding.  The
+bound values, tails and fold errors that moved are pinned in TAIL_REPINNED
+and CLI_TAIL_REPINNED; every fold probability and digit table kept its
+bits.  The earlier pins of those three stay as a check: each new tail and
+bound value lies at or below the old one within the derived rounding slack
+(full_spectrum.tail_slack, and the 1e-12 of the moves before), and each new
+fold error within that slack plus its rounding bound.
 """
 
 import hashlib
@@ -41,8 +50,9 @@ import numpy as np
 import pytest
 
 import benford_chains
+import full_spectrum
 import scalar_reference
-from benford_chains import cli
+from benford_chains import chains, cli
 from benford_chains.chains import (
     ChainLink,
     ChainSpec,
@@ -51,6 +61,7 @@ from benford_chains.chains import (
     first_digit_probabilities,
     fold_probability,
 )
+from benford_chains.families import Family
 from benford_chains.montecarlo import BLOCK_SIZE, batch_mantissas, product_batch, sample_batch
 
 # name -> (base, [(family, power), ...])
@@ -323,6 +334,108 @@ POLAR_REPINNED = {
     ),
 }
 
+# (chain, L) -> all six entries since the tails took the certified moduli
+# up to max(2L, 256) and the fold error its rounding bound, where any
+# moved; the other entries keep their bits.
+TAIL_REPINNED = {
+    ("base2", 1): (
+        "0x1.1013d24d542b2p-28",
+        "0x1.38c834ff9941bp-57",
+        "26e7aa11f248c601d64ffff67f7dad3b0eb04c475475cb591ff631b92aab92d1",
+        "0x1.6666669b756d4p-2",
+        "0x1.6ca041f4844e6p-54",
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    ),
+    ("base2", 64): (
+        "0x1.1013d24d542b2p-28",
+        "0x0.0p+0",
+        "edd362671a232b552378962038c8008243bb2cdaca0b64bcfc51babf6d65b655",
+        "0x1.6666669b756d4p-2",
+        "0x1.66674e2e22fa7p-54",
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    ),
+    ("base2", 1024): (
+        "0x1.1013d24d542b2p-28",
+        "0x0.0p+0",
+        "411bab83d5107e0c339ac18145cc9455db6730a1799a90850e82c722210b07f9",
+        "0x1.6666669b756d4p-2",
+        "0x1.66674e2e22fa7p-54",
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    ),
+    ("mixed_negative", 1): (
+        "0x1.f033ab0bea74ep-45",
+        "0x1.121e3bea53603p-89",
+        "e0fcfadca3d1de0dca10359079443687abbf71e9210100e9b3aac430d3bad314",
+        "0x1.6666666666980p-2",
+        "0x1.66666667f1b37p-54",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+    ("mixed_negative", 64): (
+        "0x1.f033ab0bea74ep-45",
+        "0x0.0p+0",
+        "e0cbb56dee6288d4e77a1e092ab92867715a46785ca5de6f53f13231a9add613",
+        "0x1.6666666666980p-2",
+        "0x1.66666667f1567p-54",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+    ("mixed_negative", 1024): (
+        "0x1.f033ab0bea74ep-45",
+        "0x0.0p+0",
+        "8e5cbb5051a6b8253e5edc34d0be0092cd539f075349307c472eb2958d90871a",
+        "0x1.6666666666980p-2",
+        "0x1.66666667f1567p-54",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+    ("single_uniform", 1): (
+        "inf",
+        "inf",
+        "eb71900de6d82eb0f90c3fd1fc2aae764e59996014b3f3d28309facf19228a30",
+        "0x1.4496257eb89b7p-3",
+        "0x1.3190fa6900badp-3",
+        "0cfd8f322369f2030fc915dcc267811860d045490a128fff3b41459b57d164b4",
+    ),
+    ("single_uniform", 64): (
+        "inf",
+        "inf",
+        "19e9f6c5a93af0e515ae7d56de962bcd6ba6bc6aa37c1251a1d84d097e65fa43",
+        "0x1.62d591a1d8477p-3",
+        "0x1.da511c9937d5ap-9",
+        "ccd59b7393535a383e8f424833e08f29f7b055cbd554a08785fc60627f1ef451",
+    ),
+    ("single_uniform", 1024): (
+        "inf",
+        "inf",
+        "79b54ed7e800fa93ae75389e6741c224221e069410560fcd18b72656d781ecd1",
+        "0x1.62dcf5c5d16e3p-3",
+        "0x1.dd9ff362bdae7p-13",
+        "f30713fc16e7370a9735057c76639947af9dafdfe96e596e39396dbc1fbb81fe",
+    ),
+    ("uniform_pair", 1): (
+        "0x1.1abe13d2afa67p-5",
+        "0x1.41cc18cf3781ap-5",
+        "1180fd7fbccbd69460b5a276564ed5e1ef6f6b0142782e5924dcae6db0997b9f",
+        "0x1.63b4582f03821p-2",
+        "0x1.004c7581699b0p-8",
+        "b6c54972635558ee4d8fd7cd7ad13ade35ad92c68b2d020036f8c97e10ed7d88",
+    ),
+    ("uniform_pair", 64): (
+        "0x1.1abe13d2afa67p-5",
+        "0x1.f13f7a5208374p-11",
+        "8271d0801824ff7b43a848b247e0a71f867d66cab1769bd85af52a3647884c74",
+        "0x1.61a1874728742p-2",
+        "0x1.3a03aea22f591p-19",
+        "1a1a81e5fe0970e981f17508c11c2c5e53459860f68a4801f4acf85c1b9961e1",
+    ),
+    ("uniform_pair", 1024): (
+        "0x1.1abdbda47bb3bp-5",
+        "0x1.f4b6e3b694994p-15",
+        "f07ad63f67521451d463eb99a2500949823bc9e33c3db2f8153891e450d9ccdb",
+        "0x1.61a18c2063424p-2",
+        "0x1.3e9c02dabccdcp-27",
+        "e0b7a9df97d8b3a6ea24dda704efb5cda2580e5bcb38943ce3343dd377b06f00",
+    ),
+}
+
 # (chain, command, --lmax) -> sha256 of stdout, run on ./chain.json
 CLI_PINNED = {
     ("mixed_negative", "bound", 64): "8d77d2a4228deb028d2490daab0745633d20bf31337b1646a30ee851ab0f72c3",
@@ -358,9 +471,23 @@ CLI_POLAR_REPINNED = {
 }
 
 
+# Pins of the stdout since the certified-moduli tails and the fold rounding bound.
+CLI_TAIL_REPINNED = {
+    ("mixed_negative", "fold", 64): "67711a7f5ae9c033ebecd3a42b9dd58766c2b66db539a05b082879838def7765",
+    ("mixed_negative", "fold", 1024): "13f4306959b9ba1045fc4e0bfe2116a9c231ed36f533118cf08a6ad5978e9600",
+    ("uniform_pair", "bound", 64): "d4d69ac124e2997d4c00901fad9b3aee2e0ef60c8a816531bc3e9e1a1e5d0d18",
+    ("uniform_pair", "bound", 1024): "5a99764b797a012c7e402d28b25dfecb5cc888acf06de5c318b66b0f7ea1a2c6",
+    ("uniform_pair", "fold", 64): "d91dd18b2c2c026f4002915f755a003000e5229d0c53c5c675bf7f93da8e9a56",
+    ("uniform_pair", "fold", 1024): "cd36ec807fa0d70355fa6777d8c5c0b37922904a3f42390c2b73f8277b80acc2",
+}
+
+
 def cli_pin(key):
     """The stdout pin of a (chain, command, --lmax) key today."""
-    return CLI_POLAR_REPINNED.get(key, CLI_BOUND_REPINNED.get(key, CLI_PINNED[key]))
+    for pins in (CLI_TAIL_REPINNED, CLI_POLAR_REPINNED, CLI_BOUND_REPINNED):
+        if key in pins:
+            return pins[key]
+    return CLI_PINNED[key]
 
 
 def build(name):
@@ -382,6 +509,17 @@ def assert_within_1e12(new, old):
         assert x == y or abs(x - y) <= 1e-12 * abs(y) + 1e-300, (i, x, y)
 
 
+def fold_rounding(ch, iv, L, prob):
+    """The fold error's rounding bound, the part of it no earlier pin holds."""
+    moduli = chains._products(ch, chains._frequencies(1, L), Family.certified_modulus)
+    return chains._fold_rounding(ch, iv, moduli * chains._round_up(len(ch.links)), prob)
+
+
+def assert_within_slack(ch, new, old, extra=0.0):
+    """new <= old within the tails' rounding slack and the 1e-12 of earlier moves."""
+    assert new <= old * (1.0 + 1e-12) * full_spectrum.tail_slack(ch) + extra, (new, old)
+
+
 @pytest.mark.parametrize("name,L", sorted(PINNED))
 def test_analytic_outputs_are_bitwise_pinned(name, L):
     ch = build(name)
@@ -400,10 +538,17 @@ def test_analytic_outputs_are_bitwise_pinned(name, L):
     previous = REPINNED.get((name, L), PINNED[name, L])
     value, moduli = BOUND_REPINNED[name, L]
     before = (value, previous[1], moduli, *previous[3:])
-    assert got == POLAR_REPINNED.get((name, L), before)
-    # Every earlier scalar pin lies within 1e-12 relative of the new value.
-    for pins in (PINNED[name, L], previous, before):
-        assert_within_1e12([bound.value, bound.tail, prob, err], [float.fromhex(pins[i]) for i in (0, 1, 3, 4)])
+    polar = POLAR_REPINNED.get((name, L), before)
+    assert got == TAIL_REPINNED.get((name, L), polar)
+    # Every earlier probability pin lies within 1e-12 relative of the new
+    # one, and every earlier bound value, tail and fold error at or above
+    # the new one within the rounding slack.
+    rounding = 0.0 if iv.width in (0.0, 1.0) else fold_rounding(ch, iv, L, prob)
+    for pins in (PINNED[name, L], previous, before, polar):
+        assert_within_1e12([prob], [float.fromhex(pins[3])])
+        assert_within_slack(ch, bound.value, float.fromhex(pins[0]))
+        assert_within_slack(ch, bound.tail, float.fromhex(pins[1]))
+        assert_within_slack(ch, err, float.fromhex(pins[4]), rounding)
     # The scalar reference reproduces the oldest sequences, and the new ones
     # lie within 1e-12 relative of them.
     old_bound = scalar_reference.deviation_bound(ch, iv, L)
@@ -439,7 +584,8 @@ def stdout_numbers(command, text):
     return [out["value"], out["tail"]] + [m for _, m in out["per_term"]]
 
 
-def assert_stdout_within_1e12(command, new, old):
+def assert_stdout_matches_the_reference(name, command, lmax, new, old):
+    """Probabilities and moduli within 1e-12, bound values, tails and fold errors within the slack."""
     if command != "digits":
         assert json.loads(new)["config"] == json.loads(old)["config"]
         if command == "bound":
@@ -448,7 +594,19 @@ def assert_stdout_within_1e12(command, new, old):
         assert [line for line in new.splitlines() if line.startswith("#")] == [
             line for line in old.splitlines() if line.startswith("#")
         ]
-    assert_within_1e12(stdout_numbers(command, new), stdout_numbers(command, old))
+    new_numbers, old_numbers = stdout_numbers(command, new), stdout_numbers(command, old)
+    if command == "digits":
+        assert_within_1e12(new_numbers, old_numbers)
+        return
+    ch = build(name)
+    if command == "bound":
+        assert_within_1e12(new_numbers[2:], old_numbers[2:])
+        for x, y in zip(new_numbers[:2], old_numbers[:2]):
+            assert_within_slack(ch, x, y)
+    else:
+        (prob, err), (old_prob, old_err) = new_numbers, old_numbers
+        assert_within_1e12([prob], [old_prob])
+        assert_within_slack(ch, err, old_err, fold_rounding(ch, FoldInterval(*INTERVAL), lmax, prob))
 
 
 def sha256(text):
@@ -468,11 +626,12 @@ def test_cli_stdout_is_bytewise_pinned(tmp_path, monkeypatch, name, command, lma
     key = (name, command, lmax)
     stdout = run_cli(monkeypatch, argv)
     assert sha256(stdout) == cli_pin(key)
-    # The oldest pin is the same command on the scalar reference's code,
-    # within 1e-12 relative of the new stdout.
+    # The oldest pin is the same command on the scalar reference's code;
+    # the new stdout lies within 1e-12 relative of it, or within the tails'
+    # rounding slack.
     old = run_cli(monkeypatch, argv, reference=True)
     assert sha256(old) == CLI_PINNED[key]
-    assert_stdout_within_1e12(command, stdout, old)
+    assert_stdout_matches_the_reference(name, command, lmax, stdout, old)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

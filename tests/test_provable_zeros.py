@@ -99,22 +99,25 @@ def test_uniform_and_benford_are_never_cut():
 
 def assert_matches_the_full_loop(chain, L, interval=FoldInterval(0.125, 0.6)):
     old_re, old_im = full.spectrum(chain, np.arange(1.0, L + 1))
-    new_re, new_im = chains._spectrum(chain, L)
+    moduli = chains._products(chain, np.arange(1.0, L + 1), families.Family.certified_modulus)
+    new_re, new_im = chains._spectrum(chain, moduli)
     S = new_re.size
     assert bits(new_re) == bits(old_re[:S]) and bits(new_im) == bits(old_im[:S])
     assert not old_re[S:].any() and not old_im[S:].any()
     assert S == 0 or old_re[S - 1] != 0.0 or old_im[S - 1] != 0.0
 
-    assert bits(chains._majorant_tails(chain, L)) == bits(full.majorant_tails(chain, L))
     value, tail, per_term = full.deviation_bound(chain, interval, L)
     bound = deviation_bound(chain, interval, L)
     assert bits([bound.value, bound.tail]) == bits([value, tail])
     assert bits([m for _, m in bound.per_term]) == bits([m for _, m in per_term])
-    # the bound before the certified moduli, within 1e-12 relative
-    old_value, _, old_per_term = full.hypot_deviation_bound(chain, interval, L)
-    new = [bound.value] + [m for _, m in bound.per_term]
-    for x, y in zip(new, [old_value] + [m for _, m in old_per_term]):
+    # the bound before the certified moduli and their tails: the moduli
+    # within 1e-12 relative, the tail below its majorant tail within the
+    # rounding slack
+    old_value, old_tail, old_per_term = full.hypot_deviation_bound(chain, interval, L)
+    for x, y in zip([m for _, m in bound.per_term], [m for _, m in old_per_term]):
         assert x == y or abs(x - y) <= 1e-12 * abs(y) + 1e-300, (x, y)
+    assert bound.tail <= old_tail * full.tail_slack(chain)
+    assert bound.value <= old_value * (1.0 + 1e-12) * full.tail_slack(chain)
     assert bits(fold_probability(chain, interval, L)) == bits(full.fold_probability(chain, interval, L))
     assert bits(first_digit_probabilities(chain, L)) == bits(full.first_digit_probabilities(chain, L))
     return S
@@ -137,7 +140,7 @@ def test_outputs_keep_their_bits_where_the_cut_meets_L(base, links):
             continue
         last = math.floor(family.zero_beyond * math.log(base) / (2.0 * math.pi * np.abs(rs).max())) + 1
         # the cut lands at L + 1, at L and at L - 1 of the spectrum; the
-        # majorant frequencies L+1.. keep one of them, or none
+        # tail frequencies L+1.. keep one of them, or none
         for L in (last - 1, last, last + 1):
             assert chains._live(family, rs, np.arange(1.0, L + 1), base) == min(L, last)
             assert_matches_the_full_loop(chain, L)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import full_spectrum as full
 import scalar_reference as ref
 from benford_chains import chains, cli
 from benford_chains.chains import (
@@ -23,7 +24,7 @@ from benford_chains.chains import (
     fold_probability,
     spectrum_majorant,
 )
-from benford_chains.families import FAMILY_NAMES, get_family, mellin_at
+from benford_chains.families import FAMILY_NAMES, Family, get_family, mellin_at
 from benford_chains.specfun import arg_gamma, gamma_abs_on_line
 
 U = 2.0**-53
@@ -266,7 +267,10 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
 
     old_c = [ref.chain_spectrum(chain, ell) for ell in range(1, L + 1)]
     # _spectrum keeps the support prefix c_1..c_S; every c_l past S is 0.
-    re, im = (np.pad(part, (0, L - part.size)) for part in chains._spectrum(chain, L))
+    bounds = chains._products(chain, chains._frequencies(1, max(2 * L, 256)), Family.certified_modulus)
+    spectrum = chains._spectrum(chain, bounds[:L])
+    re, im = (np.pad(part, (0, L - part.size)) for part in spectrum)
+    bounds *= chains._round_up(len(chain.links))
     if exact:
         assert [complex(r, i) for r, i in zip(re, im)] == old_c
     # Each c_l carries its certified moduli's rounding allowance and the
@@ -277,21 +281,34 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
         assert chain_spectrum(chain, -ell) == complex(re[ell - 1], -im[ell - 1])
         assert same(spectrum_majorant(chain, ell), ref.spectrum_majorant(chain, ell))
 
-    # The bound's moduli and value moved for every chain with the certified
-    # closed-form moduli, so they compare within 1e-12; the tail keeps its bits.
+    # The bound's moduli moved for every chain with the certified closed-form
+    # moduli, so they compare within 1e-12.  The tails moved to those moduli
+    # up to max(2L, 256): they compare within 1e-12 with the tails from the
+    # reference's own |c_l|, and lie below its majorant tails within the
+    # rounding slack; so does the value.
     new_b, old_b = deviation_bound(chain, interval, L), ref.deviation_bound(chain, interval, L)
     assert [ell for ell, _ in new_b.per_term] == [ell for ell, _ in old_b.per_term]
     for new, old in zip(new_b.per_term, old_b.per_term):
         assert close(new[1], old[1])
-    assert close(new_b.value, old_b.value)
-    assert same(new_b.tail, old_b.tail)
+    plain, weighted = ref.tails(chain, L)
+    assert same(new_b.tail, plain)
+    assert new_b.tail <= old_b.tail * full.tail_slack(chain)
+    width = interval.width
+    assert same(new_b.value, 0.0 if width == 0.0 else width * (math.fsum(m for _, m in old_b.per_term) + plain))
+    assert new_b.value <= old_b.value * (1.0 + 1e-12) * full.tail_slack(chain)
 
     # A truncated series can cancel to far below its terms, so fold values
     # are compared at the scale of the series, width * (1 + 2 sum |c_l|).
     scale = 1.0 + 2.0 * math.fsum(abs(c) for c in old_c)
     new_p, new_e = fold_probability(chain, interval, L)
     old_p, old_e = ref.fold_probability(chain, interval, L)
-    assert same(new_e, old_e)
+    if width in (0.0, 1.0):
+        assert new_e == old_e == 0.0
+    else:
+        # the error adds the series' rounding bound to the smaller tail
+        rounding = chains._fold_rounding(chain, interval, bounds[:L], new_p)
+        assert same(new_e, min(width * plain, weighted) + rounding)
+        assert new_e <= old_e * full.tail_slack(chain) + rounding
     if exact:
         assert new_p == old_p
     else:
@@ -307,7 +324,7 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
 
 def test_digit_table_cost_is_capped_before_any_work(monkeypatch):
     calls = []
-    monkeypatch.setattr(chains, "_fold_series", lambda chain, edges, L: calls.append(L) or [])
+    monkeypatch.setattr(chains, "_fold_series", lambda chain, edges, moduli: calls.append(moduli.size) or [])
     cap, per_interval = chains._DIGIT_TABLE_MAX_COST, chains._DIGIT_INTERVAL_COST
     uniform = (ChainLink("uniform", 1),)
     for base in (16, 1000):

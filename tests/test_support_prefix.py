@@ -3,7 +3,9 @@ and drops the frequencies where the product is exactly zero.  Every output
 must keep the bits of the full-length loop in tests/full_spectrum.py, and
 the integer frequency and truncation arguments are checked.  The bound moved
 once, to the certified closed-form moduli; the bound before them stays as a
-check that its values lie within 1e-12 relative of the new ones."""
+check that its values lie within 1e-12 relative of the new ones.  The tails
+moved once more, to those moduli up to max(2L, 256); the tails before them
+stay as a check that the new ones lie below them within a rounding slack."""
 
 import math
 import re
@@ -27,7 +29,7 @@ from benford_chains.chains import (
     fold_probability,
     spectrum_majorant,
 )
-from benford_chains.families import FAMILY_NAMES, get_family
+from benford_chains.families import FAMILY_NAMES, Family, get_family
 
 LINKS = st.lists(
     st.tuples(st.sampled_from(FAMILY_NAMES), st.integers(1, 9), st.booleans()),
@@ -49,6 +51,11 @@ def build(base, links, foreign):
             for family, r in chain._factors
         )
     return chain
+
+
+def prefix(chain, L):
+    """The certified moduli of c_1..c_L on their support prefix."""
+    return chains._products(chain, chains._frequencies(1, L), Family.certified_modulus)
 
 
 def bits(values) -> list[int]:
@@ -78,7 +85,7 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
     interval = FoldInterval(*ends)
 
     old_re, old_im = full.spectrum(chain, np.arange(1.0, L + 1))
-    new_re, new_im = chains._spectrum(chain, L)
+    new_re, new_im = chains._spectrum(chain, prefix(chain, L))
     S = new_re.size
     assert S <= L and new_im.size == S
     assert bits(new_re) == bits(old_re[:S]) and bits(new_im) == bits(old_im[:S])
@@ -107,10 +114,10 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
             # allowance (its exact value may vanish), so only chains without
             # one compare relatively.
             old_value, old_tail, old_per_term = full.hypot_deviation_bound(chain, interval, L)
-            assert bits(bound.tail) == bits(old_tail)
-            assert_within_1e12(
-                [bound.value] + [m for _, m in bound.per_term], [old_value] + [m for _, m in old_per_term]
-            )
+            slack = full.tail_slack(chain)
+            assert bound.tail <= old_tail * slack
+            assert bound.value <= old_value * (1.0 + 1e-12) * slack
+            assert_within_1e12([m for _, m in bound.per_term], [m for _, m in old_per_term])
 
     assert bits(fold_probability(chain, interval, L)) == bits(full.fold_probability(chain, interval, L))
     if (base - 1) * L <= 50000:
@@ -126,21 +133,27 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
         (3, [("uniform", 1), ("exponential", 3)]),
     ],
 )
-def test_majorant_tails_keep_their_bits_where_the_products_vanish(base, links):
-    # Around the last nonzero majorant product the explicit tail holds a
-    # single nonzero term or none, where the closing 0.0 decides the bits.
+def test_the_tails_vanish_where_the_products_do(base, links):
+    # Around the last nonzero modulus the explicit tail holds a single
+    # nonzero term or none, and the majorant product at L2 underflows, so
+    # nothing closes the sum past L2: from L = S on the tail is exactly 0.
     chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
-    nonzero = np.flatnonzero(full.majorants(chain, np.arange(1.0, 20001)))
-    last = int(nonzero[-1]) + 1
-    assert last < 20000
-    for L in range(last - 3, last + 3):
-        new, old = chains._majorant_tails(chain, L), full.majorant_tails(chain, L)
-        assert bits(new) == bits(old), L
+    S = prefix(chain, 20000).size
+    assert S < 20000
+    for L in range(S - 3, S + 3):
+        L2 = max(2 * L, 256)
+        assert spectrum_majorant(chain, L2) == 0.0
+        bounds = chains._products(chain, chains._frequencies(1, L2), Family.certified_modulus)
+        bounds *= chains._round_up(len(chain.links))
+        new = chains._tails(chain, bounds, L)
+        assert bits(new) == bits(full.tails(chain, L)), L
+        assert new[0] == 2.0 * math.fsum(bounds[L:].tolist()), L
+        assert (new == (0.0, 0.0)) == (L >= S), L
 
 
 def test_a_benford_link_leaves_an_empty_prefix_and_exact_widths():
     chain = ChainSpec(10, (ChainLink("exponential", 1), ChainLink("benford", 2), ChainLink("uniform", 1)))
-    re_, im_ = chains._spectrum(chain, 1024)
+    re_, im_ = chains._spectrum(chain, prefix(chain, 1024))
     assert re_.size == im_.size == 0
     bound = deviation_bound(chain, FoldInterval(0.2, 0.7), 1024)
     assert bound.moduli.shape == (1024,) and not bound.moduli.any()
@@ -232,4 +245,4 @@ def test_fold_series_in_blocks_keeps_every_bit(monkeypatch, block):
     rng = np.random.default_rng(7)
     edges = sorted(rng.random(40).tolist()) + [0.0, 0.0, 1.0, 1.0, 0.25, 0.25, 0.5]
     for L in (1, 3, 64):
-        assert bits(chains._fold_series(chain, edges, L)) == bits(full.fold_series(chain, edges, L)), L
+        assert bits(chains._fold_series(chain, edges, prefix(chain, L))) == bits(full.fold_series(chain, edges, L)), L
