@@ -13,8 +13,8 @@ from csv (see _chunk) on, csv.reader reads the input as the per-row
 reader always did: its text stream decodes in the 8192-byte steps of a
 file opened at its first byte, so values and errors, a byte that is not
 UTF-8 included, come out as they would from csv over the whole file.  A
-pipe takes the same single pass.  The values are kept as float64 arrays,
-one per chunk, appended into one array that grows in place.
+pipe takes the same single pass.  The values come out as float64 arrays,
+about one per chunk, and audit counts each as it is read.
 """
 
 from __future__ import annotations
@@ -42,20 +42,19 @@ _LF, _HASH, _COMMA = 10, 35, 44
 _SPACE = (9, 11, 12, 32)  # the ASCII whitespace an _ODD-free line can start with
 
 
-def read_column(path: str, column: str | None, col_index: int | None, header: bool) -> np.ndarray:
-    """The column as float64, NaN where a cell does not parse or a row is short."""
-    values = np.empty(0)
+def _parts(path: str, column: str | None, col_index: int | None, header: bool):
+    """The column as float64 arrays, about one per 1 MiB read, NaN where a
+    cell does not parse or a row is short."""
+    rows = 0
     with open(path, "rb") as fh:
         try:
-            for part in _parts(fh, path, column, col_index, header):
-                count = values.size
-                values.resize(count + part.size, refcheck=False)  # grown in place by realloc
-                values[count:] = part
+            for part in _read(fh, path, column, col_index, header):
+                rows += part.size
+                yield part
         except csv.Error as exc:  # a field longer than csv.field_size_limit()
             raise ValueError(f"{path}: {exc}") from None
-    if not values.size:
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return values
 
 
 def _index(head, path: str, column: str | None, col_index: int | None) -> int:
@@ -255,8 +254,8 @@ def _split(carry: bytes, data: bytes):
     return b"".join((carry, memoryview(data)[:cut])), data[cut:]
 
 
-def _parts(fh, path: str, column, col_index, header: bool):
-    """The column as float64 arrays, about one per 1 MiB read."""
+def _read(fh, path: str, column, col_index, header: bool):
+    """The column's parts in the binary file fh."""
     limit = csv.field_size_limit()
     data = fh.read(_CHUNK)
     bom = _BOM if data.startswith(_BOM) else b""

@@ -290,12 +290,12 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_audit(args, out) -> int:
-    from ._column import read_column
-    from .conformance import audit_dataset
+    from ._column import _parts
+    from .conformance import _audit
 
     args.header = args.header or args.column is not None
-    values = read_column(args.input, args.column, args.col_index, args.header)
-    report = audit_dataset(values, args.base, args.bound, args.grid)
+    parts = _parts(args.input, args.column, args.col_index, args.header)
+    report = _audit(parts, args.base, args.bound, args.grid)
     _print_json(
         {
             "config": _config(args),

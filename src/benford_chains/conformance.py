@@ -10,6 +10,7 @@ the decision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -99,20 +100,21 @@ def digit_stats(values, base: int = 10, grid_size: int = DEFAULT_GRID_SIZE) -> D
     The values are read one block at a time, so the temporaries stay at
     the size of a block however long the sample is: the mantissas of each
     block are sorted, counted by first digit and searched for every grid
-    point.  A block holds at least grid_size + 1 and base values, so the
-    grid search and the digit count cost no more than the sort.  The
-    counts are integers, so the result does not depend on the block size.
-    Two blocks are counted at a time, by the caller and a helper thread.
+    point.  Each block but the last is a view of max(BLOCK_SIZE,
+    grid_size + 1, base) values, so the grid search and the digit count
+    cost no more than the sort.  The counts are integers, so the result
+    does not depend on how the values are cut.  Two blocks are counted at
+    a time, by the caller and a helper thread.
     """
-    _check_base(base)
     grid = _grid(base, grid_size)
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("values must be a nonempty one-dimensional sequence")
-    return _digit_stats(x, base, grid, drop_bad=False)[0]
+    return _digit_stats((x,), base, grid, drop_bad=False)[0]
 
 
 def _grid(base: int, grid_size) -> np.ndarray:
+    _check_base(base)
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
         raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     grid = np.array([float(base) ** (j / grid_size) for j in range(grid_size + 1)])
@@ -121,17 +123,24 @@ def _grid(base: int, grid_size) -> np.ndarray:
     return grid
 
 
-def _digit_stats(x: np.ndarray, base: int, grid: np.ndarray, drop_bad: bool):
-    """digit_stats of the finite positive entries of x, and how many others x holds.
+def _digit_stats(parts, base: int, grid: np.ndarray, drop_bad: bool):
+    """digit_stats of the finite positive entries of parts, 1-D float64 arrays
+    drawn in the calling thread, and how many other entries they hold.
 
-    Each block is checked once.  Unless drop_bad, the first other entry
-    raises ValueError; otherwise a dirty block is filtered on its own, so
-    x gets no mask or copy of its own length.
+    Each part is counted in views of a block or less, each checked once.
+    Unless drop_bad, the first other entry raises ValueError; otherwise a
+    dirty block is filtered on its own, so no mask or copy spans a part.
     """
     step = max(BLOCK_SIZE, grid.size, base)
 
-    def count(start):
-        block = x[start : start + step]
+    def blocks():  # (offset in all the parts, view)
+        offset = 0
+        for part in parts:
+            yield from ((offset + i, part[i : i + step]) for i in range(0, part.size, step))
+            offset += part.size
+
+    def count(job):
+        start, block = job
         ok = np.isfinite(block) & (block > 0.0)
         bad = block.size - int(np.count_nonzero(ok))
         if bad:
@@ -147,11 +156,11 @@ def _digit_stats(x: np.ndarray, base: int, grid: np.ndarray, drop_bad: bool):
     digits = np.zeros(base, dtype=np.int64)
     below = np.zeros(grid.size, dtype=np.int64)  # mantissas <= each grid point
     skipped = 0
-    for block_digits, block_below, bad in _in_order(count, range(0, x.size, step)):
+    for block_digits, block_below, bad in _in_order(count, blocks()):
         digits += block_digits
         below += block_below
         skipped += bad
-    n = x.size - skipped
+    n = int(digits.sum())  # every value kept has a first digit
     if n == 0:
         raise ValueError("no positive values left after filtering")
     stats = DigitStats(
@@ -178,13 +187,21 @@ def audit_dataset(
     NaN not), the report also says whether the observed deviation is within
     that bound plus 3/sqrt(N) of Monte Carlo slack.
     """
-    _check_base(base)
-    if bound_context is not None and not float(bound_context) >= 0.0:
-        raise ValueError(f"bound_context must be a number >= 0 or None, got {bound_context!r}")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    stats, skipped = _digit_stats(x, base, _grid(base, grid_size), drop_bad=True)
+    return _audit(iter((x,)), base, bound_context, grid_size)
+
+
+def _audit(parts, base: int, bound_context, grid_size) -> ConformanceReport:
+    """audit_dataset of parts, an iterator of 1-D float64 arrays."""
+    # The first part is drawn before the arguments are checked, so that an
+    # input that cannot be opened, or has no such column, is reported first.
+    drawn = iter([next(parts)])  # a list iterator lets go of its list once done
+    if bound_context is not None and not float(bound_context) >= 0.0:
+        raise ValueError(f"bound_context must be a number >= 0 or None, got {bound_context!r}")
+    grid = _grid(base, grid_size)
+    stats, skipped = _digit_stats(itertools.chain(drawn, parts), base, grid, drop_bad=True)
     n = stats.count
     theory = np.array([benford_cdf(s, base) for s in stats.mantissa_grid])
     sup_dev = float(np.max(np.abs(np.asarray(stats.empirical_cdf) - theory)))
@@ -194,18 +211,16 @@ def audit_dataset(
     chi_square = float(np.sum((observed - expected) ** 2 / expected))
 
     ks_critical = KS_ONE_SAMPLE_COEFF / math.sqrt(n)
-    conforms = sup_dev <= ks_critical
-    consistent = None
-    if bound_context is not None:
-        consistent = bool(sup_dev <= float(bound_context) + 3.0 / math.sqrt(n))
+    bound = None if bound_context is None else float(bound_context)
+    consistent = None if bound is None else bool(sup_dev <= bound + 3.0 / math.sqrt(n))
     return ConformanceReport(
         stats=stats,
         skipped=skipped,
         sup_deviation=sup_dev,
         chi_square=chi_square,
         ks_critical=ks_critical,
-        conforms=conforms,
-        bound_context=None if bound_context is None else float(bound_context),
+        conforms=sup_dev <= ks_critical,
+        bound_context=bound,
         bound_consistent=consistent,
     )
 

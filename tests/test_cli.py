@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats, determinism, exit codes."""
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -388,20 +389,41 @@ def test_audit_with_bound_context(tmp_path):
 
 
 def test_audit_input_errors(tmp_path, capsys):
-    code, _ = run(["audit", "--input", str(tmp_path / "nope.csv")])
-    assert code == 2
-
     data = tmp_path / "vals.csv"
     data.write_text("a,b\n1,2\n")
-    code, _ = run(["audit", "--input", str(data), "--column", "missing"])
-    assert code == 2
-    assert "no column named" in capsys.readouterr().err
+    nope = tmp_path / "nope.csv"
+    # a file that cannot be opened, or lacks the column, is reported ahead
+    # of a bad flag, as when the whole column was read before any check
+    for flags in ([], ["--bound", "nan"]):
+        code, text = run(["audit", "--input", str(nope), *flags])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(nope)!r}\n"
+        code, text = run(["audit", "--input", str(data), "--column", "missing", *flags])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {data}: no column named 'missing' in ['a', 'b']\n"
 
+    # an empty body is the reader's error; a body with no positive value is
+    # the count's
     empty = tmp_path / "empty.csv"
-    empty.write_text("# only a comment\n")
-    code, _ = run(["audit", "--input", str(empty), "--col-index", "0"])
+    for text, flags in (("# only a comment\n", ["--col-index", "0"]), ("v\n\n# a comment\n", ["--column", "v"])):
+        empty.write_text(text)
+        code, _ = run(["audit", "--input", str(empty), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("v\nn/a\n-1.5\n0\nnan\n\n")
+    code, _ = run(["audit", "--input", str(bad), "--column", "v"])
     assert code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: no positive values left after filtering\n"
+
+    # a field over csv's limit exits 2 and names the file
+    limit = csv.field_size_limit()
+    long = tmp_path / "long.csv"
+    long.write_text("v\n1.5\n" + "1" * (limit + 1) + "\n2.5\n")
+    for flags in ([], ["--bound", "nan"]):
+        code, text = run(["audit", "--input", str(long), "--column", "v", *flags])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {long}: field larger than field limit ({limit})\n"
 
     # a negative index would silently address the last column
     code, _ = run(["audit", "--input", str(data), "--col-index", "-1", "--header"])

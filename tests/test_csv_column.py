@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import benford_chains
 from benford_chains import _column, cli
+from benford_chains.conformance import audit_dataset
 
 
 def csv_loop(path, column, col_index, header):
@@ -49,6 +50,11 @@ def csv_loop(path, column, col_index, header):
     return values
 
 
+def read_parts(path, column, col_index, header):
+    """The reader's parts, concatenated: the column as audit counts it."""
+    return np.concatenate(list(_column._parts(str(path), column, col_index, header)))
+
+
 def outcome(read, path, column, col_index, header):
     """The bits read, or the error raised; no warning may escape the reader."""
     with warnings.catch_warnings(record=True) as caught:
@@ -63,7 +69,7 @@ def outcome(read, path, column, col_index, header):
 
 
 def assert_reads_like_the_loop(path, column, col_index, header):
-    assert outcome(_column.read_column, path, column, col_index, header) == outcome(
+    assert outcome(read_parts, path, column, col_index, header) == outcome(
         csv_loop, path, column, col_index, header
     )
 
@@ -229,7 +235,7 @@ def test_a_pipe_is_read_in_one_pass(tmp_path, csv_log):
     writer = threading.Thread(target=fifo.write_text, args=(text,))
     writer.start()
     try:
-        got = _column.read_column(str(fifo), "v", None, True)
+        got = read_parts(fifo, "v", None, True)
     finally:
         writer.join(timeout=60)
     assert not writer.is_alive()
@@ -250,7 +256,7 @@ def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, csv_log, cell
         report = json.loads(out.getvalue())["report"]
         assert (report["count"], report["skipped"]) == (3 - cells.count("n/a"), cells.count("n/a"))
         args = (str(path), "value" if head else None, None if head else 0, bool(head))
-        assert np.array_equal(_column.read_column(*args), expected, equal_nan=True)
+        assert np.array_equal(read_parts(*args), expected, equal_nan=True)
         assert numpy_chunk(path, *args[1:]) is not None
     assert csv_log == []
 
@@ -295,7 +301,7 @@ def read_pipe(tmp_path, data, column, col_index, header):
     writer = threading.Thread(target=feed, args=(fifo, data))
     writer.start()
     try:
-        return outcome(_column.read_column, fifo, column, col_index, header)
+        return outcome(read_parts, fifo, column, col_index, header)
     finally:
         writer.join(timeout=60)
         assert not writer.is_alive()
@@ -341,7 +347,7 @@ def test_a_byte_that_is_not_utf8_after_the_first_chunk_fails_as_in_the_csv_loop(
     path = write(tmp_path / "data.csv", data)
     expected = outcome(csv_loop, path, "v", None, True)
     assert expected[:2] == ("error", UnicodeDecodeError)
-    assert outcome(_column.read_column, path, "v", None, True) == expected
+    assert outcome(read_parts, path, "v", None, True) == expected
     assert read_pipe(tmp_path, data, "v", None, True) == expected
 
 
@@ -366,7 +372,7 @@ def test_a_long_non_ascii_echo_reads_like_the_csv_loop(tmp_path, csv_log, bom, b
     path = write(tmp_path / "data.csv", data)
     expected = outcome(csv_from_the_top if bom else csv_loop, path, "v", None, True)
     assert expected[0] == ("error" if bad else "values")
-    assert outcome(_column.read_column, path, "v", None, True) == expected
+    assert outcome(read_parts, path, "v", None, True) == expected
     assert (csv_log[:1] == [0]) == cut
     assert bool(csv_log) == (cut or bad)
     if bad:
@@ -380,7 +386,7 @@ def test_a_dirty_body_reads_from_a_pipe_as_from_a_file(tmp_path, csv_log):
     assert len(data) > 2 * CHUNK
     path = write(tmp_path / "data.csv", data)
     expected = outcome(csv_loop, path, "v", None, True)
-    assert outcome(_column.read_column, path, "v", None, True) == expected
+    assert outcome(read_parts, path, "v", None, True) == expected
     assert read_pipe(tmp_path, data, "v", None, True) == expected
     assert csv_log == []
 
@@ -396,22 +402,92 @@ def dirty_file(path, rows):
     return rows - len(lines[2::10_000])
 
 
-@pytest.mark.parametrize("rows", [200_000, 1_000_000])
-def test_the_reader_holds_the_column_and_about_one_chunk(tmp_path, rows):
-    # the values are kept as float64 (8 bytes a row), beside a bounded
-    # amount of per-chunk work; a Python float list costs about 32 bytes
-    # a row
-    path = tmp_path / "dirty.csv"
-    rows = dirty_file(path, rows)
-    tracemalloc.start()
-    try:
-        values = _column.read_column(str(path), "v", None, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert values.size == rows
-    assert np.isnan(values).sum() >= rows // 60
-    assert peak - 8 * rows < 6 * 2**20
+def test_audit_memory_does_not_grow_with_rows(tmp_path):
+    # audit counts each part of the column as it is read: the traced peak of
+    # a whole audit, read and count, at 10**6 rows matches the peak at
+    # 2 * 10**5 rows (holding the column, 8 bytes a row, took 11.8 MiB
+    # against 5.3 MiB)
+    files = []
+    for rows in (200_000, 1_000_000):
+        path = tmp_path / f"dirty{rows}.csv"
+        files.append((path, dirty_file(path, rows)))
+    argv = ["audit", "--column", "v", "--input"]
+    # one untraced run first, so that imports and the helper thread land in
+    # neither traced peak
+    assert cli.main([*argv, str(files[0][0])], out=io.StringIO()) == 0
+    peaks = []
+    for path, rows in files:
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, str(path)], out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        report = json.loads(out.getvalue())["report"]
+        assert report["count"] + report["skipped"] == rows
+        assert report["skipped"] >= rows // 60
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+    assert peaks[1] < 6 * 2**20, peaks
+
+
+def dirty_rows(rows, seed):
+    """rows CSV lines "i,v" of spread positive values, one cell in 50 text."""
+    cells = np.exp(np.random.default_rng(seed).normal(0.0, 20.0, rows)).astype(str)
+    cells[::50] = "n/a"
+    return "".join(f"{i},{c}\n" for i, c in enumerate(cells.tolist())).encode()
+
+
+# name -> the file's bytes, each read in more than one part
+STREAMED = {
+    "numpy chunks": lambda: b"# seed=7\nindex,v\n" + dirty_rows(100_000, 1),
+    # csv reads on from the chunk that holds the quote, past the first
+    "csv after the first chunk": lambda: b"index,v\n" + dirty_rows(60_000, 2) + b'7,"2.5"\n'
+    + dirty_rows(5000, 3),
+    "pipe": lambda: b"# seed=7\nindex,v\n" + dirty_rows(100_000, 4),
+    # a chunk of nothing but comment lines gives an empty part
+    "a chunk of comments": lambda: b"index,v\n" + dirty_rows(1000, 5)
+    + (b"# " + b"c" * 97 + b"\n") * (2 * CHUNK // 100) + dirty_rows(1000, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_counts_equal_the_whole_column_counts(tmp_path, csv_log, name):
+    data = STREAMED[name]()
+    path = write(tmp_path / "data.csv", data)
+
+    def through(read):
+        """read(path), or read of a pipe that data is written into."""
+        if name != "pipe":
+            return read(path)
+        fifo = tmp_path / "data.fifo"
+        if not fifo.exists():
+            os.mkfifo(fifo)
+        writer = threading.Thread(target=feed, args=(fifo, data))
+        writer.start()
+        try:
+            return read(fifo)
+        finally:
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+
+    def cli_report(source):
+        out = io.StringIO()
+        assert cli.main(["audit", "--input", str(source), "--column", "v"], out=out) == 0
+        return json.loads(out.getvalue())["report"]
+
+    sizes = [part.size for part in _column._parts(str(path), "v", None, True)]
+    assert len(sizes) > 1
+    assert (0 in sizes) == (name == "a chunk of comments")
+    values = through(lambda source: read_parts(source, "v", None, True))
+    report = through(cli_report)
+    assert report == audit_dataset(values).to_json_dict()
+    assert report["skipped"] > 0
+    if name == "csv after the first chunk":
+        assert CHUNK // 2 < csv_log[0] <= data.index(b'"')
+    else:
+        assert csv_log == []
 
 
 LONG_FIELD = "1" * 200_000
