@@ -7,20 +7,21 @@ the Fourier coefficients of Y_n = log_B X_n mod 1 factor into a product
 of per-family Mellin values (the chain spectrum).
 
 Three consumers of the spectrum live here.  Each call makes one pass of
-the families' certified closed-form moduli, _products, as numpy arrays
+the families' certified closed-form moduli, _moduli, as numpy arrays
 (c_{-l} = conj(c_l)): a bound or a fold over 1..max(2L, 256), whose first
 L moduli feed its sum or its series and the rest the tails, and a digit
 table over 1..L, shared across its intervals.  The spectrum is polar:
 each c_l is the product of the moduli times e^(i*phi_l), phi_l the sum of
-the families' phases, so no complex Gamma is evaluated.  The pass keeps
-only the support prefix c_1..c_S: the family kernels run in the _factors
-order (benford first, then the Gamma families, uniform last), each only on
-the frequencies where the product so far is nonzero, and every c_l past S
-is exactly zero because a factor (or the running product) is.  Before its
-kernels run, a family also skips the frequencies past its zero_beyond,
-where they are proven to compute exactly 0.0 (exponential and
-half-Gaussian); S is the last nonzero product either way, so no output bit
-depends on the cut.  A benford link gives S = 0 at once.
+the families' phases, so no complex Gamma is evaluated.  The pass forms
+w = 2*pi*|R|*l/ln B once, one row per link in the _factors order, after
+cutting the frequencies where some link provably computes 0.0: an
+own-base benford link cuts them all, and an exponential or half-Gaussian
+link those past its zero_beyond.  Each family's modulus kernel then runs
+once on its rows, and the pass keeps only the support prefix c_1..c_S up
+to the last nonzero product; every c_l past S is exactly zero because a
+factor is, so no output bit depends on the cut.  The fold and the digit
+table take their phases from the same rows, cut at S, one phase kernel
+call per family.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and bounding the rest with the
@@ -49,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -272,77 +272,66 @@ def _check_L(L) -> int:
 
 
 def _frequencies(lo: int, hi: int) -> np.ndarray:
-    """The frequencies lo..hi as floats, the dtype the family kernels use."""
+    """The frequencies lo..hi as floats, the dtype w and the tails use."""
     return np.arange(lo, hi + 1, dtype=np.float64)
 
 
-def _by_family(chain: ChainSpec):
-    """(family, array of R_m) for each run of one family in _factors."""
-    for family, run in groupby(chain._factors, key=itemgetter(0)):
-        yield family, np.array([r for _, r in run], dtype=np.float64)
-
-
-def _support(nonzero: np.ndarray) -> int:
-    """Length of the shortest prefix that holds every True of nonzero."""
-    return nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-
-
-def _live(family: Family, rs: np.ndarray, ells: np.ndarray, base: int) -> int:
-    """How many of the consecutive frequencies ells the family may leave nonzero.
-
-    Past l = zero_beyond * ln B / (2*pi*max|R|) the link with the largest |R|
-    has w >= family.zero_beyond, where its kernels compute exactly 0.0, and
-    so the product is zero there.  The + 1 keeps a frequency that rounding
-    puts at the edge.  rs ascends (the _factors order), so its largest |R|
-    sits at one end.
-    """
-    if family.zero_beyond == math.inf:
-        return ells.size
-    r_max = max(-rs[0], rs[-1])
-    last = math.floor(family.zero_beyond * math.log(base) / (_TWO_PI * r_max)) + 1
-    return min(ells.size, max(0, last - int(ells[0]) + 1))
-
-
-def _products(chain: ChainSpec, ells: np.ndarray, kernel) -> np.ndarray:
-    """Products over the links of a nonnegative family kernel at ells >= 1.
-
-    kernel is Family.majorant or Family.certified_modulus, called as
-    kernel(family, |R| * ells, base), one call per family for all its
-    links, in the _factors order.  Before each family's kernel call the
-    frequencies where _live proves it zero are dropped, and after it those
-    past the last nonzero product: the values are >= 0, so a zero product
-    stays +0.0, and the later kernels never see it.  The result runs up to
-    the last nonzero product; the kernels are elementwise, so every entry
-    has the bits of the full-length product.
-    """
-    out = np.ones(ells.shape)
-    for family, rs in _by_family(chain):
-        n = _live(family, rs, ells, chain.base)
-        ells, out = ells[:n], out[:n]
-        for m in kernel(family, np.abs(rs)[:, None] * ells, chain.base):
-            out *= m
-        S = _support(out != 0.0)
-        ells, out = ells[:S], out[:S]
-        if not S:
-            break
+def _blocks(chain: ChainSpec) -> list[tuple[Family, slice]]:
+    """Each family of the _factors order with the slice of its links' rows."""
+    out, start = [], 0
+    for family, run in groupby(family for family, _ in chain._factors):
+        stop = start + sum(1 for _ in run)
+        out.append((family, slice(start, stop)))
+        start = stop
     return out
 
 
-def _spectrum(chain: ChainSpec, m: np.ndarray, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of c_l at the frequencies first, first + 1, ..., one per modulus of m.
+def _moduli(chain: ChainSpec, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, w): the certified moduli of c_first..c_last on their support prefix,
+    and the rows of w = 2*pi*|R|*l/ln B they came from, cut alike.
 
-    m is a prefix of the certified moduli _products gives for frequencies
-    from first on, the loop deviation_bound sums; the phase is the sum of
-    the families' phases in the _factors order, on those frequencies only.
-    Every entry has the bits of the full-length loop.
+    The one pass of a query.  The frequencies are cut first where a link
+    provably computes 0.0: an own-base benford link everywhere, and a
+    zero_beyond family past l = zero_beyond * ln B / (2*pi*|R|) (+ 1, which
+    keeps a frequency that rounding puts at the edge).  Then w is formed
+    once, one row per link in the _factors order, and each family's modulus
+    kernel runs once on its rows.  np.multiply.reduce down the rows is the
+    running product of the links one at a time (numpy pairs terms in add
+    reductions only; accumulate, as exact, costs 25 ns a column).  The
+    result runs up to the last nonzero product; the kernels are
+    elementwise, so every entry has the bits of the full-length product.
+    """
+    base, log_base = chain.base, math.log(chain.base)
+    rs, stop = [], last
+    for family, r in chain._factors:
+        rs.append(abs(r))
+        if family.base == base:
+            stop = first - 1
+        elif family.zero_beyond < math.inf:
+            stop = min(stop, math.floor(family.zero_beyond * log_base / (_TWO_PI * abs(r))) + 1)
+    ells = _frequencies(first, max(stop, first - 1))
+    w = _TWO_PI * (np.array(rs, dtype=np.float64)[:, None] * ells) / log_base
+    if not ells.size:
+        return ells, w
+    rows = [family.modulus(family.base, w[block], base) for family, block in _blocks(chain)]
+    m = np.multiply.reduce(np.concatenate(rows))
+    nonzero = np.flatnonzero(m)
+    S = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return m[:S], w[:, :S]
+
+
+def _polar(chain: ChainSpec, m: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of c_l from the moduli m and the w rows _moduli cut alike.
+
+    The phase is the sum of the links' phases down the rows, each family's
+    phase kernel called once on its rows, with the sign of R put on w by
+    an exact negation: every entry has the bits of the links one at a time.
     """
     if not m.size:
         return m, m
-    ells = _frequencies(first, first + m.size - 1)
-    phase = np.zeros(m.shape)
-    for family, rs in _by_family(chain):
-        for p in family.mellin_phase(rs[:, None] * ells, chain.base):
-            phase += p
+    w = w * np.array([math.copysign(1.0, r) for _, r in chain._factors])[:, None]
+    rows = [family.phase(family.base, w[block], chain.base) for family, block in _blocks(chain)]
+    phase = np.add.accumulate(np.concatenate(rows))[-1]
     return m * np.cos(phase), m * np.sin(phase)
 
 
@@ -355,8 +344,7 @@ def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
     ell = _check_index(ell, "ell")
     if ell == 0:
         return 1.0 + 0.0j
-    m = _products(chain, _frequencies(abs(ell), abs(ell)), Family.certified_modulus)
-    re, im = _spectrum(chain, m, abs(ell))
+    re, im = _polar(chain, *_moduli(chain, abs(ell), abs(ell)))
     if not re.size:
         return 0j
     return complex(re[0], im[0] if ell > 0 else -im[0])
@@ -367,8 +355,10 @@ def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
     ell = _check_index(ell, "ell")
     if ell == 0:
         return 1.0
-    m = _products(chain, _frequencies(abs(ell), abs(ell)), Family.majorant)
-    return float(m[0]) if m.size else 0.0
+    out = 1.0
+    for family, r in chain._factors:
+        out *= float(family.majorant(abs(r) * float(abs(ell)), chain.base))
+    return out
 
 
 def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
@@ -377,20 +367,29 @@ def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
     plain bounds sum_{|l| > L} |c_l|; weighted bounds the same sum with
     each term carrying the extra 1/(pi*|l|) that bounds the fold integral
     |I_l|.  The terms up to L2 = max(2L, 256) are moduli[L:], upper bounds
-    on |c_l| on the support prefix of 1..L2.  Past L2 one majorant call per
-    family at |R| * L2 gives their product A >= |c_L2| and per link a ratio
-    bound g * (l/(l+1))**p, the family's decay law, or (1, 0) while
-    min(1, .) still caps its majorant; the rest is A * g/(1 - g) when the
-    combined g < 1, A * L2/(p - 1) when the combined p >= 2, exactly 0
-    where A underflows, and honestly infinity otherwise.
+    on |c_l| on the support prefix of 1..L2.  Past L2 the rest is closed
+    from the majorants at |R| * L2.  Where a link's majorant there is
+    provably 0.0 (an own-base benford link, or w(|R| * L2) >= zero_beyond,
+    w formed as the kernel forms it) the rest is exactly 0 and no majorant
+    is called.  Otherwise one majorant call per family gives their product
+    A >= |c_L2| and per link a ratio bound g * (l/(l+1))**p, the family's
+    decay law, or (1, 0) while min(1, .) still caps its majorant; the rest
+    is A * g/(1 - g) for a combined g < 1, A * L2/(p - 1) for a combined
+    p >= 2, exactly 0 where A underflows, and honestly infinity otherwise.
     """
     L2 = max(2 * L, 256)
     explicit = moduli[L:]
     weighted = explicit / (math.pi * _frequencies(L + 1, L + explicit.size))
+    log_base = math.log(chain.base)
+    if any(
+        family.base == chain.base or _TWO_PI * float(abs(r) * L2) / log_base >= family.zero_beyond
+        for family, r in chain._factors
+    ):
+        return 2.0 * math.fsum(explicit.tolist()), 2.0 * math.fsum(weighted.tolist())
     anchor, g_total, p_total = 1.0, 1.0, 0
-    for family, rs in _by_family(chain):
-        rs = np.abs(rs)
-        for r, m in zip(rs.tolist(), family.majorant(rs * L2, chain.base).tolist()):
+    for family, block in _blocks(chain):
+        rs = [float(abs(r)) for _, r in chain._factors[block]]
+        for r, m in zip(rs, family.majorant(np.array(rs) * L2, chain.base).tolist()):
             anchor *= m
             g, p = (1.0, 0) if m >= 1.0 else family.decay(family.base, r, chain.base, L2)
             g_total *= g
@@ -436,7 +435,7 @@ def deviation_bound(chain: ChainSpec, interval: FoldInterval, L: int = 64) -> Bo
     """
     L = _check_L(L)
     width = interval.width
-    bounds = _products(chain, _frequencies(1, max(2 * L, 256)), Family.certified_modulus)
+    bounds, _ = _moduli(chain, 1, max(2 * L, 256))
     bounds *= _round_up(len(chain.links))
     support = bounds[:L]
     # All family moduli decrease strictly in |l|, so the retained terms
@@ -468,11 +467,12 @@ def _cis(ells: np.ndarray, xs) -> np.ndarray:
     return np.exp(y)
 
 
-def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray) -> list[float]:
+def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray, w: np.ndarray) -> list[float]:
     """Truncated fold series on [edges[k], edges[k+1]], sharing one spectrum.
 
     moduli are the certified moduli of c_1, c_2, ... on the support prefix,
-    cut at L: the zero terms past it would leave the sum as it is.  Each l adds
+    cut at L (the zero terms past it would leave the sum as it is), and w
+    their rows from _moduli.  Each l adds
     z = c_l * I_l, I_l = (e^(2 pi i b l) - e^(2 pi i a l))/(2 pi i l), and
     then c_{-l} * I_{-l} = conj(z), in that order and not as 2*Re(z), which
     rounds differently; the quotient and the product are spelled out in real
@@ -486,7 +486,7 @@ def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray) -> li
     empty prefix every interval is exactly its width.
     """
     widths = [b - a for a, b in zip(edges, edges[1:])]
-    re, im = _spectrum(chain, moduli)
+    re, im = _polar(chain, moduli, w)
     if not re.size:
         return widths
     ells = _frequencies(1, re.size)
@@ -573,8 +573,8 @@ def fold_probability(
     width = interval.width
     if width in (0.0, 1.0):
         return width, 0.0
-    m = _products(chain, _frequencies(1, max(2 * L, 256)), Family.certified_modulus)
-    [prob] = _fold_series(chain, [interval.a, interval.b], m[:L])
+    m, w = _moduli(chain, 1, max(2 * L, 256))
+    [prob] = _fold_series(chain, [interval.a, interval.b], m[:L], w[:, :L])
     bounds = m * _round_up(len(chain.links))
     tail_plain, tail_weighted = _tails(chain, bounds, L)
     rounding = _fold_rounding(chain, interval, bounds[:L], prob)
@@ -598,4 +598,4 @@ def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
         return [1.0]
     log_base = math.log(chain.base)
     edges = [math.log(d) / log_base for d in range(1, chain.base + 1)]
-    return _fold_series(chain, edges, _products(chain, _frequencies(1, L), Family.certified_modulus))
+    return _fold_series(chain, edges, *_moduli(chain, 1, L))

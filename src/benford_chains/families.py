@@ -8,10 +8,12 @@ certified upper bound on its modulus from a closed form and its phase; a
 monotone majorant of that modulus; the decay law of the majorant, which
 closes truncation tails; and a unit-scale sampler.  The phases, the moduli
 and the majorant are array kernels: one call evaluates every frequency of
-a spectrum.  No kernel is complex: the Mellin value is the modulus times
-e^(i*phase).  Each family is one Family record of kernel functions: a row
-of _TABLE, or for benford a record that get_family builds for its own
-base.
+a spectrum.  The phase and modulus kernels take the angular frequencies
+w = 2*pi*R*l/ln B, which a chain forms once for all its links; the
+majorants take R*l.  No kernel is complex: the Mellin value is the
+modulus times e^(i*phase).  Each family is one Family record of kernel
+functions: a row of _TABLE, or for benford a record that get_family
+builds for its own base.
 
 Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 (density 2/sqrt(pi*theta^2) * exp(-(x/theta)^2)), and "benford" (density
@@ -62,7 +64,7 @@ class Family(NamedTuple):
     """One scale family: a name, five kernels and, for benford, its own base.
 
     ells is an array of integer frequencies, of any shape and of an integer
-    or float dtype, and each kernel's result an array of its shape.
+    or float dtype, and each method's result an array of its shape.
     certified_modulus(ells, base) is an upper bound on the exact modulus of
     (M f)(1 - 2*pi*i*l/ln B) for the unit-scale density f, in floating
     point, from a closed form with its rounding error added (the error
@@ -81,12 +83,14 @@ class Family(NamedTuple):
     (1, 0) is safe, and the chain tails apply that rule.
     sample_unit_batch(rng, n) makes n unit-scale draws and consumes rng once
     per element.  Each kernel takes the family's own base first: None
-    except for benford.
+    except for benford.  The phase and modulus kernels take the angular
+    frequencies w = _omega(ells, base) in place of ells, w >= 0 for the
+    modulus; the methods above form them.
     """
 
     name: str
-    phase: Callable  # (own, ells, base) -> arg of the Mellin value
-    modulus: Callable  # (own, ells, base) -> certified upper bound on its modulus
+    phase: Callable  # (own, w, base) -> arg of the Mellin value
+    modulus: Callable  # (own, w >= 0, base) -> certified upper bound on its modulus
     bound: Callable  # (own, ells, base) -> majorant array
     decay: Callable  # (own, |R|, base, ell0) -> (g, p) once the cap is off
     sample: Callable  # (own, rng, n) -> n unit-scale draws
@@ -100,10 +104,10 @@ class Family(NamedTuple):
         return self.certified_modulus(ells, base) * np.exp(1j * self.mellin_phase(ells, base))
 
     def mellin_phase(self, ells, base: int) -> np.ndarray:
-        return self.phase(self.base, ells, base)
+        return self.phase(self.base, _omega(ells, base), base)
 
     def certified_modulus(self, ells, base: int) -> np.ndarray:
-        return self.modulus(self.base, ells, base)
+        return self.modulus(self.base, np.abs(_omega(ells, base)), base)
 
     def majorant(self, ells, base: int) -> np.ndarray:
         return self.bound(self.base, ells, base)
@@ -112,12 +116,12 @@ class Family(NamedTuple):
         return self.sample(self.base, rng, n)
 
 
-def _exponential_phase(own, ells, base: int) -> np.ndarray:
+def _exponential_phase(own, w, base: int) -> np.ndarray:
     """Exponential: f(x) = exp(-x) on x >= 0; Mellin value Gamma(s)."""
-    return -arg_gamma(1.0, _omega(ells, base))
+    return -arg_gamma(1.0, w)
 
 
-def _exponential_modulus(own, ells, base: int) -> np.ndarray:
+def _exponential_modulus(own, w, base: int) -> np.ndarray:
     # |Gamma(1 - iw)| = sqrt(p/sinh p), p = pi*w (DLMF 5.4.3), computed by
     # gamma_abs_on_line.  p is rounded once more (1.4u: pi and the multiply),
     # so p has relative error < 7.4u, and |d ln m/d ln p| = (p coth p - 1)/2
@@ -125,7 +129,6 @@ def _exponential_modulus(own, ells, base: int) -> np.ndarray:
     # sinh 8u, divide u, then halved by the sqrt plus u: 5.5u; the exp-scaled
     # form sqrt(2p) * exp(-p/2) / sqrt(-expm1(-2p)) is 1 + 8 + 1 + 1 + 1 = 12u.
     # So e = (12 + 4 + 4*pi*w)*u.
-    w = np.abs(_omega(ells, base))
     return _certified(gamma_abs_on_line(w), w, 16.0, 4.0)
 
 
@@ -151,16 +154,15 @@ def _exponential_sample(own, rng, n: int) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _uniform_phase(own, ells, base: int) -> np.ndarray:
+def _uniform_phase(own, w, base: int) -> np.ndarray:
     """Uniform on [0, theta]: f(x) = 1 on [0,1]; Mellin value 1/s."""
-    return np.arctan(_omega(ells, base))  # arg 1/(1 - iw)
+    return np.arctan(w)  # arg 1/(1 - iw)
 
 
-def _uniform_modulus(own, ells, base: int) -> np.ndarray:
+def _uniform_modulus(own, w, base: int) -> np.ndarray:
     # |1/(1 - iw)| = 1/hypot(1, w).  |d ln m/d ln w| = w^2/(1 + w^2) <= 1, so
     # the argument costs 6u; hypot 8u and the divide u: e = (15 + 4)u, flat
     # in w.
-    w = np.abs(_omega(ells, base))
     return _certified(1.0 / np.hypot(1.0, w), w, 20.0, 0.0)
 
 
@@ -187,16 +189,16 @@ def _uniform_sample(own, rng, n: int) -> np.ndarray:
     return rng.random(n)
 
 
-def _half_gaussian_phase(own, ells, base: int) -> np.ndarray:
+def _half_gaussian_phase(own, w, base: int) -> np.ndarray:
     """|N(0, theta/sqrt(2))|: f(x) = 2/sqrt(pi) * exp(-x^2) on x >= 0.
 
     Mellin value Gamma(s/2)/sqrt(pi); on the evaluation line its modulus
     is exactly 1/sqrt(cosh(pi^2 l / ln B)).
     """
-    return -arg_gamma(0.5, 0.5 * _omega(ells, base))
+    return -arg_gamma(0.5, 0.5 * w)
 
 
-def _half_gaussian_modulus(own, ells, base: int) -> np.ndarray:
+def _half_gaussian_modulus(own, w, base: int) -> np.ndarray:
     # |Gamma(1/2 - iw/2)|/sqrt(pi) = 1/sqrt(cosh t), t = pi*w/2 (DLMF 5.4.4),
     # in the exp-scaled form exp(-t/2) * sqrt(2/(1 + exp(-2t))), which never
     # overflows.  t has relative error < 7.4u, and |d ln m/d ln t| =
@@ -204,7 +206,6 @@ def _half_gaussian_modulus(own, ells, base: int) -> np.ndarray:
     # Evaluation: exp(-2t) adds at most 8u/2 to 1 + exp(-2t), the add and
     # the divide u each, halved by the sqrt plus u: 4u; exp(-t/2) 8u and the
     # multiply u.  So e = (13 + 4 + 2*pi*w)*u, rounded up to (18 + 2*pi*w)*u.
-    w = np.abs(_omega(ells, base))
     t = (0.5 * math.pi) * w
     return _certified(np.exp(-0.5 * t) * np.sqrt(2.0 / (1.0 + np.exp(-2.0 * t))), w, 18.0, 2.0)
 
@@ -227,14 +228,14 @@ def _half_gaussian_sample(own, rng, n: int) -> np.ndarray:
     return z
 
 
-def _benford_x(own: int, ells, base: int) -> np.ndarray:
+def _benford_x(own: int, w) -> np.ndarray:
     """x = theta/2 = w ln(b)/2, b = own, where the Mellin value
     (e^(-i theta) - 1)/(-i theta) of the benford density equals
     e^(-ix) * sin(x)/x."""
-    return 0.5 * (_omega(ells, base) * math.log(own))
+    return 0.5 * (w * math.log(own))
 
 
-def _benford_phase(own: int, ells, base: int) -> np.ndarray:
+def _benford_phase(own: int, w, base: int) -> np.ndarray:
     """Benford density 1/(x ln b) on [1, b), b = own: the absorbing element.
 
     At the chain's base B = b its Mellin value at integer l != 0 vanishes
@@ -242,11 +243,11 @@ def _benford_phase(own: int, ells, base: int) -> np.ndarray:
     the whole chain spectrum.  At a foreign base B != b it does not, and its
     phase is -x, plus pi (of the sign of x) where sin(x)/x < 0.
     """
-    x = _benford_x(own, ells, base)
+    x = _benford_x(own, w)
     return np.where(x * np.sin(x) < 0.0, np.copysign(math.pi, x), 0.0) - x
 
 
-def _benford_modulus(own: int, ells, base: int) -> np.ndarray:
+def _benford_modulus(own: int, w, base: int) -> np.ndarray:
     """|(e^(-i theta) - 1)/(-i theta)| = |sin x|/x, x = theta/2 = w ln(b)/2.
 
     Exactly 0 at the chain's own base b = B, except 1 at l = 0.  At a
@@ -257,10 +258,9 @@ def _benford_modulus(own: int, ells, base: int) -> np.ndarray:
     So the value is m^(1 + 22u) + 10u, the extra 4u and 1u for forming it,
     capped at 1.
     """
-    ells = np.abs(np.asarray(ells, dtype=np.float64))
     if base == own:
-        return (ells == 0.0).astype(np.float64)
-    x = _benford_x(own, ells, base)
+        return (w == 0.0).astype(np.float64)
+    x = _benford_x(own, w)
     with np.errstate(invalid="ignore"):
         m = np.where(x == 0.0, 1.0, np.abs(np.sin(x)) / x)
     return np.minimum(1.0, m * (1.0 + 22.0 * _U) + 10.0 * _U)

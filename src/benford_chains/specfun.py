@@ -75,14 +75,14 @@ def gamma_abs_on_line(x):
     For pi*|x| > 30 the identity is evaluated in the exp-scaled form
     sqrt(2*pi*x) * exp(-pi*x/2) / sqrt(1 - exp(-2*pi*x)) so that sinh
     never overflows; the two forms agree to machine precision in the
-    crossover region.
+    crossover region.  Each form runs on every entry, clamped to its own
+    side of 30 (and the near one above 0, where p/sinh p rounds to 1), and
+    np.where picks per entry, so neither raises a warning.
     """
     px = math.pi * np.abs(np.asarray(x, dtype=np.float64))
-    out = np.ones_like(px)
-    near = (px != 0.0) & (px <= 30.0)
-    far = ~(px <= 30.0)
-    p = px[near]
-    out[near] = np.sqrt(p / np.sinh(p))
-    p = px[far]
-    out[far] = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
+    p = np.maximum(np.minimum(px, 30.0), 5e-324)
+    near = np.sqrt(p / np.sinh(p))
+    p = np.maximum(px, 30.0)
+    far = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
+    out = np.where(px <= 30.0, near, far)
     return float(out) if out.ndim == 0 else out

@@ -185,14 +185,13 @@ def test_the_moduli_carry_the_link_rounding_and_the_sum_its_own():
     bound = deviation_bound(chain, interval, 64)
     plain = interval.width * (2.0 * math.fsum(bound.moduli.tolist()) + bound.tail)
     assert plain < bound.value <= plain * (1.0 + 8.0 * U)
-    raw = chains._products(chain, chains._frequencies(1, 64), families.Family.certified_modulus)
+    raw, _ = chains._moduli(chain, 1, 64)
     assert (raw < bound.moduli).all() and (bound.moduli <= raw * (1.0 + 4.0 * U)).all()
 
 
 def certified_moduli(chain, L):
     """The rounded-up certified moduli of 1..max(2L, 256) that a bound or a fold sums."""
-    ells = chains._frequencies(1, max(2 * L, 256))
-    moduli = chains._products(chain, ells, families.Family.certified_modulus)
+    moduli, _ = chains._moduli(chain, 1, max(2 * L, 256))
     return moduli * chains._round_up(len(chain.links))
 
 

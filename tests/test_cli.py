@@ -513,7 +513,7 @@ def test_nonconvergence_maps_to_exit_three(monkeypatch, capsys):
 def test_bound_exits_three_when_the_spectrum_check_fails(tmp_path, monkeypatch, capsys):
     spec = tmp_path / "u1.json"
     spec.write_text(UNIF1)
-    growing = _TABLE["uniform"]._replace(modulus=lambda own, ells, base: np.abs(ells))
+    growing = _TABLE["uniform"]._replace(modulus=lambda own, w, base: w)
     monkeypatch.setitem(_TABLE, "uniform", growing)
     code, text = run(["bound", "--chain", str(spec)])
     assert code == 3

@@ -2,12 +2,16 @@
 and fold_probability make one pass over 1..max(2L, 256), whose first L
 moduli feed the bound's sum or the fold's series and whose rest is the
 explicit tail; the majorants only close the tail past L2, one vector call
-per family at |R| * L2.  A digit table computes no tail, and a base-2
-table or a fold of width 0 or 1 computes no spectrum at all."""
+per family at |R| * L2, and none where some link's majorant there is
+provably 0.0.  A digit table computes no tail, and a base-2 table or a
+fold of width 0 or 1 computes no spectrum at all."""
+
+import math
 
 import numpy as np
 import pytest
 
+import full_spectrum as full
 from benford_chains import chains
 from benford_chains.chains import (
     ChainLink,
@@ -24,20 +28,20 @@ LINKS = [("exponential", 1), ("uniform", -2), ("half_gaussian", 3), ("exponentia
 
 @pytest.fixture
 def spy(monkeypatch):
-    """(passes, majorants): each _products call as (kernel, first, last), and
-    each majorant call as (family, sorted arguments)."""
+    """(passes, majorants): each _moduli call as (first, last), and each
+    majorant call as (family, sorted arguments)."""
     passes, majorants = [], []
-    products, majorant = chains._products, Family.majorant
+    moduli, majorant = chains._moduli, Family.majorant
 
-    def spying_products(chain, ells, kernel):
-        passes.append((kernel, int(ells[0]), int(ells[-1])))
-        return products(chain, ells, kernel)
+    def spying_moduli(chain, first, last):
+        passes.append((first, last))
+        return moduli(chain, first, last)
 
     def spying_majorant(family, ells, base):
         majorants.append((family.name, sorted(np.ravel(ells).tolist())))
         return majorant(family, ells, base)
 
-    monkeypatch.setattr(chains, "_products", spying_products)
+    monkeypatch.setattr(chains, "_moduli", spying_moduli)
     monkeypatch.setattr(Family, "majorant", spying_majorant)
     return passes, majorants
 
@@ -46,25 +50,24 @@ def build(base, links):
     return ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
 
 
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("L", [1, 64, 200, 1024])
 @pytest.mark.parametrize("query", [deviation_bound, fold_probability])
-def test_a_bound_or_a_fold_makes_one_moduli_pass_and_one_majorant_call_per_family(spy, query, L):
+def test_a_bound_or_a_fold_makes_one_moduli_pass(spy, query, L):
     passes, majorants = spy
-    chain = build(10, LINKS)
-    query(chain, FoldInterval(0.1, 0.45), L)
-    L2 = max(2 * L, 256)
-    assert passes == [(Family.certified_modulus, 1, L2)]
-    # one call per family, in the _factors order, at |R| * L2 for its links
-    expected = {}
-    for family, r in chain._factors:
-        expected.setdefault(family.name, []).append(float(abs(r) * L2))
-    assert majorants == [(name, sorted(args)) for name, args in expected.items()]
+    query(build(10, LINKS), FoldInterval(0.1, 0.45), L)
+    assert passes == [(1, max(2 * L, 256))]
+    # the exponential links at base 10 leave w(|R| * L2) >= 480: no closure
+    assert majorants == []
 
 
 def test_a_digit_table_makes_one_moduli_pass_and_no_majorant_call(spy):
     passes, majorants = spy
     first_digit_probabilities(build(10, LINKS), 64)
-    assert passes == [(Family.certified_modulus, 1, 64)]
+    assert passes == [(1, 64)]
     assert majorants == []
 
 
@@ -75,3 +78,43 @@ def test_a_base_2_table_and_a_width_0_or_1_fold_compute_no_spectrum(spy):
     assert fold_probability(chain, FoldInterval(0.0, 1.0), 64) == (1.0, 0.0)
     assert fold_probability(chain, FoldInterval(0.3, 0.3), 64) == (0.0, 0.0)
     assert passes == [] and majorants == []
+
+
+# At L2 = 256 the threshold w(256) = 2*pi*256/ln B >= zero_beyond falls
+# between bases 28 (482.7) and 29 (477.7) for the exponential's 480, and
+# between 5 (999.6) and 6 (897.7) for the half-Gaussian's 960.  At
+# L2 = 2048 all four lie past it.
+@pytest.mark.parametrize(
+    "base, links, closes_at_256",
+    [
+        (28, [("exponential", 1)], False),
+        (29, [("exponential", 1)], True),
+        (5, [("half_gaussian", 1)], False),
+        (6, [("half_gaussian", 1)], True),
+        (29, [("uniform", 1), ("uniform", -3), ("exponential", 2)], True),
+        (7, [("uniform", 1), ("benford", 2), ("exponential", -1)], False),
+        (10, [("uniform", 1), ("uniform", 3)], True),
+    ],
+)
+@pytest.mark.parametrize("L", [1, 64, 1024])
+def test_the_closure_is_skipped_only_where_it_is_provably_zero(spy, base, links, closes_at_256, L):
+    _, majorants = spy
+    chain = build(base, links)
+    L2 = max(2 * L, 256)
+    bounds = chains._moduli(chain, 1, L2)[0] * chains._round_up(len(links))
+    expected = full.tails(chain, L)
+    majorants.clear()
+    tails = chains._tails(chain, bounds, L)
+    assert bits(tails) == bits(expected)
+    closes = closes_at_256 if L2 == 256 else all(f == "uniform" for f, _ in links)
+    if closes:
+        # one call per family, in the _factors order, at |R| * L2 for its links
+        expected = {}
+        for family, r in chain._factors:
+            expected.setdefault(family.name, []).append(float(abs(r) * L2))
+        assert majorants == [(name, sorted(args)) for name, args in expected.items()]
+    else:
+        assert majorants == []
+        explicit = bounds[L:]
+        weighted = explicit / (math.pi * np.arange(L + 1.0, L + explicit.size + 1.0))
+        assert bits(tails) == bits([2.0 * math.fsum(explicit.tolist()), 2.0 * math.fsum(weighted.tolist())])

@@ -61,7 +61,6 @@ from benford_chains.chains import (
     first_digit_probabilities,
     fold_probability,
 )
-from benford_chains.families import Family
 from benford_chains.montecarlo import BLOCK_SIZE, batch_mantissas, product_batch, sample_batch
 
 # name -> (base, [(family, power), ...])
@@ -511,7 +510,7 @@ def assert_within_1e12(new, old):
 
 def fold_rounding(ch, iv, L, prob):
     """The fold error's rounding bound, the part of it no earlier pin holds."""
-    moduli = chains._products(ch, chains._frequencies(1, L), Family.certified_modulus)
+    moduli, _ = chains._moduli(ch, 1, L)
     return chains._fold_rounding(ch, iv, moduli * chains._round_up(len(ch.links)), prob)
 
 

@@ -2,8 +2,8 @@
 
 Each family's zero_beyond is the angular frequency w = 2*pi*|R*l|/ln B at
 and beyond which its mellin_exact, certified_modulus and majorant return
-exactly 0.0, and chains._products, on which chains._spectrum builds, skips
-those frequencies before the kernel calls.  The skipped entries were exact zeros,
+exactly 0.0, and chains._moduli, the one pass of every query, skips those
+frequencies before any kernel call.  The skipped entries were exact zeros,
 so every output keeps the bits of the full-length loop in
 tests/full_spectrum.py."""
 
@@ -18,9 +18,11 @@ from benford_chains.chains import (
     ChainLink,
     ChainSpec,
     FoldInterval,
+    chain_spectrum,
     deviation_bound,
     first_digit_probabilities,
     fold_probability,
+    spectrum_majorant,
 )
 from benford_chains.families import get_family
 
@@ -70,7 +72,7 @@ def test_the_kernels_are_zero_out_to_1e22(name, base):
 @pytest.mark.parametrize("base", BASES)
 @pytest.mark.parametrize("name", CUT_FAMILIES)
 def test_the_kernels_are_zero_at_every_integer_frequency_past_the_cut(name, base):
-    # the frequencies chains._live drops for the link with the largest |R|
+    # the frequencies chains._moduli drops for the link with the largest |R|
     family = get_family(name, base)
     for r in (1, 2, 7, 59049, 2**53):
         last = math.floor(family.zero_beyond * math.log(base) / (2.0 * math.pi * r)) + 1
@@ -99,8 +101,7 @@ def test_uniform_and_benford_are_never_cut():
 
 def assert_matches_the_full_loop(chain, L, interval=FoldInterval(0.125, 0.6)):
     old_re, old_im = full.spectrum(chain, np.arange(1.0, L + 1))
-    moduli = chains._products(chain, np.arange(1.0, L + 1), families.Family.certified_modulus)
-    new_re, new_im = chains._spectrum(chain, moduli)
+    new_re, new_im = chains._polar(chain, *chains._moduli(chain, 1, L))
     S = new_re.size
     assert bits(new_re) == bits(old_re[:S]) and bits(new_im) == bits(old_im[:S])
     assert not old_re[S:].any() and not old_im[S:].any()
@@ -123,6 +124,20 @@ def assert_matches_the_full_loop(chain, L, interval=FoldInterval(0.125, 0.6)):
     return S
 
 
+def kernel_frequencies(monkeypatch, base, links, L):
+    """The number of frequencies each modulus kernel call of one pass over 1..L sees."""
+    seen = []
+    with monkeypatch.context() as patch:
+        for name, family in list(families._TABLE.items()):
+            def spy(own, w, b, kernel=family.modulus):
+                seen.append(w.shape[1])
+                return kernel(own, w, b)
+
+            patch.setitem(families._TABLE, name, family._replace(modulus=spy))
+        chains._moduli(chain_of(base, links), 1, L)
+    return seen
+
+
 @pytest.mark.parametrize(
     "base, links",
     [
@@ -133,23 +148,26 @@ def assert_matches_the_full_loop(chain, L, interval=FoldInterval(0.125, 0.6)):
         (1000, [("exponential", 1), ("half_gaussian", 1)]),
     ],
 )
-def test_outputs_keep_their_bits_where_the_cut_meets_L(base, links):
+def test_outputs_keep_their_bits_where_the_cut_meets_L(monkeypatch, base, links):
     chain = chain_of(base, links)
-    for family, rs in chains._by_family(chain):
-        if family.zero_beyond == math.inf:
-            continue
-        last = math.floor(family.zero_beyond * math.log(base) / (2.0 * math.pi * np.abs(rs).max())) + 1
+    lasts = [
+        math.floor(family.zero_beyond * math.log(base) / (2.0 * math.pi * abs(r))) + 1
+        for family, r in chain._factors
+        if family.zero_beyond != math.inf
+    ]
+    for last in lasts:
         # the cut lands at L + 1, at L and at L - 1 of the spectrum; the
         # tail frequencies L+1.. keep one of them, or none
         for L in (last - 1, last, last + 1):
-            assert chains._live(family, rs, np.arange(1.0, L + 1), base) == min(L, last)
+            seen = kernel_frequencies(monkeypatch, base, links, L)
+            assert seen and set(seen) == {min(L, *lasts)}, (L, seen)
             assert_matches_the_full_loop(chain, L)
 
 
-def test_a_chain_cut_to_l_1_that_computes_zero_there_has_S_0():
-    chain = chain_of(2, [("exponential", 1)] + [("exponential", 9)] * 5)
-    [(family, rs)] = chains._by_family(chain)
-    assert chains._live(family, rs, np.arange(1.0, 1025), 2) == 1
+def test_a_chain_cut_to_l_1_that_computes_zero_there_has_S_0(monkeypatch):
+    links = [("exponential", 1)] + [("exponential", 9)] * 5
+    chain = chain_of(2, links)
+    assert kernel_frequencies(monkeypatch, 2, links, 1024) == [1]
     for L in (1, 2, 64, 1024):
         assert assert_matches_the_full_loop(chain, L) == 0
 
@@ -176,3 +194,12 @@ def test_at_L_1024_a_fold_evaluates_at_most_90_phase_gamma_points_and_a_bound_no
     fold_probability(chain, FoldInterval(0.0, 0.5), 1024)
     [count] = points
     assert count == 3 * 17
+
+
+@pytest.mark.parametrize("ell", [2**63, 10**30, 10**300])
+def test_a_frequency_past_every_cut_gives_zero_at_any_size(ell):
+    # the cut leaves no frequency, so none is formed, even past int64
+    for links in ([("exponential", 1)], [("uniform", 1), ("benford", 1)]):
+        chain = chain_of(10, links)
+        assert chain_spectrum(chain, ell) == chain_spectrum(chain, -ell) == 0j
+        assert spectrum_majorant(chain, ell) == 0.0

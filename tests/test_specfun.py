@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,61 @@ def test_gamma_abs_on_line_scaled_branch_is_continuous():
 def test_gamma_abs_on_line_no_overflow_far_out():
     assert gamma_abs_on_line(1e6) == 0.0
     assert gamma_abs_on_line(500.0) >= 0.0
+
+
+def masked_gamma_abs_on_line(x):
+    """The two-branch body with boolean masks that np.where replaced."""
+    px = math.pi * np.abs(np.asarray(x, dtype=np.float64))
+    out = np.ones_like(px)
+    near = (px != 0.0) & (px <= 30.0)
+    far = ~(px <= 30.0)
+    p = px[near]
+    out[near] = np.sqrt(p / np.sinh(p))
+    p = px[far]
+    out[far] = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
+    return out
+
+
+def test_gamma_abs_on_line_keeps_the_bits_of_the_masked_branches():
+    x0 = 30.0 / math.pi
+    edges = [0.0, -0.0, 1e-320, 5e-324, -2.5, x0, math.nextafter(x0, 0.0), math.nextafter(x0, 1.0)]
+    x = np.concatenate([np.linspace(0.0, 2000.0, 2 * 10**6), edges])
+    with np.errstate(all="raise", under="ignore"):  # no overflow and no 0/0
+        got = gamma_abs_on_line(x)
+    assert got.view(np.uint64).tolist() == masked_gamma_abs_on_line(x).view(np.uint64).tolist()
+    for value in edges:
+        assert type(gamma_abs_on_line(value)) is float
+        assert gamma_abs_on_line(value) == float(masked_gamma_abs_on_line(value))
+    assert gamma_abs_on_line(0.0) == 1.0
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 1000, 10**6])
+def test_the_analytic_queries_raise_no_floating_point_warning(base):
+    from benford_chains.chains import (
+        ChainLink,
+        ChainSpec,
+        FoldInterval,
+        deviation_bound,
+        first_digit_probabilities,
+        fold_probability,
+    )
+
+    chains = [
+        [("exponential", 1)],
+        [("half_gaussian", 1), ("exponential", -2)],
+        [("uniform", 1), ("exponential", 3), ("half_gaussian", -1)],
+        [("uniform", 1), ("uniform", -2)],
+        [("exponential", 1), ("benford", 2), ("uniform", 1)],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for links in chains:
+            chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+            for L in (1, 64, 4096):
+                deviation_bound(chain, FoldInterval(0.1, 0.7), L)
+                fold_probability(chain, FoldInterval(0.1, 0.7), L)
+                if (base - 1) * L <= 50000:
+                    first_digit_probabilities(chain, L)
 
 
 def test_zeta_minus_one_frozen_values():

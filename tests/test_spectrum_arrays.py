@@ -24,7 +24,7 @@ from benford_chains.chains import (
     fold_probability,
     spectrum_majorant,
 )
-from benford_chains.families import FAMILY_NAMES, Family, get_family, mellin_at
+from benford_chains.families import FAMILY_NAMES, get_family, mellin_at
 from benford_chains.specfun import arg_gamma, gamma_abs_on_line
 
 U = 2.0**-53
@@ -266,9 +266,9 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
     same = (lambda new, old: new == old) if exact else close
 
     old_c = [ref.chain_spectrum(chain, ell) for ell in range(1, L + 1)]
-    # _spectrum keeps the support prefix c_1..c_S; every c_l past S is 0.
-    bounds = chains._products(chain, chains._frequencies(1, max(2 * L, 256)), Family.certified_modulus)
-    spectrum = chains._spectrum(chain, bounds[:L])
+    # _polar keeps the support prefix c_1..c_S; every c_l past S is 0.
+    bounds, w = chains._moduli(chain, 1, max(2 * L, 256))
+    spectrum = chains._polar(chain, bounds[:L], w[:, :L])
     re, im = (np.pad(part, (0, L - part.size)) for part in spectrum)
     bounds *= chains._round_up(len(chain.links))
     if exact:
@@ -324,7 +324,7 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
 
 def test_digit_table_cost_is_capped_before_any_work(monkeypatch):
     calls = []
-    monkeypatch.setattr(chains, "_fold_series", lambda chain, edges, moduli: calls.append(moduli.size) or [])
+    monkeypatch.setattr(chains, "_fold_series", lambda chain, edges, moduli, w: calls.append(moduli.size) or [])
     cap, per_interval = chains._DIGIT_TABLE_MAX_COST, chains._DIGIT_INTERVAL_COST
     uniform = (ChainLink("uniform", 1),)
     for base in (16, 1000):

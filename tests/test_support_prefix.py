@@ -1,4 +1,4 @@
-"""The support prefix of the chain spectrum: chains._spectrum keeps c_1..c_S
+"""The support prefix of the chain spectrum: chains._moduli keeps c_1..c_S
 and drops the frequencies where the product is exactly zero.  Every output
 must keep the bits of the full-length loop in tests/full_spectrum.py, and
 the integer frequency and truncation arguments are checked.  The bound moved
@@ -29,7 +29,7 @@ from benford_chains.chains import (
     fold_probability,
     spectrum_majorant,
 )
-from benford_chains.families import FAMILY_NAMES, Family, get_family
+from benford_chains.families import FAMILY_NAMES, get_family
 
 LINKS = st.lists(
     st.tuples(st.sampled_from(FAMILY_NAMES), st.integers(1, 9), st.booleans()),
@@ -54,8 +54,8 @@ def build(base, links, foreign):
 
 
 def prefix(chain, L):
-    """The certified moduli of c_1..c_L on their support prefix."""
-    return chains._products(chain, chains._frequencies(1, L), Family.certified_modulus)
+    """The certified moduli of c_1..c_L on their support prefix, and their w rows."""
+    return chains._moduli(chain, 1, L)
 
 
 def bits(values) -> list[int]:
@@ -85,7 +85,7 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
     interval = FoldInterval(*ends)
 
     old_re, old_im = full.spectrum(chain, np.arange(1.0, L + 1))
-    new_re, new_im = chains._spectrum(chain, prefix(chain, L))
+    new_re, new_im = chains._polar(chain, *prefix(chain, L))
     S = new_re.size
     assert S <= L and new_im.size == S
     assert bits(new_re) == bits(old_re[:S]) and bits(new_im) == bits(old_im[:S])
@@ -138,12 +138,12 @@ def test_the_tails_vanish_where_the_products_do(base, links):
     # nonzero term or none, and the majorant product at L2 underflows, so
     # nothing closes the sum past L2: from L = S on the tail is exactly 0.
     chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
-    S = prefix(chain, 20000).size
+    S = prefix(chain, 20000)[0].size
     assert S < 20000
     for L in range(S - 3, S + 3):
         L2 = max(2 * L, 256)
         assert spectrum_majorant(chain, L2) == 0.0
-        bounds = chains._products(chain, chains._frequencies(1, L2), Family.certified_modulus)
+        bounds, _ = prefix(chain, L2)
         bounds *= chains._round_up(len(chain.links))
         new = chains._tails(chain, bounds, L)
         assert bits(new) == bits(full.tails(chain, L)), L
@@ -153,7 +153,7 @@ def test_the_tails_vanish_where_the_products_do(base, links):
 
 def test_a_benford_link_leaves_an_empty_prefix_and_exact_widths():
     chain = ChainSpec(10, (ChainLink("exponential", 1), ChainLink("benford", 2), ChainLink("uniform", 1)))
-    re_, im_ = chains._spectrum(chain, prefix(chain, 1024))
+    re_, im_ = chains._polar(chain, *prefix(chain, 1024))
     assert re_.size == im_.size == 0
     bound = deviation_bound(chain, FoldInterval(0.2, 0.7), 1024)
     assert bound.moduli.shape == (1024,) and not bound.moduli.any()
@@ -245,4 +245,4 @@ def test_fold_series_in_blocks_keeps_every_bit(monkeypatch, block):
     rng = np.random.default_rng(7)
     edges = sorted(rng.random(40).tolist()) + [0.0, 0.0, 1.0, 1.0, 0.25, 0.25, 0.5]
     for L in (1, 3, 64):
-        assert bits(chains._fold_series(chain, edges, prefix(chain, L))) == bits(full.fold_series(chain, edges, L)), L
+        assert bits(chains._fold_series(chain, edges, *prefix(chain, L))) == bits(full.fold_series(chain, edges, L)), L
