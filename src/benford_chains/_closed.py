@@ -53,6 +53,26 @@ def _check_base(base) -> None:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
 
 
+def _veltkamp(a):
+    """Veltkamp's split of doubles a into halves of at most 26 bits each."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10_parts(p: int) -> tuple[int, float, float]:
+    """(s, hi, lo) with 10**p = 2**s * T and T in [1, 2), from exact integers:
+    hi is the double nearest T and lo the double nearest T - hi, so that
+    |T - hi - lo| <= 2**-106."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    s = num.bit_length() - den.bit_length()
+    s -= (num << max(-s, 0)) < (den << max(s, 0))
+    num, den = num << max(-s, 0), den << max(s, 0)  # T = num / den
+    hi = num / den  # int / int rounds correctly
+    a, b = hi.as_integer_ratio()
+    return s, hi, (num * b - a * den) / (den * b)
+
+
 def zeta_minus_one(n: int) -> float:
     """zeta(n) - 1 = sum over l >= 2 of l**(-n), for integer n >= 2.
 

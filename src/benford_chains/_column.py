@@ -5,29 +5,36 @@ module nor import csv.
 
 The lines up to the header row are read as text, as csv reads them.  The
 body is read in binary chunks of about 1 MiB, each cut after its last
-line end.  In a chunk numpy finds the line ends and the commas, drops the
-blank and '#' lines, and takes the column's cell from every other line;
-np.array(cells, dtype=float) then parses the cells by float()'s grammar,
-8192 at a time.  From the first chunk that a comma split might read apart
-from csv (see _chunk) on, csv.reader reads the input as the per-row
-reader always did: its text stream decodes in the 8192-byte steps of a
-file opened at its first byte, so values and errors, a byte that is not
-UTF-8 included, come out as they would from csv over the whole file.  A
-pipe takes the same single pass.  The values come out as float64 arrays,
-about one per chunk, and audit counts each as it is read.
+line end.  In a chunk numpy finds the line ends and the commas, drops
+the blank and '#' lines, and takes the column's cell from every other
+line; _floats then parses the cells, 8192 at a time, to the bits float()
+gives them.  A cell of plain decimal grammar is read in numpy, as an
+exact decimal integer times a double-double power of ten rounded once;
+float() reads every other cell, and the rare one too near a rounding
+midpoint for that product to settle.  From the first chunk that a comma
+split might read apart from csv (see _chunk) on, csv.reader reads the
+input as the per-row reader always did: its text stream decodes in the
+8192-byte steps of a file opened at its first byte, so values and
+errors, a byte that is not UTF-8 included, come out as they would from
+csv over the whole file.  A pipe takes the same single pass.  The values
+come out as float64 arrays, about one per chunk, and audit counts each
+as it is read.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
 
 import numpy as np
 
+from ._closed import _pow10_parts, _veltkamp
+
 _CHUNK = 1 << 20
-# Rows per float64 part on the csv path, and cells per float() batch.
+# Rows per float64 part on the csv path, and cells per _floats batch.
 _ROWS = 1 << 16
 _BATCH = 8192
 # io.TextIOWrapper decodes its buffer in reads of this many bytes.
@@ -40,6 +47,22 @@ _BOM = b"\xef\xbb\xbf"
 _ODD = (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _LF, _HASH, _COMMA = 10, 35, 44
 _SPACE = (9, 11, 12, 32)  # the ASCII whitespace an _ODD-free line can start with
+
+# _floats reads cells of at most _SLOTS bytes, with at most _DIGITS mantissa
+# digits, N < 10**23, and the decimal exponents q where N * 10**q may be a
+# normal double.
+_SLOTS, _DIGITS = 24, 23
+_QMIN, _QMAX = -331, 308
+_J = np.arange(_SLOTS, dtype=np.uint8)[:, None]
+_K = _J[:_DIGITS]
+_TAIL = np.arange(1, 4)[:, None]
+_EXP = np.array([1, 10, 100])
+# A and B from the digit pairs: A = pairs 0-5, B = pairs 6-10 and digit 22.
+_AB = np.zeros((2, 12))
+_AB[0, :6] = 10.0 ** np.arange(10, -1, -2)
+_AB[1, 6:11] = 10.0 ** np.arange(9, 0, -2)
+_AB[1, 11] = 1.0
+_GUARD = 2.0**-70
 
 
 def _parts(path: str, column: str | None, col_index: int | None, header: bool):
@@ -182,23 +205,159 @@ def _spaces(a: np.ndarray) -> np.ndarray:
     return found
 
 
+@functools.cache
+def _pow10_table():
+    """shift, hi, hh, hl, lo per q in [_QMIN, _QMAX] (index q - _QMIN), from
+    exact integers: 10**q = 2**shift * T with T in [1, 2), hi + lo within
+    2**-106 of T, and hh + hl the split of hi into halves of 26 bits."""
+    shift, hi, lo = zip(*map(_pow10_parts, range(_QMIN, _QMAX + 1)))
+    tables = (np.array(shift), np.array(hi), *_veltkamp(np.array(hi)), np.array(lo))
+    for t in tables:
+        t.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _count(mask):
+    """How many slots of each column of a (rows, n) bool matrix are set."""
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.uint8)
+
+
 def _floats(buf: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """float() of the cells buf[lo:hi], NaN where it raises."""
-    cells = [buf[i:j] for i, j in zip(lo.tolist(), hi.tolist())]
-    # An empty cell, and one that starts with a letter ("n/a", "nan"), goes
-    # through float() on its own, so that the one call below rarely raises.
-    lead = np.frombuffer(buf, np.uint8)[np.minimum(lo, len(buf) - 1)] | 0x20
-    odd = (lo == hi) | ((lead >= ord("a")) & (lead <= ord("z")))
-    some = bool(odd.any())
-    values = np.empty(len(cells))
-    try:
-        bulk = list(itertools.compress(cells, (~odd).tolist())) if some else cells
-        values[~odd] = np.array(bulk, dtype=float)
-    except ValueError:
-        odd[:], some = True, True
-    if some:
-        values[odd] = [_cell(c) for c in itertools.compress(cells, odd.tolist())]
-    return values
+    """float() of the cells buf[lo:hi], NaN where it raises.
+
+    The cells are read down the columns of a (25, n) byte matrix, one row
+    per slot and NUL past each cell's end.  A cell of the grammar
+    [+-]?digits[.digits][(e|E)[+-]?d{1,3}], with at least one mantissa
+    digit and at most 24 bytes, is read in numpy: a sign reads as a
+    leading 0 and the dot is squeezed out, and its mantissa digits, at
+    most 23, make N = A * 10**11 + B, left-aligned in 23 places, A the
+    first 12 digits and B the next 11, each summed exactly in a double by
+    a fixed-weight dot product.  The cell's value is N * 10**q, where q is
+    the exponent plus the slots ahead of the dot, less 23.
+
+    N is held exactly as nh + nl: the error of A * 10**11 (10**11 has 26
+    bits) comes from Dekker's product and that of the sum from TwoSum.
+    With 10**q = 2**shift * T and T within 2**-106 of a table's hi + lo,
+    Dekker's product nh * hi plus nh * lo + nl * hi is a double-double
+    within 2**-102 * r of N * T, held exactly as r + d, r the double
+    nearest it.  Where r + d lies farther than 2**-70 * r from both
+    rounding midpoints of r (half an ulp above and below it, but a quarter
+    ulp below a power of two, where the ulp below is half as wide), N * T
+    rounds to r as well, and r * 2**shift is the correctly rounded value,
+    exact wherever it is a normal double.
+
+    float() reads the rest, one cell at a time: every cell outside that
+    grammar, every cell within the 2**-70 guard of a midpoint (exact ties
+    among them), every cell whose q lies outside [_QMIN, _QMAX], and every
+    cell whose value is subnormal or overflows.
+    """
+    b = np.frombuffer(buf, np.uint8)
+    c, width = _slots(b, lo, hi)
+    fast, D, m, edigits, eneg = _grammar(c, width)
+    A, B = _mantissa(c, D, m)
+    neg = c[0] == 45
+    del c
+    tail = np.take(b, hi - _TAIL, mode="clip") - np.uint8(48)  # the last three bytes
+    tail *= edigits >= _TAIL
+    expo = _EXP @ tail
+    k = np.where(eneg, -expo, expo) + D - (_DIGITS + _QMIN)  # q - _QMIN
+    fast &= (k >= 0) & (k <= _QMAX - _QMIN)
+    k *= fast
+    x = _scale(A, B, k, fast)
+    np.negative(x, out=x, where=neg)
+    for i in np.flatnonzero(~fast).tolist():
+        x[i] = _cell(buf[lo[i] : hi[i]])
+    return x
+
+
+def _slots(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(c, width): the bytes of the cells b[lo:hi] down the columns of a
+    (25, n) matrix, NUL past each cell's end, and the widths, 25 at most."""
+    c = np.zeros((_SLOTS + 1, lo.size), np.uint8)  # row _SLOTS stays NUL
+    for j in range(min(_SLOTS, b.size)):  # a slot past the buffer is past every cell
+        np.take(b[j:], lo, out=c[j], mode="clip")
+    width = np.minimum(hi - lo, _SLOTS + 1).astype(np.uint8)
+    c[:_SLOTS] *= _J < width
+    return c, width
+
+
+def _grammar(c: np.ndarray, width: np.ndarray):
+    """(fast, D, m, edigits, eneg) of the cells in c.
+
+    fast: whether the cell is of the fast grammar.  Where it is: D, the
+    slot of the dot (that of the e, or the width, if there is none); m,
+    the mantissa digits, a sign among them; edigits, the exponent digits
+    (0 without an e); eneg, whether the exponent is negative.  The grammar
+    is checked by counts: every byte is a digit, dot, e or sign, and the
+    counts and slots of the others fit it.
+    """
+    slots = c[:_SLOTS]
+    dot = slots == 46
+    dots, D = _count(dot), _count(dot * _J)
+    del dot
+    ex = (slots | np.uint8(32)) == 101
+    exps, E = _count(ex), _count(ex * _J)
+    del ex
+    sign = (slots == 43) | (slots == 45)
+    signs, lead = _count(sign), sign[0].view(np.uint8)
+    del sign
+    has_e = exps == 1
+    E = np.where(has_e, E, width)
+    D = np.where(dots == 1, D, E)
+    n = width.size
+    after_e = c.reshape(-1)[np.minimum(E + 1, _SLOTS).astype(np.intp) * n + np.arange(n)]
+    esign = (has_e & ((after_e == 43) | (after_e == 45))).view(np.uint8)
+    edigits = has_e * (width - E - 1 - esign)
+    fast = (_count(slots - np.uint8(48) < 10) + dots + exps + signs == width) & (width <= _SLOTS)
+    fast &= (exps <= 1) & (dots <= 1) & (signs == lead + esign)
+    fast &= (D <= E) & (E > dots + lead) & (E - dots <= _DIGITS)
+    fast &= (edigits - np.uint8(1) < 3) | ~has_e
+    return fast, D, E - dots, edigits, has_e & (after_e == 45)
+
+
+def _mantissa(c: np.ndarray, D: np.ndarray, m: np.ndarray):
+    """(A, B), the integers of the first 12 and the next 11 of the 23
+    left-aligned mantissa digits of the cells in c, summed exactly.
+
+    Digit k is slot k before the dot D and slot k + 1 after it; the first
+    m are kept, a sign read as 0, and the rest are 0.
+    """
+    v = c - np.uint8(48)  # digit values; every other byte wraps to 10 or more
+    d = v[1:_SLOTS] - v[:_DIGITS]
+    d *= _K >= D
+    d += v[:_DIGITS]
+    del v
+    d *= (d < 10) & (_K < m)
+    d[0:22:2] *= np.uint8(10)
+    pairs = np.empty((12, d.shape[1]))  # digit pairs 0-1 ... 20-21, then digit 22
+    np.add(d[0:22:2], d[1:22:2], out=pairs[:11])
+    pairs[11] = d[22]
+    del d
+    return _AB @ pairs
+
+
+def _scale(A: np.ndarray, B: np.ndarray, k: np.ndarray, fast: np.ndarray) -> np.ndarray:
+    """N * 10**q for N = A * 10**11 + B and q = k + _QMIN, rounded once;
+    fast is cleared where the rounding or the range needs float()."""
+    p = A * 1e11
+    ah, al = _veltkamp(A)
+    nh = p + B
+    b = nh - p
+    nl = (p - (nh - b)) + (B - b)  # TwoSum: nh + nl == p + B
+    nl += (ah * 1e11 - p) + al * 1e11  # nh + nl == N
+    shift, th, hh, hl, tl = (t[k] for t in _pow10_table())
+    p = nh * th
+    ah, al = _veltkamp(nh)
+    lo = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # p + lo == nh * th
+    lo += nh * tl + nl * th
+    r = p + lo
+    d = lo - (r - p)  # r + d == p + lo exactly
+    frac, e2 = np.frexp(r)
+    half = np.ldexp(0.5 - 0.25 * ((frac == 0.5) & (d < 0)), e2 - 53)  # to the midpoint
+    fast &= half - np.abs(d) > _GUARD * r
+    e2 += shift
+    fast &= (e2 >= -1021) & (e2 <= 1024)  # normal
+    return np.ldexp(frac, e2 * fast)
 
 
 class _Replay(io.BufferedIOBase):

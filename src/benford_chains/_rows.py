@@ -11,15 +11,10 @@ import math
 
 import numpy as np
 
+from ._closed import _pow10_parts, _veltkamp
+
 # Decimal exponents X of the positive doubles: 5e-324 <= x < 1.8e308.
 _XMIN, _XMAX = -324, 308
-
-
-def _split(a):
-    """Veltkamp's split of doubles a into halves of at most 26 bits each."""
-    c = a * 134217729.0  # 2**27 + 1
-    high = c - (c - a)
-    return high, a - high
 
 
 @functools.cache
@@ -38,17 +33,11 @@ def _pow10_table():
         d = num / den  # int / int rounds correctly
         a, b = d.as_integer_ratio()
         least.append(math.nextafter(d, math.inf) if a * den < num * b else d)
-        p = 16 - x
-        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
-        s = num.bit_length() - den.bit_length()
-        s -= (num << max(-s, 0)) < (den << max(s, 0))
-        num, den = num << max(-s, 0), den << max(s, 0)  # T = num / den
-        h = num / den
-        a, b = h.as_integer_ratio()
-        lo.append((num * b - a * den) / (den * b))
-        high, low = _split(h)
+        s, h, low = _pow10_parts(16 - x)
+        high, split = _veltkamp(h)
         hh.append(high)
-        hl.append(low)
+        hl.append(split)
+        lo.append(low)
         shift.append(s)
     least.append(math.inf)
     tables = (np.array(least), np.array(shift, dtype=np.int32), np.array(hh), np.array(hl), np.array(lo))
@@ -78,7 +67,7 @@ def _round17(x):
     e -= x < least[e]
     # y = x * 10**(16 - X), in [1e16, 1e17), is a * T with a = x * 2**shift exact.
     a = np.ldexp(x, shift[e])
-    ah, al = _split(a)
+    ah, al = _veltkamp(a)
     bh, bl = hh[e], hl[e]
     p = a * (bh + bl)
     # Dekker: a * (bh + bl) = p + err exactly; p >= 2**53 is an integer.

@@ -351,7 +351,12 @@ def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
 
 
 def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
-    """Product of family majorants: an upper bound on |chain_spectrum(l)|."""
+    """Product of family majorants: an upper bound on the exact modulus |c_l|.
+
+    It need not bound the certified modulus that chain_spectrum carries:
+    far out on a uniform link that modulus lies up to its rounding budget
+    above the exact one, and there it can exceed the majorant.
+    """
     ell = _check_index(ell, "ell")
     if ell == 0:
         return 1.0

@@ -102,9 +102,11 @@ def digit_stats(values, base: int = 10, grid_size: int = DEFAULT_GRID_SIZE) -> D
     block are sorted, counted by first digit and searched for every grid
     point.  Each block but the last is a view of max(BLOCK_SIZE,
     grid_size + 1, base) values, so the grid search and the digit count
-    cost no more than the sort.  The counts are integers, so the result
-    does not depend on how the values are cut.  Two blocks are counted at
-    a time, by the caller and a helper thread.
+    cost no more than the sort; the digits are counted by a search at the
+    edges of the digits present, so a block of few digits pays for few.
+    The counts are integers, so the result does not depend on how the
+    values are cut.  Two blocks are counted at a time, by the caller and a
+    helper thread.
     """
     grid = _grid(base, grid_size)
     x = np.asarray(values, dtype=float)
@@ -150,14 +152,17 @@ def _digit_stats(parts, base: int, grid: np.ndarray, drop_bad: bool):
             block = block[ok]
         mants = _mantissas(block, base)  # the block is checked above
         mants.sort()
-        digits = np.bincount(mants.astype(np.intp), minlength=base)
-        return digits, np.searchsorted(mants, grid, side="right"), bad
+        # The digits present run from floor(mants[0]) to floor(mants[-1]);
+        # digit d counts the sorted mantissas below d + 1 less those below d.
+        first, last = (int(mants[0]), int(mants[-1])) if mants.size else (1, 0)
+        counts = np.diff(np.searchsorted(mants, np.arange(first + 1, last + 2)), prepend=0)
+        return first, counts, np.searchsorted(mants, grid, side="right"), bad
 
     digits = np.zeros(base, dtype=np.int64)
     below = np.zeros(grid.size, dtype=np.int64)  # mantissas <= each grid point
     skipped = 0
-    for block_digits, block_below, bad in _in_order(count, blocks()):
-        digits += block_digits
+    for first, counts, block_below, bad in _in_order(count, blocks()):
+        digits[first : first + counts.size] += counts
         below += block_below
         skipped += bad
     n = int(digits.sum())  # every value kept has a first digit

@@ -32,11 +32,14 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._closed import RNG_ALGORITHM, _check_base
-from .chains import ChainSpec, cumulative_powers
+
+if TYPE_CHECKING:  # audit and the mantissas load no analytic code
+    from .chains import ChainSpec
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -117,6 +120,8 @@ def _chain_kernel(chain: ChainSpec, rng, lanes: int):
 
 
 def _product_kernel(chain: ChainSpec, rng, lanes: int):
+    from .chains import cumulative_powers
+
     powers = cumulative_powers(chain)
     ok = np.ones(lanes, dtype=bool)
     out = np.ones(lanes)

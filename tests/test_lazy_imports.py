@@ -3,8 +3,9 @@
 `import benford_chains` imports no submodule: each public name imports its
 home module on first use (PEP 562) and is then bound in the package
 namespace.  The CLI's closed-form commands run on the math-only `_closed`
-module without numpy, and `bound`, `fold` and `digits` leave the sampling
-and audit modules unloaded.  Module loads are checked in child
+module without numpy, `bound`, `fold` and `digits` leave the sampling
+and audit modules unloaded, `audit` loads no analytic module and
+`simulate` no CSV reader.  Module loads are checked in child
 interpreters, where nothing has been imported yet.
 """
 
@@ -136,6 +137,21 @@ def test_analytic_commands_leave_sampling_and_audit_unloaded(tmp_path, command):
     assert "benford_chains.chains" in loaded and "numpy" in loaded
     assert "benford_chains.montecarlo" not in loaded
     assert "benford_chains.conformance" not in loaded
+
+
+def test_audit_loads_no_analytic_code_and_simulate_no_reader(tmp_path):
+    (tmp_path / "chain.json").write_text(json.dumps(FIXTURE), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("v\n1.5\n-2e-3\nn/a\n", encoding="utf-8")
+    [(code, loaded)] = run_cli([["audit", "--input", "data.csv", "--column", "v"]], tmp_path)
+    assert code == 0
+    assert "benford_chains._column" in loaded and "benford_chains.conformance" in loaded
+    for module in ("chains", "families", "specfun", "_rows"):
+        assert f"benford_chains.{module}" not in loaded
+    argv = ["simulate", "--chain", "chain.json", "--samples", "10", "--seed", "1", "--out", "draws.csv"]
+    [(code, loaded)] = run_cli([argv], tmp_path)
+    assert code == 0
+    assert "benford_chains._rows" in loaded and "benford_chains.montecarlo" in loaded
+    assert "benford_chains._column" not in loaded
 
 
 def test_the_math_only_module_imports_only_math():
