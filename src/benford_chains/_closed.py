@@ -48,9 +48,19 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-def _check_base(base) -> None:
+# The least integer that float() rounds up to 2**1024, past the largest double.
+_NO_DOUBLE = 2**1024 - 2**970
+
+
+def _check_base(base, double: bool = False) -> None:
+    """base is an integer >= 2; with double, one that a double holds, for a
+    kernel that computes with float(base)."""
     if isinstance(base, bool) or not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
+    if double and base >= _NO_DOUBLE:
+        raise ValueError(
+            f"base must be below 2**1024 - 2**970 to have a double, got a {base.bit_length()}-bit integer"
+        )
 
 
 def _veltkamp(a):

@@ -27,6 +27,7 @@ from ._closed import (
     RNG_ALGORITHM,
     ChainSpecError,
     SpectrumCheckError,
+    _check_base,
     benford_digit_prob,
     exponential_chain_bound,
     uniform_chain_cdf_terms,
@@ -45,12 +46,13 @@ __all__ = ["main"]
 # density row costs about 3 us and 40 bytes; --lmax 65536 on a 3-link
 # base-16 chain takes up to about 1 s and 67 MiB (each a subprocess on a
 # 2-CPU Xeon VM).  The library caps the cost of a digit table
-# (chains._DIGIT_TABLE_MAX_COST).
+# (chains._DIGIT_TABLE_MAX_COST).  The reader's numpy index arithmetic
+# takes --col-index as an intp, so it is capped far below 2**63.
 _LIMITS = {
     "lmax": (1, 65536),
     "points": (2, 10**6),
     "samples": (1, 10**8),
-    "col_index": (0, math.inf),
+    "col_index": (0, 2**31 - 1),
     "grid": (-math.inf, 10**6),
     "base": (2, 10**6),
 }
@@ -260,6 +262,7 @@ def _cmd_simulate(args, out) -> int:
     from .montecarlo import _blocks, batch_mantissas
 
     chain = load_chain(args.chain)
+    _check_base(chain.base, double=True)  # batch_mantissas' check, before --out is opened
     blocks = _blocks(chain, args.samples, args.seed)
     config = _config(args)
     count = failures = 0

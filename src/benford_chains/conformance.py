@@ -116,7 +116,7 @@ def digit_stats(values, base: int = 10, grid_size: int = DEFAULT_GRID_SIZE) -> D
 
 
 def _grid(base: int, grid_size) -> np.ndarray:
-    _check_base(base)
+    _check_base(base, double=True)
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
         raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     grid = np.array([float(base) ** (j / grid_size) for j in range(grid_size + 1)])

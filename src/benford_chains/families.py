@@ -44,17 +44,20 @@ def _omega(ells, base: int) -> np.ndarray:
 
 # Rounding error budget of the certified moduli.  u = 2**-53; R*l is rounded
 # once (exact below 2**53), math.pi is within 0.4u of pi, and math.log is
-# taken to be within 1 ulp; numpy's transcendental ufuncs (exp, sinh, sin,
+# taken to be within 1 ulp; numpy's transcendental ufuncs (exp, expm1, sin,
 # hypot, ...) are taken to be within 4 ulp, 8u relative.  So the computed
 # w = 2*pi*R*l/ln B is w(1 + t) with |t| <= u + 0.4u + u + 2u + u < 6u, and a
 # closed form m(w) whose log has slope |d ln m/d ln w| <= s(w) moves by at
 # most s(w)*6u (plus second-order terms) from the argument alone.  Each
 # kernel then returns min(1, m * (1 + e)), e = (a + b*pi*w)*u, where a holds
-# the evaluation's roundings plus 4u for forming m * (1 + e) itself (3u and
-# the rounding of e), and b*pi*w the argument term.  Every |M f| <= 1 on
-# Re(s) = 1, so the cap costs nothing.  Below the normal range (2**-1022)
-# a value carries an absolute error of a few 2**-1074 instead, and a value
-# that underflows is reported as 0, as the majorant tails do.
+# the evaluation's roundings plus 4u for forming m * (1 + e) itself (which
+# costs 2u, 1 + e and the product rounding once each, to first order), and
+# b*pi*w the argument term.  Every |M f| <= 1 on Re(s) = 1, so the cap costs
+# nothing.  Below the normal range (2**-1022) a relative error r*u is at
+# most r/2 * 2**-1074, and each kernel states the absolute error by which a
+# value may lie below the exact one there, up to 225 * 2**-1074 (the
+# exponential); a value that underflows is reported as 0, as the majorant
+# tails do.
 def _certified(m: np.ndarray, w: np.ndarray, a: float, b: float) -> np.ndarray:
     """min(1, m * (1 + (a + b*pi*w)*u)): a closed-form modulus rounded up."""
     return np.minimum(1.0, m * (1.0 + (a + (b * math.pi) * w) * _U))
@@ -122,13 +125,18 @@ def _exponential_phase(own, w, base: int) -> np.ndarray:
 
 
 def _exponential_modulus(own, w, base: int) -> np.ndarray:
-    # |Gamma(1 - iw)| = sqrt(p/sinh p), p = pi*w (DLMF 5.4.3), computed by
-    # gamma_abs_on_line.  p is rounded once more (1.4u: pi and the multiply),
-    # so p has relative error < 7.4u, and |d ln m/d ln p| = (p coth p - 1)/2
-    # <= p/2: the argument costs 3.7*pi*w*u.  Evaluation: sqrt(p/sinh p) is
-    # sinh 8u, divide u, then halved by the sqrt plus u: 5.5u; the exp-scaled
-    # form sqrt(2p) * exp(-p/2) / sqrt(-expm1(-2p)) is 1 + 8 + 1 + 1 + 1 = 12u.
-    # So e = (12 + 4 + 4*pi*w)*u.
+    # |Gamma(1 - iw)| = sqrt(p/sinh p), p = pi*w (DLMF 5.4.3), which
+    # gamma_abs_on_line evaluates as sqrt(2p) * exp(-p/2) / sqrt(-expm1(-2p)).
+    # p has relative error < 7.4u (pi and the multiply add 1.4u), and
+    # |d ln m/d ln p| = (p coth p - 1)/2 <= p/2: the argument costs
+    # 3.7*(p coth p - 1)*u.  Evaluation: sqrt(2p) u, exp 8u, the multiply u,
+    # expm1 8u halved by the sqrt plus u, the divide u: 16u.  With forming's
+    # 2u, (16 + 4*pi*w)*u covers these where 4p - 3.7*(p coth p - 1) >= 2, at
+    # p >= 0.62: every l >= 1 at bases below 6.7e13 (p >= 2*pi^2/ln B).
+    # Past w = 451 exp(-p/2) is subnormal, 4 * 2**-1074 absolute times
+    # sqrt(2p) < 55; the sqrts' 6u add 3, and the multiply, the divide and
+    # forming 0.5 each: a value below 2**-1022 is at most 225 * 2**-1074
+    # short (27.5 seen).
     return _certified(gamma_abs_on_line(w), w, 16.0, 4.0)
 
 
@@ -162,7 +170,8 @@ def _uniform_phase(own, w, base: int) -> np.ndarray:
 def _uniform_modulus(own, w, base: int) -> np.ndarray:
     # |1/(1 - iw)| = 1/hypot(1, w).  |d ln m/d ln w| = w^2/(1 + w^2) <= 1, so
     # the argument costs 6u; hypot 8u and the divide u: e = (15 + 4)u, flat
-    # in w.
+    # in w.  Below 2**-1022 (w > 4.4e307) hypot's 8u is 4 * 2**-1074, the
+    # divide and forming 0.5 each: at most 5 * 2**-1074 short.
     return _certified(1.0 / np.hypot(1.0, w), w, 20.0, 0.0)
 
 
@@ -206,6 +215,9 @@ def _half_gaussian_modulus(own, w, base: int) -> np.ndarray:
     # Evaluation: exp(-2t) adds at most 8u/2 to 1 + exp(-2t), the add and
     # the divide u each, halved by the sqrt plus u: 4u; exp(-t/2) 8u and the
     # multiply u.  So e = (13 + 4 + 2*pi*w)*u, rounded up to (18 + 2*pi*w)*u.
+    # Past w = 902 exp(-t/2) is subnormal, 4 * 2**-1074 absolute times the
+    # sqrt factor < 1.42; its 4u adds 2, the multiply and forming 0.5 each:
+    # a value below 2**-1022 is at most 9 * 2**-1074 short (1.2 seen).
     t = (0.5 * math.pi) * w
     return _certified(np.exp(-0.5 * t) * np.sqrt(2.0 / (1.0 + np.exp(-2.0 * t))), w, 18.0, 2.0)
 

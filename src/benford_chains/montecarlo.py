@@ -353,7 +353,7 @@ def mantissa(x: float, base: int = 10) -> float:
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise ValueError(f"mantissa requires finite x > 0, got {x!r}")
-    _check_base(base)
+    _check_base(base, double=True)
     return float(_mantissas(np.array([x]), base)[0])
 
 
@@ -364,7 +364,7 @@ def first_digit(x: float, base: int = 10) -> int:
 
 def batch_mantissas(values: np.ndarray, base: int = 10) -> np.ndarray:
     """mantissa of every element of a sample array."""
-    _check_base(base)
+    _check_base(base, double=True)
     x = np.asarray(values, dtype=float)
     if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
         raise ValueError("mantissa requires finite positive values")

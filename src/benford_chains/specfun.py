@@ -2,12 +2,12 @@
 
 Everything here lives on or near the vertical line Re(s) = 1 of the complex
 plane, where Mellin transforms of densities are evaluated: the phase
-Im lnGamma(x + iy) and the closed form for |Gamma(1+ix)|, in numpy.  The
-chain spectrum is polar, a product of closed-form moduli times the
-exponential of a sum of phases, so no complex Gamma is needed.  The zeta
-tail zeta(n) - 1 and the real Gamma function at integer arguments are plain
-math; they live in the _closed module, which the closed-form CLI commands
-load without numpy, and are re-exported here.
+Im lnGamma(x + iy) and |Gamma(1+ix)|, the latter as one exp-scaled closed
+form for every x, in numpy.  The chain spectrum is polar, a product of
+closed-form moduli times the exponential of a sum of phases, so no complex
+Gamma is needed.  The zeta tail zeta(n) - 1 and the real Gamma function at
+integer arguments are plain math; they live in the _closed module, which
+the closed-form CLI commands load without numpy, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -69,20 +69,17 @@ def arg_gamma(x, y):
 
 
 def gamma_abs_on_line(x):
-    """|Gamma(1 + ix)| = sqrt(pi*x / sinh(pi*x)), with the limit 1 at x = 0.
+    """|Gamma(1 + ix)| = sqrt(pi*x / sinh(pi*x)) (DLMF 5.4.3), 1 at x = 0.
 
     A scalar or an array; a scalar gives a float.  Symmetric in x <-> -x.
-    For pi*|x| > 30 the identity is evaluated in the exp-scaled form
-    sqrt(2*pi*x) * exp(-pi*x/2) / sqrt(1 - exp(-2*pi*x)) so that sinh
-    never overflows; the two forms agree to machine precision in the
-    crossover region.  Each form runs on every entry, clamped to its own
-    side of 30 (and the near one above 0, where p/sinh p rounds to 1), and
-    np.where picks per entry, so neither raises a warning.
+    One expression for every x, the exp-scaled form
+    sqrt(2p) * exp(-p/2) / sqrt(-expm1(-2p)) with p = pi*|x|, so sinh never
+    overflows and no warning is raised but underflow.  |x| is clipped to
+    512 before the multiply and p raised to 5e-324: at x = 0 the quotient
+    is exactly 1, and exp(-p/2) is already 0 past p = 1491 (|x| > 474.6),
+    so the clip changes no finite result and gives 0.0, not NaN, at
+    x = +-inf.  NaN gives NaN.
     """
-    px = math.pi * np.abs(np.asarray(x, dtype=np.float64))
-    p = np.maximum(np.minimum(px, 30.0), 5e-324)
-    near = np.sqrt(p / np.sinh(p))
-    p = np.maximum(px, 30.0)
-    far = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
-    out = np.where(px <= 30.0, near, far)
+    p = np.maximum(math.pi * np.minimum(np.abs(np.asarray(x, dtype=np.float64)), 512.0), 5e-324)
+    out = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
     return float(out) if out.ndim == 0 else out

@@ -283,6 +283,25 @@ def test_exponent_beyond_two_to_53_exits_two(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_a_base_with_no_double_fails_simulate_before_the_csv(tmp_path, capsys):
+    # simulate took the base's mantissas after it opened --out, and exited 1
+    # with an OverflowError; bound and fold take only math.log(base)
+    for base in (2**1024 - 2**970, 10**400):
+        spec = tmp_path / "huge_base.json"
+        spec.write_text(json.dumps({"base": base, "links": [{"family": "exponential", "power": 1},
+                                                            {"family": "uniform", "power": 2}]}))
+        out_csv = tmp_path / "x.csv"
+        code, text = run(["simulate", "--chain", str(spec), "--samples", "10", "--seed", "1",
+                          "--out", str(out_csv)])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: base must be below 2**1024 - 2**970 to have a double, got a {base.bit_length()}-bit integer\n"
+        )
+        assert not out_csv.exists()
+        for command in ("bound", "fold"):
+            assert run_json([command, "--chain", str(spec), "--a", "0.1", "--b", "0.45"])["config"]
+
+
 def test_simulate_memory_does_not_grow_with_samples(tmp_path):
     # simulate streams one Philox block at a time: the traced peak at 8
     # blocks matches the peak at 2 blocks (holding the whole batch added
@@ -429,6 +448,15 @@ def test_audit_input_errors(tmp_path, capsys):
     code, _ = run(["audit", "--input", str(data), "--col-index", "-1", "--header"])
     assert code == 2
     assert "--col-index must be >= 0" in capsys.readouterr().err
+
+    # an index past the cap overflowed the reader's intp arithmetic
+    # (OverflowError, exit 1); the cap itself reads like any missing column
+    code, text = run(["audit", "--input", str(data), "--col-index", str(10**20)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: --col-index must be at most {2**31 - 1}, got {10**20}\n"
+    code, text = run(["audit", "--input", str(data), "--col-index", str(2**31 - 1), "--header"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: no positive values left after filtering\n"
 
     code, _ = run(["audit", "--input", str(data), "--col-index", "0", "--grid", str(10**6 + 1)])
     assert code == 2

@@ -1,6 +1,7 @@
 """Benford conformance statistics: digit counts, CDF deviation, KS tests."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from benford_chains.conformance import (
     two_sample_ks,
 )
 from benford_chains.families import get_family
-from benford_chains.montecarlo import BLOCK_SIZE, batch_mantissas, make_rng, sample_batch
+from benford_chains.montecarlo import BLOCK_SIZE, batch_mantissas, make_rng, mantissa, sample_batch
 
 SEED = 20260814
 
@@ -302,3 +303,23 @@ def test_two_sample_ks_detects_shift():
     b = g.random(5_000) ** 1.15
     stat, reject = two_sample_ks(a, b)
     assert reject
+
+
+def test_a_base_with_no_double_is_a_value_error_where_the_base_is_a_float():
+    # float(base) overflowed inside the kernels (OverflowError), even for
+    # mantissa(5.0, 10**400); the Benford law itself needs only log(base)
+    below = 2**1024 - 2**970 - 1  # rounds down to the largest double
+    assert float(below) == sys.float_info.max
+    assert batch_mantissas(np.array([5.0, 1e-300]), below).tolist() == [5.0, 1e-300 * float(below)]
+    for base in (2**1024 - 2**970, 2**1024, 10**400):
+        message = f"^base must be below 2\\*\\*1024 - 2\\*\\*970 to have a double, got a {base.bit_length()}-bit integer$"
+        for call in (
+            lambda: mantissa(5.0, base),
+            lambda: batch_mantissas(np.array([5.0]), base),
+            lambda: digit_stats([5.0, 7.0], base),
+            lambda: audit_dataset([5.0, 7.0], base),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert benford_cdf(2.0, base) == math.log(2.0) / math.log(base)
+        assert benford_digit_prob(1, base) == math.log1p(1.0) / math.log(base)

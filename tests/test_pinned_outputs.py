@@ -34,8 +34,19 @@ bits.  The earlier pins of those three stay as a check: each new tail and
 bound value lies at or below the old one within the derived rounding slack
 (full_spectrum.tail_slack, and the 1e-12 of the moves before), and each new
 fold error within that slack plus its rounding bound.
+
+|Gamma(1 + ix)| then took one exp-scaled form for every x in place of two
+branches.  The entries that moved, the mixed_negative bound tail at L = 1,
+its per_term digests at L = 64 and 1024 and its bound stdout at both --lmax,
+are pinned in GAMMA_REPINNED and CLI_GAMMA_REPINNED, and every earlier pin
+stays as a check within the same slack.
+
+PYTHONPATH=src python tests/test_pinned_outputs.py --print prints each pin
+key's value today in the tables' literal syntax, marking the keys that
+differ from their effective pin, so a re-pin copies the marked entries.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -43,6 +54,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -435,6 +447,35 @@ TAIL_REPINNED = {
     ),
 }
 
+# (chain, L) -> all six entries since |Gamma(1 + ix)| took one exp-scaled
+# form for every x, where any moved; the other entries keep their bits.
+GAMMA_REPINNED = {
+    ("mixed_negative", 1): (
+        "0x1.f033ab0bea74ep-45",
+        "0x1.121e3bea53602p-89",
+        "e0fcfadca3d1de0dca10359079443687abbf71e9210100e9b3aac430d3bad314",
+        "0x1.6666666666980p-2",
+        "0x1.66666667f1b37p-54",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+    ("mixed_negative", 64): (
+        "0x1.f033ab0bea74ep-45",
+        "0x0.0p+0",
+        "9ff0691c24dfc0c654dfd2d8a9ff03dcb19362b2325805bdb9ed73fa93cefa49",
+        "0x1.6666666666980p-2",
+        "0x1.66666667f1567p-54",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+    ("mixed_negative", 1024): (
+        "0x1.f033ab0bea74ep-45",
+        "0x0.0p+0",
+        "87cf910f094a79cc8d1c2d5ccaca0c41791cb5eb23665735bcd233dec80a10ec",
+        "0x1.6666666666980p-2",
+        "0x1.66666667f1567p-54",
+        "3312fa090b0293946485a97b56f7e8e768c9b928673c1fc13c757a040ab35342",
+    ),
+}
+
 # (chain, command, --lmax) -> sha256 of stdout, run on ./chain.json
 CLI_PINNED = {
     ("mixed_negative", "bound", 64): "8d77d2a4228deb028d2490daab0745633d20bf31337b1646a30ee851ab0f72c3",
@@ -480,10 +521,16 @@ CLI_TAIL_REPINNED = {
     ("uniform_pair", "fold", 1024): "cd36ec807fa0d70355fa6777d8c5c0b37922904a3f42390c2b73f8277b80acc2",
 }
 
+# Pins of the stdout since |Gamma(1 + ix)| took one exp-scaled form.
+CLI_GAMMA_REPINNED = {
+    ("mixed_negative", "bound", 64): "205ce8ebddf9fba9729693a169123af1e5f45c2da6339b5737852131709e50ea",
+    ("mixed_negative", "bound", 1024): "e5fc13ace919c7f8c062b50c83a6e3ad390cecdaf0f835811726f9083b02b464",
+}
+
 
 def cli_pin(key):
     """The stdout pin of a (chain, command, --lmax) key today."""
-    for pins in (CLI_TAIL_REPINNED, CLI_POLAR_REPINNED, CLI_BOUND_REPINNED):
+    for pins in (CLI_GAMMA_REPINNED, CLI_TAIL_REPINNED, CLI_POLAR_REPINNED, CLI_BOUND_REPINNED):
         if key in pins:
             return pins[key]
     return CLI_PINNED[key]
@@ -519,35 +566,46 @@ def assert_within_slack(ch, new, old, extra=0.0):
     assert new <= old * (1.0 + 1e-12) * full_spectrum.tail_slack(ch) + extra, (new, old)
 
 
+def analytic_pins(name, L):
+    """The six-entry pins of (chain, L), oldest first; the last is the effective pin."""
+    key = (name, L)
+    previous = REPINNED.get(key, PINNED[key])
+    value, moduli = BOUND_REPINNED[key]
+    before = (value, previous[1], moduli, *previous[3:])
+    polar = POLAR_REPINNED.get(key, before)
+    tail = TAIL_REPINNED.get(key, polar)
+    return [PINNED[key], previous, before, polar, tail, GAMMA_REPINNED.get(key, tail)]
+
+
+def analytic_results(name, L):
+    """(deviation_bound, fold probability, fold error, digit table) of a pinned chain."""
+    ch = build(name)
+    iv = FoldInterval(*INTERVAL)
+    prob, err = fold_probability(ch, iv, L)
+    return deviation_bound(ch, iv, L), prob, err, first_digit_probabilities(ch, L)
+
+
+def pinned_form(bound, prob, err, digits):
+    """The six entries of an analytic pin."""
+    return (bound.value.hex(), bound.tail.hex(), per_term_digest(bound), prob.hex(), err.hex(), digest(digits))
+
+
 @pytest.mark.parametrize("name,L", sorted(PINNED))
 def test_analytic_outputs_are_bitwise_pinned(name, L):
     ch = build(name)
     iv = FoldInterval(*INTERVAL)
-    bound = deviation_bound(ch, iv, L)
-    prob, err = fold_probability(ch, iv, L)
-    digits = first_digit_probabilities(ch, L)
-    got = (
-        bound.value.hex(),
-        bound.tail.hex(),
-        per_term_digest(bound),
-        prob.hex(),
-        err.hex(),
-        digest(digits),
-    )
-    previous = REPINNED.get((name, L), PINNED[name, L])
-    value, moduli = BOUND_REPINNED[name, L]
-    before = (value, previous[1], moduli, *previous[3:])
-    polar = POLAR_REPINNED.get((name, L), before)
-    assert got == TAIL_REPINNED.get((name, L), polar)
+    bound, prob, err, digits = analytic_results(name, L)
+    pins = analytic_pins(name, L)
+    assert pinned_form(bound, prob, err, digits) == pins[-1]
     # Every earlier probability pin lies within 1e-12 relative of the new
     # one, and every earlier bound value, tail and fold error at or above
     # the new one within the rounding slack.
     rounding = 0.0 if iv.width in (0.0, 1.0) else fold_rounding(ch, iv, L, prob)
-    for pins in (PINNED[name, L], previous, before, polar):
-        assert_within_1e12([prob], [float.fromhex(pins[3])])
-        assert_within_slack(ch, bound.value, float.fromhex(pins[0]))
-        assert_within_slack(ch, bound.tail, float.fromhex(pins[1]))
-        assert_within_slack(ch, err, float.fromhex(pins[4]), rounding)
+    for old in pins[:-1]:
+        assert_within_1e12([prob], [float.fromhex(old[3])])
+        assert_within_slack(ch, bound.value, float.fromhex(old[0]))
+        assert_within_slack(ch, bound.tail, float.fromhex(old[1]))
+        assert_within_slack(ch, err, float.fromhex(old[4]), rounding)
     # The scalar reference reproduces the oldest sequences, and the new ones
     # lie within 1e-12 relative of them.
     old_bound = scalar_reference.deviation_bound(ch, iv, L)
@@ -561,15 +619,34 @@ def test_analytic_outputs_are_bitwise_pinned(name, L):
 ENTRY = {"bound": "deviation_bound", "fold": "fold_probability", "digits": "first_digit_probabilities"}
 
 
+def write_chain(directory, base, links):
+    """Write a chain as ./chain.json of directory, where the CLI pins read it."""
+    (Path(directory) / "chain.json").write_text(
+        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
+    )
+
+
+def cli_argv(command, lmax):
+    argv = [command, "--chain", "chain.json", "--lmax", str(lmax)]
+    if command != "digits":
+        argv += ["--a", str(INTERVAL[0]), "--b", str(INTERVAL[1])]
+    return argv
+
+
+def stdout_of(argv):
+    """stdout of one command, run in process."""
+    buf = io.StringIO()
+    assert cli.main(argv, out=buf) == 0, argv
+    return buf.getvalue()
+
+
 def run_cli(monkeypatch, argv, reference=False):
     """stdout of one command; on the scalar reference's function when reference is set."""
     with monkeypatch.context() as patch:
         if reference:
             name = ENTRY[argv[0]]
             patch.setattr(benford_chains.chains, name, getattr(scalar_reference, name))
-        buf = io.StringIO()
-        assert cli.main(argv, out=buf) == 0
-    return buf.getvalue()
+        return stdout_of(argv)
 
 
 def stdout_numbers(command, text):
@@ -614,14 +691,9 @@ def sha256(text):
 
 @pytest.mark.parametrize("name,command,lmax", sorted(CLI_PINNED))
 def test_cli_stdout_is_bytewise_pinned(tmp_path, monkeypatch, name, command, lmax):
-    base, links = CHAINS[name]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "chain.json").write_text(
-        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
-    )
-    argv = [command, "--chain", "chain.json", "--lmax", str(lmax)]
-    if command != "digits":
-        argv += ["--a", str(INTERVAL[0]), "--b", str(INTERVAL[1])]
+    write_chain(tmp_path, *CHAINS[name])
+    argv = cli_argv(command, lmax)
     key = (name, command, lmax)
     stdout = run_cli(monkeypatch, argv)
     assert sha256(stdout) == cli_pin(key)
@@ -719,34 +791,37 @@ def test_batch_mantissas_are_bitwise_pinned(base):
     assert sha(batch_mantissas(mantissa_sweep(base), base)) == MANTISSA_PINNED[base]
 
 
-@pytest.mark.parametrize("sampler", ["sample_batch", "product_batch"])
-@pytest.mark.parametrize("name", sorted(SAMPLING_CHAINS))
-def test_batches_are_bitwise_pinned(name, sampler):
+def batch_outputs(name, sampler):
+    """(sha256 of the values' bytes, count, failures) of a pinned sampling chain."""
     base, links = SAMPLING_CHAINS[name]
     ch = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
     draw = {"sample_batch": sample_batch, "product_batch": product_batch}[sampler]
     got = draw(ch, BLOCK_SIZE + 4321, 20260814, stream=3)
-    assert (sha(got.values), got.count, got.failures) == SAMPLING_PINNED[name, sampler]
+    return sha(got.values), got.count, got.failures
+
+
+@pytest.mark.parametrize("sampler", ["sample_batch", "product_batch"])
+@pytest.mark.parametrize("name", sorted(SAMPLING_CHAINS))
+def test_batches_are_bitwise_pinned(name, sampler):
+    assert batch_outputs(name, sampler) == SAMPLING_PINNED[name, sampler]
+
+
+def file_digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def simulate_digests(name):
+    """(sha256 of the simulate CSV, of simulate stdout, of audit stdout) in ./"""
+    sim = stdout_of(["simulate", "--chain", "chain.json", "--samples", "5000", "--seed", "7", "--out", "draws.csv"])
+    audit = stdout_of(["audit", "--input", "draws.csv", "--column", "value", "--base", str(CHAINS[name][0])])
+    return file_digest("draws.csv"), sha256(sim), sha256(audit)
 
 
 @pytest.mark.parametrize("name", ["mixed_negative", "uniform_pair"])
 def test_simulate_and_audit_are_bytewise_pinned(tmp_path, monkeypatch, name):
-    base, links = CHAINS[name]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "chain.json").write_text(
-        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
-    )
-    sim, audit = io.StringIO(), io.StringIO()
-    argv = ["simulate", "--chain", "chain.json", "--samples", "5000", "--seed", "7", "--out", "draws.csv"]
-    assert cli.main(argv, out=sim) == 0
-    argv = ["audit", "--input", "draws.csv", "--column", "value", "--base", str(base)]
-    assert cli.main(argv, out=audit) == 0
-    got = (
-        hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest(),
-        hashlib.sha256(sim.getvalue().encode()).hexdigest(),
-        hashlib.sha256(audit.getvalue().encode()).hexdigest(),
-    )
-    assert got == SIMULATE_PINNED[name]
+    write_chain(tmp_path, *CHAINS[name])
+    assert simulate_digests(name) == SIMULATE_PINNED[name]
 
 
 # sha256 of the simulate CSV and stdout for uniform_199 at 2 * BLOCK_SIZE +
@@ -758,21 +833,17 @@ SIMULATE_BLOCKS_PINNED = (
 )
 
 
+def simulate_blocks_digests():
+    """(sha256 of the simulate CSV, of its stdout) of uniform_199 across blocks, in ./"""
+    sim = stdout_of(["simulate", "--chain", "chain.json", "--samples", str(2 * BLOCK_SIZE + 4321),
+                     "--seed", "7", "--out", "draws.csv"])
+    return file_digest("draws.csv"), sha256(sim)
+
+
 def test_simulate_is_bytewise_pinned_across_blocks(tmp_path, monkeypatch):
-    base, links = SAMPLING_CHAINS["uniform_199"]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "chain.json").write_text(
-        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
-    )
-    sim = io.StringIO()
-    argv = ["simulate", "--chain", "chain.json", "--samples", str(2 * BLOCK_SIZE + 4321),
-            "--seed", "7", "--out", "draws.csv"]
-    assert cli.main(argv, out=sim) == 0
-    got = (
-        hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest(),
-        hashlib.sha256(sim.getvalue().encode()).hexdigest(),
-    )
-    assert got == SIMULATE_BLOCKS_PINNED
+    write_chain(tmp_path, *SAMPLING_CHAINS["uniform_199"])
+    assert simulate_blocks_digests() == SIMULATE_BLOCKS_PINNED
 
 
 COLD_PATH_CHILD = """
@@ -785,17 +856,18 @@ def run(*argv):
     scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     return [hashlib.sha256(buf.getvalue().encode()).hexdigest(), scipy]
 
+short = json.loads(sys.argv[2])
 print(json.dumps({
     "import": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
-    "bound-exp": run("bound-exp", "--n", "3"),
-    "density-uniform": run("density-uniform", "--n", "4", "--k", "5"),
+    "bound-exp": run(*short["bound-exp"]),
+    "density-uniform": run(*short["density-uniform"]),
     "simulate": run("simulate", "--chain", "chain.json", "--samples", "5000", "--seed", "7",
                     "--out", "draws.csv"),
     "audit": run("audit", "--input", "draws.csv", "--column", "value", "--base", sys.argv[1]),
     "bound": run("bound", "--chain", "chain.json", "--lmax", "64", "--a", "0.1", "--b", "0.45"),
     "fold": run("fold", "--chain", "chain.json", "--lmax", "64", "--a", "0.1", "--b", "0.45"),
     "digits": run("digits", "--chain", "chain.json", "--lmax", "64"),
-    "bound-uniform": run("bound-uniform", "--n", "3", "--k", "2", "--s", "3"),
+    "bound-uniform": run(*short["bound-uniform"]),
 }))
 """
 
@@ -808,24 +880,27 @@ SHORT_PINNED = {
     "density-uniform": "c11d889d22bf55ed5ccd489325f970f1cd55d4b8b700ad568cf75fb49e9a60c3",
     "bound-uniform": "fa170f9a7c6f74c4b267610a5cc9ab4824a49b340837356ee62cd940792e9e7d",
 }
+SHORT_ARGV = {
+    "bound-exp": ["bound-exp", "--n", "3"],
+    "density-uniform": ["density-uniform", "--n", "4", "--k", "5"],
+    "bound-uniform": ["bound-uniform", "--n", "3", "--k", "2", "--s", "3"],
+}
 
 
 def run_cold_child(tmp_path, prelude=""):
     """The eight commands in one fresh interpreter; checks their pinned bytes."""
     name = "mixed_negative"
-    base, links = CHAINS[name]
-    (tmp_path / "chain.json").write_text(
-        json.dumps({"base": base, "links": [{"family": f, "power": p} for f, p in links]})
-    )
+    write_chain(tmp_path, *CHAINS[name])
     src = str(Path(benford_chains.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", prelude + COLD_PATH_CHILD, str(base)],
+    proc = subprocess.run([sys.executable, "-c", prelude + COLD_PATH_CHILD, str(CHAINS[name][0]),
+                           json.dumps(SHORT_ARGV)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["simulate"][0] == SIMULATE_PINNED[name][1]
     assert got["audit"][0] == SIMULATE_PINNED[name][2]
-    assert hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest() == SIMULATE_PINNED[name][0]
+    assert file_digest(tmp_path / "draws.csv") == SIMULATE_PINNED[name][0]
     for command in ("bound", "fold", "digits"):
         assert got[command][0] == cli_pin((name, command, 64)), command
     for command, digest in SHORT_PINNED.items():
@@ -846,3 +921,63 @@ def test_scipy_stays_out_of_the_cold_path(tmp_path):
 def test_every_command_runs_with_scipy_unimportable(tmp_path):
     # A None entry in sys.modules makes every scipy import raise ImportError.
     run_cold_child(tmp_path, prelude="import sys\nsys.modules['scipy'] = None\n")
+
+
+# ------------------------------------------------------------- pin printer
+
+
+def literal(x):
+    """x in the pin tables' literal syntax."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(literal(v) for v in x) + ")"
+    return json.dumps(x) if isinstance(x, str) else repr(x)
+
+
+def print_table(name, now, pins, out):
+    """One table of today's values, a mark on each key whose value differs from its pin."""
+    out.write(f"{name} = {{\n")
+    for key, value in now.items():
+        mark = "" if value == pins[key] else "  # differs from the pin"
+        if isinstance(value, tuple) and all(isinstance(v, str) for v in value):
+            entries = "".join(f"        {literal(v)},\n" for v in value)
+            out.write(f"    {literal(key)}: ({mark}\n{entries}    ),\n")
+        else:
+            out.write(f"    {literal(key)}: {literal(value)},{mark}\n")
+    out.write("}\n\n")
+
+
+def print_pins(out):
+    """Every pin key with the value the code gives today, table by table.
+
+    ANALYTIC and CLI hold the effective pins: the latest re-pin of each key.
+    A key marked as differing is one that a re-pin would copy into a new
+    table; an unmarked one keeps its bits.
+    """
+    now = {key: pinned_form(*analytic_results(*key)) for key in sorted(PINNED)}
+    print_table("ANALYTIC", now, {key: analytic_pins(*key)[-1] for key in now}, out)
+    sampling = {key: batch_outputs(*key) for key in sorted(SAMPLING_PINNED)}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        simulate = {}
+        for name in sorted(SIMULATE_PINNED):
+            write_chain(tmp, *CHAINS[name])
+            simulate[name] = simulate_digests(name)
+        write_chain(tmp, *SAMPLING_CHAINS["uniform_199"])
+        blocks = {"uniform_199": simulate_blocks_digests()}
+        stdout = {}
+        for name, command, lmax in sorted(CLI_PINNED):
+            write_chain(tmp, *CHAINS[name])
+            stdout[name, command, lmax] = sha256(stdout_of(cli_argv(command, lmax)))
+        short = {command: sha256(stdout_of(argv)) for command, argv in SHORT_ARGV.items()}
+    print_table("CLI", stdout, {key: cli_pin(key) for key in stdout}, out)
+    mantissas = {base: sha(batch_mantissas(mantissa_sweep(base), base)) for base in MANTISSA_BASES}
+    print_table("MANTISSA_PINNED", mantissas, MANTISSA_PINNED, out)
+    print_table("SAMPLING_PINNED", sampling, SAMPLING_PINNED, out)
+    print_table("SIMULATE_PINNED", simulate, SIMULATE_PINNED, out)
+    print_table("SIMULATE_BLOCKS_PINNED", blocks, {"uniform_199": SIMULATE_BLOCKS_PINNED}, out)
+    print_table("SHORT_PINNED", short, SHORT_PINNED, out)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--print"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_pinned_outputs.py --print")
+    print_pins(sys.stdout)

@@ -118,8 +118,9 @@ def test_gamma_abs_on_line_even_and_at_zero():
         assert gamma_abs_on_line(-x) == gamma_abs_on_line(x)
 
 
-def test_gamma_abs_on_line_scaled_branch_is_continuous():
-    # the exp-scaled form takes over near pi*x = 30; both branches must agree there
+def test_gamma_abs_on_line_is_continuous_across_the_old_crossover():
+    # the two-branch body switched forms at pi*x = 30; the one form matches
+    # the exp-scaled identity in math there and away from it
     x0 = 30.0 / math.pi
     for x in (x0 * 0.999, x0 * 1.001, 15.0, 40.0):
         scaled = math.sqrt(2.0 * math.pi * x) * math.exp(-math.pi * x / 2.0)
@@ -132,30 +133,61 @@ def test_gamma_abs_on_line_no_overflow_far_out():
     assert gamma_abs_on_line(500.0) >= 0.0
 
 
-def masked_gamma_abs_on_line(x):
-    """The two-branch body with boolean masks that np.where replaced."""
+def test_gamma_abs_on_line_is_zero_at_infinity_and_nan_at_nan():
+    # the two-branch body gave NaN at +-inf (inf * 0 in the exp-scaled form)
+    with np.errstate(all="raise", under="ignore"):
+        assert gamma_abs_on_line(math.inf) == 0.0
+        assert gamma_abs_on_line(-math.inf) == 0.0
+        got = gamma_abs_on_line(np.array([math.inf, -math.inf, 1e308, -5e-324]))
+    assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert math.isnan(gamma_abs_on_line(math.nan))
+    assert np.isnan(gamma_abs_on_line(np.array([1.0, math.nan]))).tolist() == [False, True]
+
+
+def two_branch_gamma_abs_on_line(x):
+    """The body the one exp-scaled form replaced: sqrt(p/sinh p) up to
+    p = pi*|x| = 30 and the exp-scaled form above, each clamped to its own
+    side and picked by np.where."""
     px = math.pi * np.abs(np.asarray(x, dtype=np.float64))
-    out = np.ones_like(px)
-    near = (px != 0.0) & (px <= 30.0)
-    far = ~(px <= 30.0)
-    p = px[near]
-    out[near] = np.sqrt(p / np.sinh(p))
-    p = px[far]
-    out[far] = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
-    return out
+    p = np.maximum(np.minimum(px, 30.0), 5e-324)
+    near = np.sqrt(p / np.sinh(p))
+    p = np.maximum(px, 30.0)
+    far = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
+    return np.where(px <= 30.0, near, far)
 
 
-def test_gamma_abs_on_line_keeps_the_bits_of_the_masked_branches():
-    x0 = 30.0 / math.pi
-    edges = [0.0, -0.0, 1e-320, 5e-324, -2.5, x0, math.nextafter(x0, 0.0), math.nextafter(x0, 1.0)]
-    x = np.concatenate([np.linspace(0.0, 2000.0, 2 * 10**6), edges])
+X0 = 30.0 / math.pi
+EDGES = [0.0, -0.0, 1e-320, 5e-324, 1e-9, -2.5, X0, math.nextafter(X0, 0.0), math.nextafter(X0, 1.0)]
+SWEEP = np.concatenate([np.linspace(0.0, 2000.0, 2 * 10**6), np.geomspace(1e-300, 30.0, 10**5), EDGES])
+
+
+def test_gamma_abs_on_line_keeps_the_far_bits_of_the_two_branch_body():
+    # Past pi*|x| = 30 the one form is the old far branch, bit for bit; at
+    # and below it the near branch sqrt(p/sinh p) differed by at most
+    # 4.5e-16 relative.
     with np.errstate(all="raise", under="ignore"):  # no overflow and no 0/0
-        got = gamma_abs_on_line(x)
-    assert got.view(np.uint64).tolist() == masked_gamma_abs_on_line(x).view(np.uint64).tolist()
-    for value in edges:
+        got = gamma_abs_on_line(SWEEP)
+        old = two_branch_gamma_abs_on_line(SWEEP)
+    far = math.pi * np.abs(SWEEP) > 30.0
+    assert far.sum() > 10**6 and (~far).sum() > 10**5
+    assert got[far].view(np.uint64).tolist() == old[far].view(np.uint64).tolist()
+    assert (np.abs(got[~far] - old[~far]) <= 4.5e-16 * old[~far]).all()
+    for value in EDGES:
         assert type(gamma_abs_on_line(value)) is float
-        assert gamma_abs_on_line(value) == float(masked_gamma_abs_on_line(value))
-    assert gamma_abs_on_line(0.0) == 1.0
+        assert gamma_abs_on_line(value) == float(gamma_abs_on_line(np.array([value]))[0])
+    assert gamma_abs_on_line(0.0) == gamma_abs_on_line(-0.0) == gamma_abs_on_line(5e-324) == 1.0
+
+
+def test_gamma_abs_on_line_is_one_expression_at_every_x():
+    # No branch: every entry has the bits of the exp-scaled form, where the
+    # two-branch body differed at about half the entries with pi*|x| <= 30.
+    with np.errstate(all="raise", under="ignore"):
+        p = np.maximum(math.pi * np.minimum(np.abs(SWEEP), 512.0), 5e-324)
+        one = np.sqrt(2.0 * p) * np.exp(-p / 2.0) / np.sqrt(-np.expm1(-2.0 * p))
+        got = gamma_abs_on_line(SWEEP)
+    assert got.view(np.uint64).tolist() == one.view(np.uint64).tolist()
+    x = np.linspace(0.0, 30.0 / math.pi, 10**5)
+    assert (gamma_abs_on_line(x) != two_branch_gamma_abs_on_line(x)).mean() > 0.25
 
 
 @pytest.mark.parametrize("base", [2, 3, 10, 16, 1000, 10**6])
