@@ -20,8 +20,8 @@ link those past its zero_beyond.  Each family's modulus kernel then runs
 once on its rows, and the pass keeps only the support prefix c_1..c_S up
 to the last nonzero product; every c_l past S is exactly zero because a
 factor is, so no output bit depends on the cut.  The fold and the digit
-table take their phases from the same rows, cut at S, one phase kernel
-call per family.
+table take their phases from the same rows, cut at S: one arg_gamma call
+for every exponential and half-Gaussian row, one kernel call per other family.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and bounding the rest with the
@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from ._closed import (
     uniform_chain_cdf_terms,
     uniform_chain_density,
 )
-from .families import _U, FAMILY_NAMES, Family, get_family
+from .families import _U, FAMILY_NAMES, Family, _line_phase, get_family
 
 __all__ = [
     "ChainSpecError",
@@ -168,6 +167,26 @@ class ChainSpec:
         # for bit (reordering links with equal powers must not move them).
         pairs = zip(self.families(), cumulative_powers(self))
         return tuple(sorted(pairs, key=lambda fr: (fr[0].name, fr[1])))
+
+    @cached_property
+    def _blocks(self) -> list[tuple[Family, slice]]:
+        # Each family of the _factors order with the slice of its links' rows.
+        out, start, factors = [], 0, self._factors
+        for stop in range(1, len(factors) + 1):
+            if stop == len(factors) or factors[stop][0] != factors[start][0]:
+                out.append((factors[start][0], slice(start, stop)))
+                start = stop
+        return out
+
+    @cached_property
+    def _phase_rows(self) -> tuple[np.ndarray, slice, np.ndarray]:
+        # The factor on each w row (the sign of R times a Gamma family's scale
+        # of w, exact), and the Gamma rows, one slice of _factors, with x.
+        factors = self._factors
+        mult = np.array([[math.copysign(f.gamma[1] if f.gamma else 1.0, r)] for f, r in factors])
+        rows = [i for i, (f, _) in enumerate(factors) if f.gamma]
+        x = np.array([[factors[i][0].gamma[0]] for i in rows])
+        return mult, slice(rows[0], rows[-1] + 1) if rows else slice(0), x
 
 
 def parse_chain(obj) -> ChainSpec:
@@ -276,16 +295,6 @@ def _frequencies(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.float64)
 
 
-def _blocks(chain: ChainSpec) -> list[tuple[Family, slice]]:
-    """Each family of the _factors order with the slice of its links' rows."""
-    out, start = [], 0
-    for family, run in groupby(family for family, _ in chain._factors):
-        stop = start + sum(1 for _ in run)
-        out.append((family, slice(start, stop)))
-        start = stop
-    return out
-
-
 def _moduli(chain: ChainSpec, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, w): the certified moduli of c_first..c_last on their support prefix,
     and the rows of w = 2*pi*|R|*l/ln B they came from, cut alike.
@@ -313,7 +322,7 @@ def _moduli(chain: ChainSpec, first: int, last: int) -> tuple[np.ndarray, np.nda
     w = _TWO_PI * (np.array(rs, dtype=np.float64)[:, None] * ells) / log_base
     if not ells.size:
         return ells, w
-    rows = [family.modulus(family.base, w[block], base) for family, block in _blocks(chain)]
+    rows = [family.modulus(family.base, w[block], base) for family, block in chain._blocks]
     m = np.multiply.reduce(np.concatenate(rows))
     nonzero = np.flatnonzero(m)
     S = int(nonzero[-1]) + 1 if nonzero.size else 0
@@ -323,15 +332,23 @@ def _moduli(chain: ChainSpec, first: int, last: int) -> tuple[np.ndarray, np.nda
 def _polar(chain: ChainSpec, m: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re, Im) of c_l from the moduli m and the w rows _moduli cut alike.
 
-    The phase is the sum of the links' phases down the rows, each family's
-    phase kernel called once on its rows, with the sign of R put on w by
-    an exact negation: every entry has the bits of the links one at a time.
+    The phase is the running sum of the links' phases down the rows, with
+    the sign of R and a Gamma family's scale put on w exactly (a negation, a
+    halving): one _line_phase call for every Gamma row, one phase kernel
+    call per other family's rows, and every entry with the bits of the
+    links one at a time.
     """
     if not m.size:
         return m, m
-    w = w * np.array([math.copysign(1.0, r) for _, r in chain._factors])[:, None]
-    rows = [family.phase(family.base, w[block], chain.base) for family, block in _blocks(chain)]
-    phase = np.add.accumulate(np.concatenate(rows))[-1]
+    mult, gamma, x = chain._phase_rows
+    w = w * mult
+    phase = np.empty_like(w)
+    if x.size:
+        phase[gamma] = _line_phase(x, w[gamma])
+    for family, block in chain._blocks:
+        if family.gamma is None:
+            phase[block] = family.phase(family.base, w[block], chain.base)
+    phase = np.add.accumulate(phase)[-1]
     return m * np.cos(phase), m * np.sin(phase)
 
 
@@ -392,7 +409,7 @@ def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
     ):
         return 2.0 * math.fsum(explicit.tolist()), 2.0 * math.fsum(weighted.tolist())
     anchor, g_total, p_total = 1.0, 1.0, 0
-    for family, block in _blocks(chain):
+    for family, block in chain._blocks:
         rs = [float(abs(r)) for _, r in chain._factors[block]]
         for r, m in zip(rs, family.majorant(np.array(rs) * L2, chain.base).tolist()):
             anchor *= m
@@ -497,20 +514,18 @@ def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray, w: np
     ells = _frequencies(1, re.size)
     denom = _TWO_PI * ells
     rows = max(1, _FOLD_BLOCK_TERMS // ells.size)
-    e_a = _cis(ells, edges[:1])
+    e = _cis(ells, edges[: rows + 1])  # edge a's row, then the first block's
     out = []
     for start in range(0, len(widths), rows):
-        e_b = _cis(ells, edges[start + 1 : start + rows + 1])
-        diff = np.empty_like(e_b)
-        np.subtract(e_b[:1], e_a[-1:], out=diff[:1])
-        np.subtract(e_b[1:], e_b[:-1], out=diff[1:])
+        if start:
+            e = np.concatenate((e[-1:], _cis(ells, edges[start + 1 : start + rows + 1])))
+        diff = e[1:] - e[:-1]
         z_re = re * (diff.imag / denom) - im * (-diff.real / denom)
         # The running sum goes down the columns of the transpose: one
         # vector add per term, each column one interval's sum.
         acc = np.add.accumulate(np.repeat(z_re.T, 2, axis=0))[-1]
         for width, a in zip(widths[start : start + rows], acc.tolist()):
             out.append(width if width in (0.0, 1.0) else width + a)
-        e_a = e_b
     return out
 
 
@@ -527,12 +542,15 @@ def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray, w: np
 # * c_l.  Each family's certified modulus lies within (2e_f + 2u) relative
 #   of its exact value (e_f as families.py derives it at its kernel), and
 #   each of the k - 1 products rounds by u.  Each phase has arg_gamma's
-#   2.1u*(|phi| + 4) and the 6u of w times |d phi/dw| = |Re psi|, where
-#   |Re psi(1 + iy)| <= 1 + ln(1 + y) and |Re psi(1/2 + iy)| <= 2 + ln(1 + y);
-#   below its zero_beyond (w < 480, y = w/2 < 480) that is 8.4u + 58.2u*w
-#   (exponential) and 8.4u + 33.2u*w (half-Gaussian), and arctan w (4 ulp,
-#   and 6u*w/(1 + w^2)) gives 15.6u.  With the modulus, a link's error is
-#   at most (59 + 84*w)*u of M_l.  Adding the k phases, each at most
+#   stated error at x = 1, y = w (exponential) or x = 1/2, y = w/2, and the
+#   6u of w times |d phi/dw|, with |Re psi(1 + iy)| <= 1 + ln(1 + y) and
+#   |Re psi(1/2 + iy)| <= 2 + ln(1 + y): below zero_beyond, (485 + 129.4w)u
+#   and (473 + 67.7w)u (half-Gaussian).  The constants below still take
+#   8.4u + 58.2u*w and 8.4u + 33.2u*w, from an older statement of that error;
+#   its sharper form with the 6u term is 1.2 to 2.24 and 2.05 times those,
+#   so a re-pin of the fold error must raise them.  The uniform's arctan w
+#   (4 ulp, and 6u*w/(1 + w^2)) gives 15.6u.  With the modulus, a link's
+#   error is at most (59 + 84*w)*u of M_l.  Adding the k phases, each at most
 #   1.6 + 7.2*w, rounds k - 1 times, and cos, sin and the multiply by the
 #   modulus add 9u.  So |c^_l - c_l| <= M_l*eps_l with eps_l = (9 + 59k +
 #   1.6k(k - 1) + (84 + 7.2(k - 1))*W*l)*u, W*l the sum of the links' w at l.

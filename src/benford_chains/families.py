@@ -13,7 +13,8 @@ w = 2*pi*R*l/ln B, which a chain forms once for all its links; the
 majorants take R*l.  No kernel is complex: the Mellin value is the
 modulus times e^(i*phase).  Each family is one Family record of kernel
 functions: a row of _TABLE, or for benford a record that get_family
-builds for its own base.
+builds for its own base.  A Gamma family names its Gamma argument, gamma =
+(x, scale), in place of a phase kernel: its phase is -Im lnGamma(x + i*scale*w).
 
 Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 (density 2/sqrt(pi*theta^2) * exp(-(x/theta)^2)), and "benford" (density
@@ -72,8 +73,8 @@ class Family(NamedTuple):
     (M f)(1 - 2*pi*i*l/ln B) for the unit-scale density f, in floating
     point, from a closed form with its rounding error added (the error
     budget of each family is derived at its kernel), even in l.
-    mellin_phase(ells, base) is its phase, odd in l, with an absolute error
-    of about |phase| * u.  mellin_exact(ells, base) is the complex value
+    mellin_phase(ells, base) is its phase, odd in l; arg_gamma states the
+    error of a Gamma family's.  mellin_exact(ells, base) is the complex value
     certified_modulus * e^(i*mellin_phase), for a caller that wants one
     (a foreign-base benford value carries the absolute 10u of its modulus);
     the chain spectrum multiplies the moduli and adds the phases instead.
@@ -92,7 +93,7 @@ class Family(NamedTuple):
     """
 
     name: str
-    phase: Callable  # (own, w, base) -> arg of the Mellin value
+    phase: Callable | None  # (own, w, base) -> arg of the Mellin value; None if gamma
     modulus: Callable  # (own, w >= 0, base) -> certified upper bound on its modulus
     bound: Callable  # (own, ells, base) -> majorant array
     decay: Callable  # (own, |R|, base, ell0) -> (g, p) once the cap is off
@@ -101,13 +102,17 @@ class Family(NamedTuple):
     # certified_modulus, majorant and so mellin_exact compute exactly 0.0;
     # inf where none of them underflows.
     zero_beyond: float = math.inf
+    # (x, scale) of a Gamma family: its phase is -Im lnGamma(x + i*scale*w).
+    gamma: tuple[float, float] | None = None
     base: int | None = None
 
     def mellin_exact(self, ells, base: int) -> np.ndarray:
         return self.certified_modulus(ells, base) * np.exp(1j * self.mellin_phase(ells, base))
 
     def mellin_phase(self, ells, base: int) -> np.ndarray:
-        return self.phase(self.base, _omega(ells, base), base)
+        if self.gamma is None:
+            return self.phase(self.base, _omega(ells, base), base)
+        return _line_phase(self.gamma[0], self.gamma[1] * _omega(ells, base))
 
     def certified_modulus(self, ells, base: int) -> np.ndarray:
         return self.modulus(self.base, np.abs(_omega(ells, base)), base)
@@ -119,9 +124,9 @@ class Family(NamedTuple):
         return self.sample(self.base, rng, n)
 
 
-def _exponential_phase(own, w, base: int) -> np.ndarray:
-    """Exponential: f(x) = exp(-x) on x >= 0; Mellin value Gamma(s)."""
-    return -arg_gamma(1.0, w)
+def _line_phase(x, y) -> np.ndarray:
+    """-Im lnGamma(x + iy): a Gamma family's phase at y = scale*w, x a column per row."""
+    return -arg_gamma(x, y)
 
 
 def _exponential_modulus(own, w, base: int) -> np.ndarray:
@@ -196,15 +201,6 @@ def _uniform_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
 
 def _uniform_sample(own, rng, n: int) -> np.ndarray:
     return rng.random(n)
-
-
-def _half_gaussian_phase(own, w, base: int) -> np.ndarray:
-    """|N(0, theta/sqrt(2))|: f(x) = 2/sqrt(pi) * exp(-x^2) on x >= 0.
-
-    Mellin value Gamma(s/2)/sqrt(pi); on the evaluation line its modulus
-    is exactly 1/sqrt(cosh(pi^2 l / ln B)).
-    """
-    return -arg_gamma(0.5, 0.5 * w)
 
 
 def _half_gaussian_modulus(own, w, base: int) -> np.ndarray:
@@ -295,25 +291,30 @@ def _benford_sample(own: int, rng, n: int) -> np.ndarray:
 
 
 _TABLE = {
+    # f(x) = exp(-x) on x >= 0: Mellin value Gamma(s), phase -Im lnGamma(1 + iw)
     "exponential": Family(
-        "exponential", _exponential_phase, _exponential_modulus, _exponential_majorant,
+        "exponential", None, _exponential_modulus, _exponential_majorant,
         _exponential_decay, _exponential_sample,
         # At w = 480 the e^(-pi*w/2) = e^(-754) of the modulus and the majorant
         # lies below half the least subnormal, e^(-745.13).  Both decrease in
         # w.  (Their last nonzero values in a dense sweep lie at w ~ 474.4.)
         480.0,
+        (1.0, 1.0),
     ),
     "uniform": Family(
         "uniform", _uniform_phase, _uniform_modulus, _uniform_majorant, _uniform_decay,
         _uniform_sample,
     ),
+    # |N(0, theta/sqrt(2))|, f(x) = 2/sqrt(pi) * exp(-x^2) on x >= 0: Mellin
+    # value Gamma(s/2)/sqrt(pi), phase -Im lnGamma(1/2 + iw/2)
     "half_gaussian": Family(
-        "half_gaussian", _half_gaussian_phase, _half_gaussian_modulus, _half_gaussian_majorant,
+        "half_gaussian", None, _half_gaussian_modulus, _half_gaussian_majorant,
         _half_gaussian_decay, _half_gaussian_sample,
         # At w = 960 the e^(-pi*w/4) = e^(-754) of the modulus and the majorant
         # lies below half the least subnormal, e^(-745.13).  Both decrease in
         # w.  (Their last nonzero values in a dense sweep lie at w ~ 948.7.)
         960.0,
+        (0.5, 0.5),
     ),
 }
 
@@ -331,7 +332,7 @@ def _benford(base: int) -> Family:
         Family,
         (
             "benford", _benford_phase, _benford_modulus, _benford_majorant, _benford_decay,
-            _benford_sample, math.inf, base,
+            _benford_sample, math.inf, None, base,
         ),
     )
 

@@ -242,6 +242,8 @@ def _blocks(chain: ChainSpec, count: int, seed: int, stream: int = 0, kernel=_ch
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     RngSeed(seed, stream)
+    if any(link.family == "benford" for link in chain.links):
+        _check_base(chain.base, double=True)  # a benford link samples float(base)**U
 
     def draw(job):
         rng, lanes = job

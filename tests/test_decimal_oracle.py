@@ -10,10 +10,18 @@ hypothesis-drawn chains, at the exact w = 2*pi*|R|*l/ln B, must lie at or
 above them where the exact value is normal, and below 2**-1022 no further
 below than the absolute error each family states at its kernel
 (families.py).
+
+At 50 digits it also gives the phase Im lnGamma(x + iy) that arg_gamma
+evaluates: a shift by 16 (DLMF 5.5.1), a 10-term Stirling series (DLMF
+5.11.1; its first omitted term is below 1e-24 at |w| >= 16), and a decimal
+arctan and ln.  arg_gamma, at x = 1 and 1/2 (the exponential and
+half-Gaussian phases), at random x, and as the per-row-x call of the chain
+spectrum, must lie within the error its docstring states.
 """
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +29,7 @@ from hypothesis import strategies as st
 
 from benford_chains import chains, families
 from benford_chains.chains import ChainLink, ChainSpec
+from benford_chains.specfun import arg_gamma
 
 PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 DIGITS = 40
@@ -124,3 +133,103 @@ def test_chain_moduli_lie_at_or_above_the_exact_product(base, links, target, spa
         # past the support prefix the pass returns nothing: the modulus is 0.0
         got = float(moduli[ell - first]) if ell - first < moduli.size else 0.0
         assert_at_or_above(got, exact_product(chain, ell), slack, (base, links, ell, got))
+
+
+# ------------------------------------------------------------------ the phase
+
+PHASE_DIGITS = 50
+U = 2.0**-53
+# B_2k for k = 1..10 (DLMF 24.2.2): the Stirling coefficients are
+# B_2k / (2k (2k - 1)).
+BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+    Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+    Fraction(-174611, 330),
+)
+
+
+def decimal_atan(t: Decimal) -> Decimal:
+    """arctan t for t >= 0: pi/2 - arctan(1/t) above 1, then halvings
+    arctan t = 2 arctan(t/(1 + sqrt(1 + t^2))) below 0.05, then Taylor."""
+    if t > 1:
+        return PI / 2 - decimal_atan(1 / t)
+    halvings = 0
+    while t >= Decimal("0.05"):
+        t /= 1 + (1 + t * t).sqrt()
+        halvings += 1
+    square, term, total, n = t * t, t, t, 1
+    while True:
+        term = -term * square
+        n += 2
+        step = total + term / n
+        if step == total:
+            return total * 2**halvings
+        total = step
+
+
+def exact_phase(x: float, y: float) -> Decimal:
+    """Im lnGamma(x + iy), x > 0, the branch that is 0 at y = 0, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = PHASE_DIGITS
+        x, ay = Decimal(x), abs(Decimal(y))
+        if not ay:
+            return Decimal(0)
+        shift = sum(decimal_atan(ay / (x + k)) for k in range(16))
+        re = x + 16
+        modulus2 = re * re + ay * ay
+        # the odd powers of 1/w = conj(w)/|w|^2 by steps of 1/w^2
+        inv_re, inv_im = re / modulus2, -ay / modulus2
+        sq_re, sq_im = inv_re * inv_re - inv_im * inv_im, 2 * inv_re * inv_im
+        p_re, p_im, series = inv_re, inv_im, Decimal(0)
+        for k, b in enumerate(BERNOULLI, 1):
+            series += Decimal(b.numerator) / (b.denominator * 2 * k * (2 * k - 1)) * p_im
+            p_re, p_im = p_re * sq_re - p_im * sq_im, p_re * sq_im + p_im * sq_re
+        phase = (re - Decimal("0.5")) * decimal_atan(ay / re) + ay * modulus2.ln() / 2 - ay + series - shift
+        return phase if y > 0 else -phase
+
+
+def stated_phase_error(x: float, y: float) -> float:
+    """arg_gamma's error bound as its docstring states it, from the terms of its sum:
+    u*(15.2*A + 13*|y|*ln|w| + 6*|y| + 21*S + x/2 + 10), w = x + 8 + i|y|."""
+    ay, re = abs(y), x + 8.0
+    a = (re - 0.5) * math.atan2(ay, re)
+    s = math.fsum(math.atan2(ay, x + k) for k in range(8))
+    return U * (15.2 * a + 13.0 * ay * math.log(math.hypot(re, ay)) + 6.0 * ay + 21.0 * s + x / 2.0 + 10.0)
+
+
+def closed_phase_error(x: float, y: float) -> float:
+    """Its closed form with A <= (x + 7.5)*pi/2 and S < 4*pi."""
+    ay = abs(y)
+    return U * (13.0 * ay * math.log(math.hypot(x + 8.0, ay)) + 6.0 * ay + 25.0 * x + 460.0)
+
+
+def assert_phases_within_the_stated_error(xs, ys, got):
+    """Each arg_gamma value within the stated error of the exact phase; the
+    worst error as a share of it."""
+    worst = 0.0
+    for x, y, g in zip(np.broadcast_to(xs, got.shape).ravel().tolist(), ys.ravel().tolist(), got.ravel().tolist()):
+        error = float(abs(Decimal(g) - exact_phase(x, y)))
+        bound = stated_phase_error(x, y)
+        assert error <= bound <= closed_phase_error(x, y), (x, y, g, error / U, bound / U)
+        worst = max(worst, error / bound)
+    return worst
+
+
+def test_arg_gamma_lies_within_its_stated_error_of_a_50_digit_phase():
+    rng = np.random.default_rng(20261021)
+    signs = rng.choice([-1.0, 1.0], 2500)
+    # y in (0, 500] at x = 1 and 1/2, with the points where the old
+    # statement 2.1u*(|phi| + 4) fell furthest short (ROADMAP item 13)
+    ys = np.concatenate([[7.24, 13.84, 500.0], 500.0 * (1.0 - rng.random(1997))]) * signs[:2000]
+    ys = ys.reshape(2, 1000)
+    rows = np.array([[1.0], [0.5]])
+    stacked = arg_gamma(rows, ys)
+    worst = assert_phases_within_the_stated_error(rows, ys, stacked)
+    # each row of the stacked call has the bits of its own call
+    assert stacked.tolist() == [arg_gamma(1.0, ys[0]).tolist(), arg_gamma(0.5, ys[1]).tolist()]
+    # random x in (0, 10] and y in (0, 500]
+    x = 10.0 * (1.0 - rng.random(500))
+    y = 500.0 * (1.0 - rng.random(500)) * signs[2000:]
+    worst = max(worst, assert_phases_within_the_stated_error(x, y, arg_gamma(x, y)))
+    # the bound is not vacuous: the error reaches a tenth of it
+    assert worst > 0.1, worst

@@ -217,6 +217,25 @@ def test_batch_validates_count():
             sample_batch(ch, bad, SEED)
 
 
+@pytest.mark.parametrize("sampler", [sample_batch, product_batch])
+def test_batches_reject_a_benford_base_that_has_no_double(monkeypatch, sampler):
+    # A benford link samples float(base)**U, which raised OverflowError from
+    # inside the block kernel; the argument checks now name the base before
+    # the first block.  A chain without a benford link never forms
+    # float(base), so it still samples at such a base.
+    rngs = []
+    make = montecarlo.make_rng
+    monkeypatch.setattr(montecarlo, "make_rng", lambda *args: rngs.append(args) or make(*args))
+    for base in (2**1024 - 2**970, 10**400):
+        with pytest.raises(ValueError, match=r"below 2\*\*1024 - 2\*\*970 to have a double"):
+            sampler(chain("uniform", "benford", base=base), 10, SEED)
+        assert rngs == []
+        assert sampler(chain("uniform", "exponential", base=base), 10, SEED).count == 10
+        rngs.clear()
+    below = 2**1024 - 2**970 - 1  # rounds down to the largest double
+    assert sampler(chain("uniform", "benford", base=below), 10, SEED).count <= 10
+
+
 def test_sample_batch_invariant():
     ch = chain("uniform")
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ moduli feed the bound's sum or the fold's series and whose rest is the
 explicit tail; the majorants only close the tail past L2, one vector call
 per family at |R| * L2, and none where some link's majorant there is
 provably 0.0.  A digit table computes no tail, and a base-2 table or a
-fold of width 0 or 1 computes no spectrum at all."""
+fold of width 0 or 1 computes no spectrum at all.  The phases of a fold or
+a digit table take one arg_gamma call, whatever Gamma families the chain
+holds, and a bound takes none."""
 
 import math
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import full_spectrum as full
-from benford_chains import chains
+from benford_chains import chains, families
 from benford_chains.chains import (
     ChainLink,
     ChainSpec,
@@ -21,7 +23,8 @@ from benford_chains.chains import (
     first_digit_probabilities,
     fold_probability,
 )
-from benford_chains.families import Family
+from benford_chains.families import FAMILY_NAMES, Family, get_family
+from benford_chains.specfun import arg_gamma
 
 LINKS = [("exponential", 1), ("uniform", -2), ("half_gaussian", 3), ("exponential", -1), ("uniform", 1)]
 
@@ -118,3 +121,65 @@ def test_the_closure_is_skipped_only_where_it_is_provably_zero(spy, base, links,
         explicit = bounds[L:]
         weighted = explicit / (math.pi * np.arange(L + 1.0, L + explicit.size + 1.0))
         assert bits(tails) == bits([2.0 * math.fsum(explicit.tolist()), 2.0 * math.fsum(weighted.tolist())])
+
+
+def with_foreign_benford(chain, own):
+    """chain with a benford factor of base own appended: a chain spec gives
+    every benford link the chain's base, and one in another base leaves the
+    spectrum nonzero."""
+    chain.__dict__["_factors"] = tuple(sorted(
+        (*chain._factors, (get_family("benford", own), 2)), key=lambda fr: (fr[0].name, fr[1])
+    ))
+    return chain
+
+
+@pytest.mark.parametrize("foreign", [None, 7])
+@pytest.mark.parametrize("L", [64, 1024])
+def test_a_fold_or_a_digit_table_makes_one_phase_call_and_a_bound_none(monkeypatch, foreign, L):
+    calls = []
+
+    def counting(x, y):
+        calls.append(np.shape(y))
+        return arg_gamma(x, y)
+
+    monkeypatch.setattr(families, "arg_gamma", counting)
+    links = [("exponential", 1), ("half_gaussian", -2), ("uniform", 3), ("exponential", 2), ("half_gaussian", 1)]
+    chain = build(10, links)
+    if foreign is not None:
+        chain = with_foreign_benford(chain, foreign)
+    deviation_bound(chain, FoldInterval(0.1, 0.45), L)
+    assert calls == []
+    fold_probability(chain, FoldInterval(0.1, 0.45), L)
+    # one call on the rows of the two exponential and the two half-Gaussian links
+    assert len(calls) == 1 and calls[0][0] == 4, calls
+    calls.clear()
+    first_digit_probabilities(chain, L)
+    assert len(calls) == 1
+
+
+def test_the_gamma_rows_of_a_chain_are_adjacent():
+    # _polar takes the Gamma rows as one slice: _factors sorts the links by
+    # family name, and no other family's name falls between the Gamma ones.
+    names = sorted(FAMILY_NAMES)
+    gamma = [i for i, name in enumerate(names) if get_family(name).gamma]
+    assert len(gamma) == 2 and gamma == list(range(gamma[0], gamma[-1] + 1))
+
+
+def test_the_stacked_phase_call_equals_the_per_family_calls_bitwise():
+    # The chain's Gamma rows go to one call with x and the scale of w as
+    # columns; each row keeps the bits of its family's own call on its block.
+    rng = np.random.default_rng(20261022)
+    gamma = [get_family(name) for name in ("exponential", "half_gaussian")]
+    for _ in range(200):
+        rows = [gamma[i] for i in rng.integers(0, 2, rng.integers(1, 7))]
+        size = int(rng.integers(1, 301))
+        w = rng.choice([-1.0, 1.0], (len(rows), size)) * np.exp(rng.uniform(-30.0, 7.0, (len(rows), size)))
+        x, scale = (np.array([[f.gamma[i]] for f in rows]) for i in (0, 1))
+        stacked = families._line_phase(x, scale * w)
+        for family in gamma:
+            block = [i for i, f in enumerate(rows) if f is family]
+            if not block:
+                continue
+            # the per-family kernels: -arg Gamma(1 + iw) and -arg Gamma(1/2 + iw/2)
+            own = -arg_gamma(1.0, w[block]) if family.name == "exponential" else -arg_gamma(0.5, 0.5 * w[block])
+            assert bits(stacked[block]) == bits(own)

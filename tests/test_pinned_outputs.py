@@ -52,6 +52,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -716,6 +717,46 @@ def test_digit_table_equals_fold_on_each_digit_bitwise(name, L):
         assert p == fold_probability(ch, iv, L)[0], d
 
 
+# A seeded stream of analytic queries, the mix the bench's analytic workload
+# runs: bounds, folds on random intervals and digit tables at L = 64 and
+# 1024, on chains of 1-6 links with powers +-1..+-9 (the first 1) at bases
+# 2, 3, 10 and 16, one chain in five holding a benford link.  One sha256
+# over the results' reprs (a float repr round-trips its bits) and the bytes
+# of each BoundResult.moduli pins every bit of the stream at once.
+STREAM_SEED = 20261020
+STREAM_QUERIES = 1200
+STREAM_PINNED = "14043e4336be06c5de07db02b14b98f13ff4b11b76a69b89c3766fddb14378da"
+
+
+def stream_digest(seed=STREAM_SEED, count=STREAM_QUERIES):
+    """sha256 over the results of the seeded analytic query stream."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(count):
+        families = [rng.choice(("exponential", "half_gaussian", "uniform")) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.2:
+            families[rng.randrange(len(families))] = "benford"
+        powers = [1] + [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in families[1:]]
+        ch = ChainSpec(rng.choice((2, 3, 10, 16)), tuple(map(ChainLink, families, powers)))
+        L = rng.choice((64, 1024))
+        kind = rng.choice(("bound", "fold", "digits"))
+        if kind == "digits":
+            h.update(repr(first_digit_probabilities(ch, L)).encode())
+            continue
+        iv = FoldInterval(*sorted((rng.random(), rng.random())))
+        if kind == "fold":
+            h.update(repr(fold_probability(ch, iv, L)).encode())
+            continue
+        bound = deviation_bound(ch, iv, L)
+        h.update(repr(bound).encode())
+        h.update(bound.moduli.tobytes())
+    return h.hexdigest()
+
+
+def test_the_seeded_analytic_stream_is_bitwise_pinned():
+    assert stream_digest() == STREAM_PINNED
+
+
 # ------------------------------------------------------------ empirical path
 #
 # Frozen from the implementation that still had scalar samplers and a
@@ -975,6 +1016,9 @@ def print_pins(out):
     print_table("SIMULATE_PINNED", simulate, SIMULATE_PINNED, out)
     print_table("SIMULATE_BLOCKS_PINNED", blocks, {"uniform_199": SIMULATE_BLOCKS_PINNED}, out)
     print_table("SHORT_PINNED", short, SHORT_PINNED, out)
+    stream = stream_digest()
+    mark = "" if stream == STREAM_PINNED else "  # differs from the pin"
+    out.write(f"STREAM_PINNED = {literal(stream)}{mark}\n")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ GAMMA_ABS_REF = {
 
 
 def test_arg_gamma_matches_40_digit_values():
-    # the error is about |value| * u plus a few u from the shift sum
+    # the stated error, from the terms of the sum, is checked on random
+    # points in test_decimal_oracle.py; these frozen points are within 8u*(|value| + 4)
     for x, y, exact in ARG_GAMMA:
         got = float(arg_gamma(x, y))
         assert abs(got - float(exact)) <= 8.0 * U * (abs(float(exact)) + 4.0), (x, y)

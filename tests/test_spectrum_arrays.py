@@ -163,7 +163,8 @@ def assert_phases_match(table):
     """arg_gamma against the argument of each frozen Gamma value, modulo 2*pi.
 
     The frozen value's argument is within a few u of the exact one, and
-    arg_gamma within about |phase| * u plus a few u.
+    arg_gamma within 8u*(|phase| + 4) at these points (its stated error,
+    from the terms of its sum, is checked in test_decimal_oracle.py).
     """
     x = np.array([row[0] for row in table])
     y = np.array([row[1] for row in table])
