@@ -54,7 +54,6 @@ _HOMES = {
     "parse_chain": "chains",
     "product_batch": "montecarlo",
     "sample_batch": "montecarlo",
-    "spectrum_majorant": "chains",
     "two_sample_ks": "conformance",
     "uniform_chain_cdf_bound": "_closed",
     "uniform_chain_cdf_terms": "_closed",

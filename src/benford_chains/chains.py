@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +74,6 @@ __all__ = [
     "load_chain",
     "cumulative_powers",
     "chain_spectrum",
-    "spectrum_majorant",
     "deviation_bound",
     "fold_probability",
     "first_digit_probabilities",
@@ -146,12 +144,20 @@ class ChainSpec:
             )
         # The spectrum and sampling kernels take R_m as a double, exact up
         # to 2**53; each link power divides an earlier R, so it is too.
-        for m, r in reversed(list(enumerate(cumulative_powers(self)))):
+        powers = cumulative_powers(self)
+        for m, r in reversed(list(enumerate(powers))):
             if abs(r) > _MAX_EXPONENT:
                 raise ChainSpecError(
                     f"links[{m}]: cumulative exponent (the product of the later "
                     f"powers) exceeds 2**53 in magnitude"
                 )
+        # Each resolved family paired with its cumulative exponent, sorted by
+        # a canonical key so products over links are order-independent bit
+        # for bit (reordering links with equal powers must not move them),
+        # and each family of that order with the slice of its links' rows.
+        factors = tuple(sorted(zip(self.families(), powers), key=lambda fr: (fr[0].name, fr[1])))
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_blocks", _family_blocks(factors))
 
     def __len__(self) -> int:
         return len(self.links)
@@ -160,33 +166,15 @@ class ChainSpec:
         """Resolved family objects; a benford link adopts the chain base."""
         return tuple(get_family(link.family, self.base) for link in self.links)
 
-    @cached_property
-    def _factors(self) -> tuple[tuple[Family, int], ...]:
-        # Each resolved family paired with its cumulative exponent, sorted by
-        # a canonical key so products over links are order-independent bit
-        # for bit (reordering links with equal powers must not move them).
-        pairs = zip(self.families(), cumulative_powers(self))
-        return tuple(sorted(pairs, key=lambda fr: (fr[0].name, fr[1])))
 
-    @cached_property
-    def _blocks(self) -> list[tuple[Family, slice]]:
-        # Each family of the _factors order with the slice of its links' rows.
-        out, start, factors = [], 0, self._factors
-        for stop in range(1, len(factors) + 1):
-            if stop == len(factors) or factors[stop][0] != factors[start][0]:
-                out.append((factors[start][0], slice(start, stop)))
-                start = stop
-        return out
-
-    @cached_property
-    def _phase_rows(self) -> tuple[np.ndarray, slice, np.ndarray]:
-        # The factor on each w row (the sign of R times a Gamma family's scale
-        # of w, exact), and the Gamma rows, one slice of _factors, with x.
-        factors = self._factors
-        mult = np.array([[math.copysign(f.gamma[1] if f.gamma else 1.0, r)] for f, r in factors])
-        rows = [i for i, (f, _) in enumerate(factors) if f.gamma]
-        x = np.array([[factors[i][0].gamma[0]] for i in rows])
-        return mult, slice(rows[0], rows[-1] + 1) if rows else slice(0), x
+def _family_blocks(factors) -> list[tuple[Family, slice]]:
+    """Each family of a _factors order with the slice of its links' rows."""
+    out, start = [], 0
+    for stop in range(1, len(factors) + 1):
+        if stop == len(factors) or factors[stop][0] != factors[start][0]:
+            out.append((factors[start][0], slice(start, stop)))
+            start = stop
+    return out
 
 
 def parse_chain(obj) -> ChainSpec:
@@ -340,11 +328,15 @@ def _polar(chain: ChainSpec, m: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, 
     """
     if not m.size:
         return m, m
-    mult, gamma, x = chain._phase_rows
-    w = w * mult
+    # The factor on each w row (the sign of R times a Gamma family's scale
+    # of w, exact), and the Gamma rows, one slice of _factors, with x.
+    factors = chain._factors
+    w = w * np.array([[math.copysign(f.gamma[1] if f.gamma else 1.0, r)] for f, r in factors])
     phase = np.empty_like(w)
-    if x.size:
-        phase[gamma] = _line_phase(x, w[gamma])
+    rows = [i for i, (f, _) in enumerate(factors) if f.gamma]
+    if rows:
+        gamma = slice(rows[0], rows[-1] + 1)
+        phase[gamma] = _line_phase(np.array([[factors[i][0].gamma[0]] for i in rows]), w[gamma])
     for family, block in chain._blocks:
         if family.gamma is None:
             phase[block] = family.phase(family.base, w[block], chain.base)
@@ -367,22 +359,6 @@ def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
     return complex(re[0], im[0] if ell > 0 else -im[0])
 
 
-def spectrum_majorant(chain: ChainSpec, ell: int) -> float:
-    """Product of family majorants: an upper bound on the exact modulus |c_l|.
-
-    It need not bound the certified modulus that chain_spectrum carries:
-    far out on a uniform link that modulus lies up to its rounding budget
-    above the exact one, and there it can exceed the majorant.
-    """
-    ell = _check_index(ell, "ell")
-    if ell == 0:
-        return 1.0
-    out = 1.0
-    for family, r in chain._factors:
-        out *= float(family.majorant(abs(r) * float(abs(ell)), chain.base))
-    return out
-
-
 def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
     """Two-sided bounds (plain, weighted) on the spectrum beyond |l| = L.
 
@@ -390,30 +366,35 @@ def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
     each term carrying the extra 1/(pi*|l|) that bounds the fold integral
     |I_l|.  The terms up to L2 = max(2L, 256) are moduli[L:], upper bounds
     on |c_l| on the support prefix of 1..L2.  Past L2 the rest is closed
-    from the majorants at |R| * L2.  Where a link's majorant there is
-    provably 0.0 (an own-base benford link, or w(|R| * L2) >= zero_beyond,
-    w formed as the kernel forms it) the rest is exactly 0 and no majorant
-    is called.  Otherwise one majorant call per family gives their product
-    A >= |c_L2| and per link a ratio bound g * (l/(l+1))**p, the family's
-    decay law, or (1, 0) while min(1, .) still caps its majorant; the rest
-    is A * g/(1 - g) for a combined g < 1, A * L2/(p - 1) for a combined
+    from each link's certified modulus at w(|R| * L2), w formed as _moduli
+    forms it.  Where a link's modulus there is provably 0.0 (an own-base
+    benford link, or w >= zero_beyond) the rest is exactly 0 and no modulus
+    is called.  Otherwise one modulus call per family gives each link's m,
+    and its tail kernel an anchor (c * m rounded up, or a foreign-base
+    benford link's envelope) and a ratio law g * (l/(l+1))**p, or (1, 0)
+    where the anchor is capped at 1.  The product A of the anchors bounds
+    |c_l| by A * g**(l - L2) * (L2/l)**p for l >= L2, with the combined g
+    and p, so the rest is A * g/(1 - g) for g < 1, A * L2/(p - 1) for
     p >= 2, exactly 0 where A underflows, and honestly infinity otherwise.
     """
     L2 = max(2 * L, 256)
     explicit = moduli[L:]
     weighted = explicit / (math.pi * _frequencies(L + 1, L + explicit.size))
     log_base = math.log(chain.base)
+    w = [_TWO_PI * float(abs(r) * L2) / log_base for _, r in chain._factors]
     if any(
-        family.base == chain.base or _TWO_PI * float(abs(r) * L2) / log_base >= family.zero_beyond
-        for family, r in chain._factors
+        family.base == chain.base or wk >= family.zero_beyond
+        for (family, _), wk in zip(chain._factors, w)
     ):
         return 2.0 * math.fsum(explicit.tolist()), 2.0 * math.fsum(weighted.tolist())
     anchor, g_total, p_total = 1.0, 1.0, 0
     for family, block in chain._blocks:
-        rs = [float(abs(r)) for _, r in chain._factors[block]]
-        for r, m in zip(rs, family.majorant(np.array(rs) * L2, chain.base).tolist()):
-            anchor *= m
-            g, p = (1.0, 0) if m >= 1.0 else family.decay(family.base, r, chain.base, L2)
+        ms = family.modulus(family.base, np.array(w[block]), chain.base).tolist()
+        for (_, r), wk, m in zip(chain._factors[block], w[block], ms):
+            a, g, p = family.tail(family.base, float(abs(r)), chain.base, L2, wk, m)
+            if a >= 1.0:
+                a, g, p = 1.0, 1.0, 0
+            anchor *= a
             g_total *= g
             p_total += p
 

@@ -1,20 +1,20 @@
 """The table of one-parameter scale families and their Mellin machinery.
 
 Each family is a distribution on (0, infinity) closed under scaling,
-f_theta(x) = f(x/theta)/theta.  A chain analysis needs five things from a
+f_theta(x) = f(x/theta)/theta.  A chain analysis needs four things from a
 family: the Mellin transform of the unit-scale density on the line
 Re(s) = 1 at the points s = 1 - 2*pi*i*l/ln(B) in polar form, as a
-certified upper bound on its modulus from a closed form and its phase; a
-monotone majorant of that modulus; the decay law of the majorant, which
-closes truncation tails; and a unit-scale sampler.  The phases, the moduli
-and the majorant are array kernels: one call evaluates every frequency of
-a spectrum.  The phase and modulus kernels take the angular frequencies
-w = 2*pi*R*l/ln B, which a chain forms once for all its links; the
-majorants take R*l.  No kernel is complex: the Mellin value is the
-modulus times e^(i*phase).  Each family is one Family record of kernel
-functions: a row of _TABLE, or for benford a record that get_family
-builds for its own base.  A Gamma family names its Gamma argument, gamma =
-(x, scale), in place of a phase kernel: its phase is -Im lnGamma(x + i*scale*w).
+certified upper bound on its modulus from a closed form and its phase; the
+tail law of that modulus, an anchor and a ratio law that close truncation
+tails from the certified modulus at the truncation point; and a unit-scale
+sampler.  The phases and the moduli are array kernels: one call evaluates
+every frequency of a spectrum.  They take the angular frequencies
+w = 2*pi*R*l/ln B, which a chain forms once for all its links.  No kernel
+is complex: the Mellin value is the modulus times e^(i*phase).  Each family
+is one Family record of kernel functions: a row of _TABLE, or for benford
+a record that get_family builds for its own base.  A Gamma family names
+its Gamma argument, gamma = (x, scale), in place of a phase kernel: its
+phase is -Im lnGamma(x + i*scale*w).
 
 Families: "exponential", "uniform" (on [0, theta]), "half_gaussian"
 (density 2/sqrt(pi*theta^2) * exp(-(x/theta)^2)), and "benford" (density
@@ -57,15 +57,28 @@ def _omega(ells, base: int) -> np.ndarray:
 # nothing.  Below the normal range (2**-1022) a relative error r*u is at
 # most r/2 * 2**-1074, and each kernel states the absolute error by which a
 # value may lie below the exact one there, up to 225 * 2**-1074 (the
-# exponential); a value that underflows is reported as 0, as the majorant
-# tails do.
+# exponential); a value that underflows is reported as 0, and a tail
+# anchored there closes to 0.
 def _certified(m: np.ndarray, w: np.ndarray, a: float, b: float) -> np.ndarray:
     """min(1, m * (1 + (a + b*pi*w)*u)): a closed-form modulus rounded up."""
     return np.minimum(1.0, m * (1.0 + (a + (b * math.pi) * w) * _U))
 
 
+# The tail laws.  Past ell0 the chain tails bound each link's exact modulus
+# by A * g**(l - ell0) * (ell0/l)**p with A = c * m, m the certified modulus
+# at w(|R| * ell0), so m is at least the exact modulus there, and c >= 1 the
+# slack by which the family's exact ratios can exceed (g, p), derived at
+# each tail kernel below (c = 1 for the exponential).  Each kernel computes
+# c within 9u; 1 + 12u is exact in doubles, and with the two roundings of
+# the multiplies the anchor is at least c * m: (1 - 9u)(1 - u)(1 + 12u)(1 - u)
+# > 1.  Every |M f| <= 1, so the cap at 1 costs nothing.
+def _anchor(c: float, m: float) -> float:
+    """min(1, c*m*(1 + 12u)): the anchor c*m rounded up, c computed within 9u."""
+    return min(1.0, m * c * (1.0 + 12.0 * _U))
+
+
 class Family(NamedTuple):
-    """One scale family: a name, five kernels and, for benford, its own base.
+    """One scale family: a name, four kernels and, for benford, its own base.
 
     ells is an array of integer frequencies, of any shape and of an integer
     or float dtype, and each method's result an array of its shape.
@@ -78,13 +91,13 @@ class Family(NamedTuple):
     certified_modulus * e^(i*mellin_phase), for a caller that wants one
     (a foreign-base benford value carries the absolute 10u of its modulus);
     the chain spectrum multiplies the moduli and adds the phases instead.
-    majorant(ells, base) bounds the modulus from above and is nonincreasing
-    in l >= 1; the chain tails use it only past max(2L, 256).
-    decay(own, |R|, base, ell0) gives (g, p) such that the majorant ratio
-    between consecutive l >= ell0 is at most g * (l/(l+1))**p: g < 1 and
-    p = 0 for geometric families, (1, 1) for harmonic ones.  It holds once
-    min(1, .) no longer caps majorant(|R| * ell0); while the cap binds only
-    (1, 0) is safe, and the chain tails apply that rule.
+    tail(own, |R|, base, ell0, w, m) gives (A, g, p) such that the exact
+    modulus at R*l is at most A * g**(l - ell0) * (ell0/l)**p for every
+    l >= ell0, where w = w(|R| * ell0) and m is the certified modulus there:
+    g < 1 and p = 0 for geometric families, (1, 1) for harmonic ones.  A is
+    c * m rounded up, c >= 1 a constant each family derives at its kernel,
+    or for benford at a foreign base its envelope, capped at 1; where the
+    cap binds only (1, 0) is safe, and the chain tails apply that rule.
     sample_unit_batch(rng, n) makes n unit-scale draws and consumes rng once
     per element.  Each kernel takes the family's own base first: None
     except for benford.  The phase and modulus kernels take the angular
@@ -95,12 +108,11 @@ class Family(NamedTuple):
     name: str
     phase: Callable | None  # (own, w, base) -> arg of the Mellin value; None if gamma
     modulus: Callable  # (own, w >= 0, base) -> certified upper bound on its modulus
-    bound: Callable  # (own, ells, base) -> majorant array
-    decay: Callable  # (own, |R|, base, ell0) -> (g, p) once the cap is off
+    tail: Callable  # (own, |R|, base, ell0, w, m) -> (A, g, p), the tail law past ell0
     sample: Callable  # (own, rng, n) -> n unit-scale draws
     # The angular frequency w = 2*pi*|R*l|/ln B at and beyond which
-    # certified_modulus, majorant and so mellin_exact compute exactly 0.0;
-    # inf where none of them underflows.
+    # certified_modulus and so mellin_exact compute exactly 0.0; inf where
+    # it never underflows.
     zero_beyond: float = math.inf
     # (x, scale) of a Gamma family: its phase is -Im lnGamma(x + i*scale*w).
     gamma: tuple[float, float] | None = None
@@ -116,9 +128,6 @@ class Family(NamedTuple):
 
     def certified_modulus(self, ells, base: int) -> np.ndarray:
         return self.modulus(self.base, np.abs(_omega(ells, base)), base)
-
-    def majorant(self, ells, base: int) -> np.ndarray:
-        return self.bound(self.base, ells, base)
 
     def sample_unit_batch(self, rng, n: int) -> np.ndarray:
         return self.sample(self.base, rng, n)
@@ -145,19 +154,15 @@ def _exponential_modulus(own, w, base: int) -> np.ndarray:
     return _certified(gamma_abs_on_line(w), w, 16.0, 4.0)
 
 
-def _exponential_majorant(own, ells, base: int) -> np.ndarray:
-    # |Gamma(1+ix)| evaluated exactly (overflow-safe), padded by 1.0002.
-    return np.minimum(1.0, 1.0002 * gamma_abs_on_line(_omega(ells, base)))
-
-
-def _exponential_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
-    # Ratio of sqrt(y/sinh y) at consecutive l: the sinh quotient gives
-    # exp(-pi^2 R/ln B) up to the (l+1)/l and 1/(1-e^(-2y)) slack terms,
-    # both evaluated at their worst point l = ell0.
+def _exponential_tail(own, r: float, base: int, ell0: int, w: float, m: float) -> tuple[float, float, int]:
+    # The ratio of the exact sqrt(y/sinh y), y = pi*w, at consecutive l: the
+    # sinh quotient gives exp(-pi^2 R/ln B) up to the (l+1)/l and
+    # 1/(1-e^(-2y)) slack terms, both evaluated at their worst point
+    # l = ell0.  So the law holds for the exact modulus from m on: c = 1.
     lam = math.pi**2 * r / math.log(base)
     y1 = 2.0 * math.pi**2 * r * (ell0 + 1) / math.log(base)
     slack = (1.0 + 1.0 / ell0) / -math.expm1(-2.0 * y1)
-    return min(math.sqrt(slack) * math.exp(-lam), 1.0), 0
+    return m, min(math.sqrt(slack) * math.exp(-lam), 1.0), 0
 
 
 def _exponential_sample(own, rng, n: int) -> np.ndarray:
@@ -180,23 +185,13 @@ def _uniform_modulus(own, w, base: int) -> np.ndarray:
     return _certified(1.0 / np.hypot(1.0, w), w, 20.0, 0.0)
 
 
-# 1/|s| < 1/|Im s| = ln(B)/(2*pi*l); harmonic, not summable alone.  At
-# large w = 2*pi*l/ln B the exact 1/sqrt(1 + w^2) = (1/w)(1 - 1/(2w^2) + ...)
-# lies within u of 1/w (at w > 1e8), so the rounding of the quotient decides
-# the order: l (the product R*l, u), math.log (2u), 2*pi (0.4u), the
-# multiply and the divide (u each) put the computed quotient within 5.4u of
-# ln(B)/(2*pi*l).  Times 1 + 8u (exact in doubles) and one more rounding it
-# is at least (1 - 5.4u)(1 + 8u)(1 - u) > 1 times that, above the modulus.
-_UNIFORM_PAD = 1.0 + 8.0 * _U
-
-
-def _uniform_majorant(own, ells, base: int) -> np.ndarray:
-    quotient = math.log(base) / (_TWO_PI * np.asarray(ells, dtype=np.float64))
-    return np.minimum(1.0, _UNIFORM_PAD * quotient)
-
-
-def _uniform_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
-    return 1.0, 1
+def _uniform_tail(own, r: float, base: int, ell0: int, w: float, m: float) -> tuple[float, float, int]:
+    # The exact 1/hypot(1, w_l), w_l = w*l/ell0, is at most 1/w_l =
+    # (ell0/l) * c/hypot(1, w) with c = hypot(1, w)/w = sqrt(1 + 1/w^2): the
+    # law (1, 1) holds for 1/w, and c is its slack over the exact modulus at
+    # ell0.  |d ln c/d ln w| = 1/(1 + w^2) <= 1, so w's 6u costs at most 6u;
+    # hypot 1 ulp (2u) and the divide u: 9u.
+    return _anchor(math.hypot(1.0, w) / w, m), 1.0, 1
 
 
 def _uniform_sample(own, rng, n: int) -> np.ndarray:
@@ -218,15 +213,16 @@ def _half_gaussian_modulus(own, w, base: int) -> np.ndarray:
     return _certified(np.exp(-0.5 * t) * np.sqrt(2.0 / (1.0 + np.exp(-2.0 * t))), w, 18.0, 2.0)
 
 
-def _half_gaussian_majorant(own, ells, base: int) -> np.ndarray:
-    # 1/sqrt(cosh t) <= sqrt(2)*exp(-t/2), t = pi^2 l / ln B; pad 1.01.
-    t = math.pi**2 * np.asarray(ells, dtype=np.float64) / math.log(base)
-    return np.minimum(1.0, 1.01 * math.sqrt(2.0) * np.exp(-0.5 * t))
-
-
-def _half_gaussian_decay(own, r: int, base: int, ell0: int) -> tuple[float, int]:
+def _half_gaussian_tail(own, r: float, base: int, ell0: int, w: float, m: float) -> tuple[float, float, int]:
+    # The exact ratio sqrt(cosh t / cosh t_l), t = pi*w/2 at ell0 and t_l at
+    # l, is e^(-(t_l - t)/2) * sqrt((1 + e^(-2t))/(1 + e^(-2t_l))), at most
+    # g**(l - ell0) * c with g = exp(-pi^2 R/(2 ln B)) and c = sqrt(1 +
+    # e^(-2t)).  t has relative error < 7.4u and exp 8u, so e^(-2t) carries
+    # (14.8t + 8)u relative, which moves c by at most e^(-2t)*(7.4t + 4)u
+    # <= 4u; the add and the sqrt add 0.5u and u: 5.5u.
+    t = (0.5 * math.pi) * w
     lam = 0.5 * math.pi**2 * r / math.log(base)
-    return math.exp(-lam), 0
+    return _anchor(math.sqrt(1.0 + math.exp(-2.0 * t)), m), math.exp(-lam), 0
 
 
 def _half_gaussian_sample(own, rng, n: int) -> np.ndarray:
@@ -274,15 +270,16 @@ def _benford_modulus(own: int, w, base: int) -> np.ndarray:
     return np.minimum(1.0, m * (1.0 + 22.0 * _U) + 10.0 * _U)
 
 
-def _benford_majorant(own: int, ells, base: int) -> np.ndarray:
-    ells = np.asarray(ells, dtype=np.float64)
+def _benford_tail(own: int, r: float, base: int, ell0: int, w: float, m: float) -> tuple[float, float, int]:
+    """At its own base every modulus past l = 0 is 0.  At a foreign base
+    |sin x|/x is not monotone, so the anchor is its envelope 1/x =
+    ln B/(pi*R*l*ln b), x = x(w) at ell0, which decays like 1/l: (1, 1).
+    x carries a relative error < 9u (as at the modulus), so (1 + 12u)/x,
+    one more rounding, is at least (1 + 12u)(1 - 9u)(1 - u) > 1 times 1/x.
+    """
     if base == own:
-        return np.zeros(ells.shape)
-    return np.minimum(1.0, math.log(base) / (math.pi * ells * math.log(own)))
-
-
-def _benford_decay(own: int, r: int, base: int, ell0: int) -> tuple[float, int]:
-    return (0.0, 0) if base == own else (1.0, 1)
+        return 0.0, 0.0, 0
+    return min(1.0, (1.0 + 12.0 * _U) / _benford_x(own, w)), 1.0, 1
 
 
 def _benford_sample(own: int, rng, n: int) -> np.ndarray:
@@ -293,26 +290,23 @@ def _benford_sample(own: int, rng, n: int) -> np.ndarray:
 _TABLE = {
     # f(x) = exp(-x) on x >= 0: Mellin value Gamma(s), phase -Im lnGamma(1 + iw)
     "exponential": Family(
-        "exponential", None, _exponential_modulus, _exponential_majorant,
-        _exponential_decay, _exponential_sample,
-        # At w = 480 the e^(-pi*w/2) = e^(-754) of the modulus and the majorant
-        # lies below half the least subnormal, e^(-745.13).  Both decrease in
-        # w.  (Their last nonzero values in a dense sweep lie at w ~ 474.4.)
+        "exponential", None, _exponential_modulus, _exponential_tail, _exponential_sample,
+        # At w = 480 the e^(-pi*w/2) = e^(-754) of the modulus lies below
+        # half the least subnormal, e^(-745.13), and it decreases in w.  (Its
+        # last nonzero values in a dense sweep lie at w ~ 474.4.)
         480.0,
         (1.0, 1.0),
     ),
     "uniform": Family(
-        "uniform", _uniform_phase, _uniform_modulus, _uniform_majorant, _uniform_decay,
-        _uniform_sample,
+        "uniform", _uniform_phase, _uniform_modulus, _uniform_tail, _uniform_sample,
     ),
     # |N(0, theta/sqrt(2))|, f(x) = 2/sqrt(pi) * exp(-x^2) on x >= 0: Mellin
     # value Gamma(s/2)/sqrt(pi), phase -Im lnGamma(1/2 + iw/2)
     "half_gaussian": Family(
-        "half_gaussian", None, _half_gaussian_modulus, _half_gaussian_majorant,
-        _half_gaussian_decay, _half_gaussian_sample,
-        # At w = 960 the e^(-pi*w/4) = e^(-754) of the modulus and the majorant
-        # lies below half the least subnormal, e^(-745.13).  Both decrease in
-        # w.  (Their last nonzero values in a dense sweep lie at w ~ 948.7.)
+        "half_gaussian", None, _half_gaussian_modulus, _half_gaussian_tail, _half_gaussian_sample,
+        # At w = 960 the e^(-pi*w/4) = e^(-754) of the modulus lies below
+        # half the least subnormal, e^(-745.13), and it decreases in w.  (Its
+        # last nonzero values in a dense sweep lie at w ~ 948.7.)
         960.0,
         (0.5, 0.5),
     ),
@@ -331,8 +325,8 @@ def _benford(base: int) -> Family:
     return tuple.__new__(
         Family,
         (
-            "benford", _benford_phase, _benford_modulus, _benford_majorant, _benford_decay,
-            _benford_sample, math.inf, None, base,
+            "benford", _benford_phase, _benford_modulus, _benford_tail, _benford_sample,
+            math.inf, None, base,
         ),
     )
 

@@ -13,7 +13,7 @@ the exact R, l and B, not from the closed forms the package computes.
 The same chains' complex coefficients c_l come from the complex Mellin
 values, at the signed R.  The phases Im lnGamma(x + iy) are mpmath's
 loggamma, and the uniform moduli far out (l = 1e9..1e9+199, base 10)
-check the uniform majorant.  FOLD_SUMS holds truncated fold series
+check the uniform tail anchor.  FOLD_SUMS holds truncated fold series
 (b - a) + 2 * sum_{l <= L} Re(c_l I_l) of a few chains over 1-ulp, ordinary
 and near-0 intervals, from the exact c_l and the exact endpoints, and
 EXPLICIT_TAILS the explicit part of the tails, sum_{L < l <= L2} |c_l| with

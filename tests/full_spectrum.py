@@ -7,9 +7,11 @@ on it must still give these outputs bit for bit.
 The spectrum is the polar one of the package: the product of the certified
 closed-form moduli times e^(i*phi), phi the sum of the family phases.
 deviation_bound and fold_probability take their tails from those moduli,
-rounded up, as the package does; majorant_tails is the tail before that,
-with majorants in place of the moduli up to L2 as well, kept as the
-reference the new tails must stay below within a rounding slack.
+rounded up, as the package does, closed past max(2L, 256) from each link's
+anchor there; majorant_tails is the tail before that, with the family
+majorants the package once had in place of the moduli up to L2 and of the
+anchors, kept as the reference the new tails must stay below within a
+rounding slack.
 hypot_deviation_bound takes |c_l| as hypot of the spectrum instead, with
 no rounding allowance, and stays within 1e-12 relative of the bound."""
 
@@ -21,8 +23,10 @@ import numpy as np
 
 from benford_chains.chains import SpectrumCheckError, _fold_rounding, _round_up
 from benford_chains.families import Family
+from benford_chains.specfun import gamma_abs_on_line
 
 _TWO_PI = 2.0 * math.pi
+U = 2.0**-53
 
 
 def _by_family(chain):
@@ -47,10 +51,6 @@ def spectrum(chain, ells):
     return m * np.cos(phase), m * np.sin(phase)
 
 
-def majorants(chain, ells):
-    return products(chain, ells, Family.majorant)
-
-
 def chain_spectrum(chain, ell: int) -> complex:
     if ell == 0:
         return 1.0 + 0.0j
@@ -60,25 +60,55 @@ def chain_spectrum(chain, ell: int) -> complex:
     return complex(re[0], im[0] if ell > 0 else -im[0])
 
 
-def spectrum_majorant(chain, ell: int) -> float:
-    if ell == 0:
-        return 1.0
-    return float(majorants(chain, np.arange(abs(ell), abs(ell) + 1, dtype=np.float64))[0])
+def majorant(family, ells, base):
+    """The family majorant the tails once closed from, at R*l = ells: a
+    second closed form of the modulus with an ad hoc pad (exponential,
+    half-Gaussian) or a rounding pad (uniform), and benford's envelope."""
+    ells = np.asarray(ells, dtype=np.float64)
+    if family.name == "exponential":
+        return np.minimum(1.0, 1.0002 * gamma_abs_on_line(_TWO_PI * ells / math.log(base)))
+    if family.name == "uniform":
+        return np.minimum(1.0, (1.0 + 8.0 * U) * (math.log(base) / (_TWO_PI * ells)))
+    if family.name == "half_gaussian":
+        t = math.pi**2 * ells / math.log(base)
+        return np.minimum(1.0, 1.01 * math.sqrt(2.0) * np.exp(-0.5 * t))
+    if base == family.base:
+        return np.zeros(ells.shape)
+    return np.minimum(1.0, math.log(base) / (math.pi * ells * math.log(family.base)))
 
 
-def _profile(family, r, base, ell0):
-    """The majorant's decay law (g, p) past ell0, or (1, 0) while its cap binds."""
-    if family.majorant(abs(r) * ell0, base) >= 1.0:
-        return 1.0, 0
-    return family.decay(family.base, abs(r), base, ell0)
+def majorants(chain, ells):
+    return products(chain, ells, majorant)
 
 
-def _close(chain, L2, plain, weighted, last):
-    """2 * (sum + rest) of the plain and weighted terms, rest closing past L2 from last."""
+def omega(r, ell0, base) -> float:
+    """w(|R| * ell0), formed as chains._moduli forms it."""
+    return _TWO_PI * float(abs(r) * ell0) / math.log(base)
+
+
+def ratio_law(family, r, base, ell0):
+    """(g, p) of a family's tail law past ell0, which the majorants had too."""
+    return family.tail(family.base, float(abs(r)), base, ell0, omega(r, ell0, base), 0.0)[1:]
+
+
+def anchors(chain, L2):
+    """(A, g, p) of each link past L2, from its certified modulus there; (1, 1, 0)
+    where A is capped at 1."""
+    out = []
+    for family, r in chain._factors:
+        w = omega(r, L2, chain.base)
+        [m] = family.modulus(family.base, np.array([w]), chain.base).tolist()
+        a, g, p = family.tail(family.base, float(abs(r)), chain.base, L2, w, m)
+        out.append((1.0, 1.0, 0) if a >= 1.0 else (a, g, p))
+    return out
+
+
+def _close(L2, plain, weighted, last, laws):
+    """2 * (sum + rest) of the plain and weighted terms, rest closing past L2
+    from last with the links' ratio laws."""
     g_total = 1.0
     p_total = 0
-    for family, r in chain._factors:
-        g, p = _profile(family, r, chain.base, L2)
+    for g, p in laws:
         g_total *= g
         p_total += p
 
@@ -97,12 +127,17 @@ def _close(chain, L2, plain, weighted, last):
 
 
 def majorant_tails(chain, L: int) -> tuple[float, float]:
-    """The tails before the certified moduli: majorant terms L+1..L2, closed from the last."""
+    """The tails before the certified moduli: majorant terms L+1..L2, closed
+    from the last with each majorant's law, or (1, 0) while its cap binds."""
     L2 = max(2 * L, 256)
     ells = np.arange(L + 1, L2 + 1, dtype=np.float64)
     plain = majorants(chain, ells)
     weighted = (plain / (math.pi * ells)).tolist()
-    return _close(chain, L2, plain.tolist(), weighted, float(plain[-1]))
+    laws = [
+        (1.0, 0) if majorant(family, abs(r) * L2, chain.base) >= 1.0 else ratio_law(family, r, chain.base, L2)
+        for family, r in chain._factors
+    ]
+    return _close(L2, plain.tolist(), weighted, float(plain[-1]), laws)
 
 
 def moduli(chain, L: int):
@@ -112,13 +147,16 @@ def moduli(chain, L: int):
 
 
 def tails(chain, L: int) -> tuple[float, float]:
-    """The tails: moduli L+1..L2, closed from the majorant product at L2."""
+    """The tails: moduli L+1..L2, closed from the product of the anchors at L2."""
     L2 = max(2 * L, 256)
     ells = np.arange(L + 1, L2 + 1, dtype=np.float64)
     explicit = moduli(chain, L)[L:]
     weighted = (explicit / (math.pi * ells)).tolist()
-    last = float(majorants(chain, np.array([float(L2)]))[0])
-    return _close(chain, L2, explicit.tolist(), weighted, last)
+    last, laws = 1.0, []
+    for a, g, p in anchors(chain, L2):
+        last *= a
+        laws.append((g, p))
+    return _close(L2, explicit.tolist(), weighted, last, laws)
 
 
 def _bound(chain, interval, L: int, moduli, tail):
@@ -201,14 +239,20 @@ def tail_slack(chain) -> float:
     a benford factor at a base other than the chain's.
 
     A uniform certified modulus lies within 42u above the exact one (20u
-    budget, families.py), which its majorant covers, and can exceed the
-    majorant by that much far out; the exponential and half-Gaussian
-    majorants' pads (1.0002, 1.01) cover their moduli.  The k - 1 product
-    roundings of each side differ by 2(k - 1)u, the round-up by 1 + gamma_k
-    and its multiply add (k + 3)u, and fsum, the closure and the final adds
-    are monotone but for a few last roundings (4u).
+    budget, families.py), and the majorant ln(B)/(2*pi*l), with or without
+    its pad 1 + 8u, at most 5.4u below 1/w, which is above the exact
+    modulus.  The uniform anchor c*m rounded up lies within 65u above
+    c * exact = 1/w: m's 42u, c's 9u, the 12u of the rounding up and its two
+    multiplies.  So 72u per uniform link covers both its explicit terms and
+    its anchor.  The exponential and half-Gaussian moduli lie within
+    2e + 2u, e < 6100u below zero_beyond, above the exact ones, and their
+    anchors m and c*m rounded up within 2e + 25u above the exact modulus
+    (exponential) and sqrt(2)*exp(-pi*w/4) (half-Gaussian), which the
+    majorants' pads (1.0002, 1.01) cover.  The k - 1 product roundings of
+    each side differ by 2(k - 1)u, the round-up by 1 + gamma_k and its
+    multiply add (k + 3)u, and fsum, the closure and the final adds are
+    monotone but for a few last roundings (4u).
     """
-    U = 2.0**-53
     k = len(chain.links)
     uniform = sum(family.name == "uniform" for family, _ in chain._factors)
-    return 1.0 + (42 * uniform + 3 * k + 8) * U
+    return 1.0 + (72 * uniform + 3 * k + 8) * U

@@ -4,7 +4,8 @@ frequency, complex Gamma from scipy.special.loggamma, and a per-l fold loop.
 Its outputs reproduce the parent pins in test_pinned_outputs bit for bit,
 with the tails of that time: majorant terms up to max(2L, 256), closed
 from the last one.  tails gives the tails the package has since taken from
-the moduli, here from this module's own |c_l|."""
+the moduli and closed from each link's anchor at max(2L, 256), here from
+this module's own |c_l| and Mellin moduli."""
 
 import cmath
 import math
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from benford_chains.chains import BoundResult
+from full_spectrum import ratio_law
 
 _TWO_PI = 2.0 * math.pi
 
@@ -63,6 +65,16 @@ def majorant(family, ell: int, base: int) -> float:
     return min(1.0, math.log(base) / (math.pi * ell * math.log(family.base)))
 
 
+def anchor(family, ell: int, base: int) -> float:
+    """The tail anchor at R*l = ell before its rounding up: c*|M f| with the
+    family's constant c, or at a foreign base benford's envelope 1/x."""
+    w = omega(ell, base)
+    if family.name == "benford":
+        return 0.0 if base == family.base else min(1.0, math.log(base) / (math.pi * ell * math.log(family.base)))
+    c = {"exponential": 1.0, "uniform": math.sqrt(1.0 + w**-2), "half_gaussian": math.sqrt(1.0 + math.exp(-math.pi * w))}
+    return min(1.0, c[family.name] * abs(mellin(family, ell, base)))
+
+
 def chain_spectrum(chain, ell: int) -> complex:
     if ell == 0:
         return 1.0 + 0.0j
@@ -85,15 +97,13 @@ def spectrum_majorant(chain, ell: int) -> float:
     return out
 
 
-def _close(chain, L2, plain, last):
-    """(plain, weighted) tails: the terms L+1..L2 of plain, closed past L2 from last."""
+def _close(L2, plain, last, laws):
+    """(plain, weighted) tails: the terms L+1..L2 of plain, closed past L2 from
+    last with the links' ratio laws."""
     weighted = [t / (math.pi * ell) for ell, t in enumerate(plain, L2 - len(plain) + 1)]
     g_total = 1.0
     p_total = 0
-    for family, r in chain._factors:
-        # the decay law holds once min(1, .) no longer caps the majorant
-        capped = family.majorant(abs(r) * L2, chain.base) >= 1.0
-        g, p = (1.0, 0) if capped else family.decay(family.base, abs(r), chain.base, L2)
+    for g, p in laws:
         g_total *= g
         p_total += p
 
@@ -114,13 +124,27 @@ def _close(chain, L2, plain, last):
 def majorant_tails(chain, L: int) -> tuple[float, float]:
     L2 = max(2 * L, 256)
     plain = [spectrum_majorant(chain, ell) for ell in range(L + 1, L2 + 1)]
-    return _close(chain, L2, plain, plain[-1])
+    # the decay law holds once min(1, .) no longer caps the majorant
+    laws = [
+        (1.0, 0) if majorant(family, abs(r) * L2, chain.base) >= 1.0 else ratio_law(family, r, chain.base, L2)
+        for family, r in chain._factors
+    ]
+    return _close(L2, plain, plain[-1], laws)
 
 
 def tails(chain, L: int) -> tuple[float, float]:
     L2 = max(2 * L, 256)
     plain = [abs(chain_spectrum(chain, ell)) for ell in range(L + 1, L2 + 1)]
-    return _close(chain, L2, plain, spectrum_majorant(chain, L2))
+    # each link's anchor from its own |M f| at |R| * L2, capped as the package caps it
+    last, laws = 1.0, []
+    for family, r in chain._factors:
+        w = omega(abs(r) * L2, chain.base)
+        m = abs(mellin(family, abs(r) * L2, chain.base))
+        a, g, p = family.tail(family.base, float(abs(r)), chain.base, L2, w, m)
+        a, g, p = (1.0, 1.0, 0) if a >= 1.0 else (a, g, p)
+        last *= a
+        laws.append((g, p))
+    return _close(L2, plain, last, laws)
 
 
 def deviation_bound(chain, interval, L: int = 64) -> BoundResult:

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import full_spectrum
 from benford_chains.chains import (
     BoundResult,
     ChainLink,
@@ -24,7 +25,6 @@ from benford_chains.chains import (
     fold_probability,
     load_chain,
     parse_chain,
-    spectrum_majorant,
     uniform_chain_cdf_bound,
     uniform_chain_cdf_terms,
     uniform_chain_density,
@@ -191,7 +191,7 @@ def test_spectrum_contains_benford_link_vanishes():
     ch = chain("exponential", "benford", "uniform")
     for ell in (1, 2, 7, -4):
         assert chain_spectrum(ch, ell) == 0.0 + 0.0j
-        assert spectrum_majorant(ch, ell) == 0.0
+        assert anchor_product(ch, abs(ell)) == 0.0
 
 
 def test_spectrum_is_permutation_invariant_bitwise():
@@ -222,16 +222,25 @@ def test_spectrum_negative_frequency_is_the_conjugate_bitwise():
             assert chain_spectrum(ch, -ell) == c.conjugate(), (ch, ell)
 
 
-def test_spectrum_majorant_dominates():
+def anchor_product(ch, ell) -> float:
+    """The product of the links' tail anchors at ell, as the tails form it at L2 = ell."""
+    return math.prod(a for a, _, _ in full_spectrum.anchors(ch, ell))
+
+
+def test_the_tail_anchors_dominate_the_spectrum():
+    # each anchor is c*m rounded up with c >= 1 (or the link's modulus
+    # itself, exponential), so their product is at least the product of the
+    # moduli; |c_l| as abs of the polar value adds up to 2u
     chains = [
         chain("exponential", "uniform"),
         chain("half_gaussian", "half_gaussian", "uniform"),
         chain("exponential", "uniform", powers=[1, -2]),
+        chain("exponential", "exponential", powers=[1, 3]),
         chain("benford", "exponential"),
     ]
     for ch in chains:
         for ell in range(1, 65):
-            assert abs(chain_spectrum(ch, ell)) <= spectrum_majorant(ch, ell), (ch, ell)
+            assert abs(chain_spectrum(ch, ell)) <= anchor_product(ch, ell) * (1.0 + 4.0 * 2.0**-53), (ch, ell)
 
 
 # ------------------------------------------------------------------- bounds
@@ -243,7 +252,7 @@ def test_deviation_bound_matches_exponential_closed_form():
     assert res.value == pytest.approx(2.0 * exponential_chain_bound(2, 10), rel=1e-13)
     assert res.value == pytest.approx(0.0064907182036420046, rel=1e-12)
     assert res.truncation_L == 64
-    assert res.tail < 1e-200  # majorants are astronomically small past l = 64
+    assert res.tail < 1e-200  # the moduli are astronomically small past l = 64
 
 
 def test_deviation_bound_structure():

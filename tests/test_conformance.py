@@ -32,7 +32,21 @@ def chain(*families, base=10):
 
 def test_decision_coefficients_pinned():
     assert KS_ONE_SAMPLE_COEFF == 1.63
-    assert KS_TWO_SAMPLE_COEFF == 1.628
+    assert KS_TWO_SAMPLE_COEFF == 1.7309
+    # Massart on each sample with a union bound gives the two-sample rule a
+    # level of 2 * 2 exp(-2 c^2) at every n and m, within 0.01; 1.7308, c
+    # rounded down, would exceed it
+    assert 4.0 * math.exp(-2.0 * KS_TWO_SAMPLE_COEFF**2) <= 0.01 < 4.0 * math.exp(-2.0 * 1.7308**2)
+
+
+def test_two_sample_ks_rejects_above_the_sum_of_the_two_massart_radii():
+    # n = 4 and m = 100: the critical value is 1.7309 * (1/2 + 1/10) = 1.03854,
+    # above 1, so no pair of samples of these sizes is rejected; the old
+    # asymptotic 1.628 * sqrt(104/400) = 0.830 rejected disjoint samples
+    stat, reject = two_sample_ks([1.0, 2.0, 3.0, 4.0], np.arange(10.0, 110.0))
+    assert stat == 1.0 and not reject
+    stat, reject = two_sample_ks(np.arange(100.0), np.arange(100.0, 200.0))
+    assert stat == 1.0 and reject
 
 
 def test_benford_cdf_values():

@@ -1,4 +1,4 @@
-"""A decimal oracle for the certified moduli.
+"""A decimal oracle for the certified moduli and the tails.
 
 The standard library's decimal module rounds exp, ln and sqrt correctly.
 At 40 digits, with pi from a frozen 60-digit string, it gives the exact
@@ -9,7 +9,16 @@ angular frequencies w, and each product that chains._moduli forms for
 hypothesis-drawn chains, at the exact w = 2*pi*|R|*l/ln B, must lie at or
 above them where the exact value is normal, and below 2**-1022 no further
 below than the absolute error each family states at its kernel
-(families.py).
+(families.py).  A Taylor sine gives benford's |sin x|/x at a foreign base,
+which its kernel and its tail anchor, the envelope 1/x, must lie at or
+above.
+
+The tails close past L2 = max(2L, 256) from each link's anchor and its
+ratio law (g, p) with a constant c.  Each family's stated law must hold for
+the exact moduli from small ell0 on, and fail with c = 1 for the uniform
+and the half-Gaussian; each anchor must lie at or above c times the exact
+modulus; and the two tails of hypothesis-drawn chains must lie at or above
+a decimal sum of the exact moduli, closed by the same laws in decimal.
 
 At 50 digits it also gives the phase Im lnGamma(x + iy) that arg_gamma
 evaluates: a shift by 16 (DLMF 5.5.1), a 10-term Stirling series (DLMF
@@ -20,7 +29,7 @@ spectrum, must lie within the error its docstring states.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +142,171 @@ def test_chain_moduli_lie_at_or_above_the_exact_product(base, links, target, spa
         # past the support prefix the pass returns nothing: the modulus is 0.0
         got = float(moduli[ell - first]) if ell - first < moduli.size else 0.0
         assert_at_or_above(got, exact_product(chain, ell), slack, (base, links, ell, got))
+
+
+# ---------------------------------------------------- benford at a foreign base
+
+
+def decimal_sin(x: Decimal) -> Decimal:
+    """sin x for x >= 0 to 60 digits: x reduced into (-pi, pi], then Taylor."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        two_pi = 2 * PI
+        x -= two_pi * (x / two_pi).to_integral_value(rounding=ROUND_FLOOR)
+        if x > PI:
+            x -= two_pi
+        square, term, total, n = x * x, x, x, 1
+        while True:
+            term = -term * square / ((n + 1) * (n + 2))
+            n += 2
+            step = total + term
+            if step == total:
+                return total
+            total = step
+
+
+def benford_cases():
+    """Random (b, B, l) with b != B, and bases whose exact modulus vanishes (ln b/ln B rational)."""
+    rng = np.random.default_rng(20261023)
+    cases = [(4, 2, 1), (100, 10, 7), (8, 2, 3), (1000, 10, 64), (2, 4, 5), (10, 1000, 333)]
+    while len(cases) < 1500:
+        b, B = (int(v) for v in np.exp(rng.uniform(math.log(2.0), math.log(1e6), 2)))
+        ell = int(np.exp(rng.uniform(0.0, math.log(1e5))))
+        if b != B:
+            cases.append((b, B, ell))
+    return cases
+
+
+def test_benford_at_a_foreign_base_lies_at_or_above_a_taylor_sine():
+    below = 0
+    for b, B, ell in benford_cases():
+        family = families.get_family("benford", b)
+        w = 2.0 * math.pi * float(ell) / math.log(B)
+        [m] = family.modulus(b, np.array([w]), B).tolist()
+        anchor, g, p = family.tail(b, 1.0, B, ell, w, m)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = PI * ell * Decimal(b).ln() / Decimal(B).ln()
+            exact = abs(decimal_sin(x)) / x
+            envelope = min(Decimal(1), 1 / x)
+        # m^(1 + 22u) + 10u, and the envelope rounded up by 1 + 12u
+        assert Decimal(m) >= exact, (b, B, ell, m)
+        assert Decimal(anchor) >= max(envelope, exact) and (g, p) == (1.0, 1), (b, B, ell, anchor)
+        # the envelope as computed without its rounding budget
+        below += Decimal(min(1.0, math.log(B) / (math.pi * ell * math.log(b)))) < envelope
+    # which fell below the exact 1/x on some of these points
+    assert below > 0
+
+
+# ---------------------------------------------------------------- the tails
+
+# Each family's constant c at the exact w of ell0: the slack of its ratio
+# law over the exact modulus there (families.py).
+C = {
+    "exponential": lambda w: Decimal(1),
+    "uniform": lambda w: (1 + 1 / (w * w)).sqrt(),
+    "half_gaussian": lambda w: (1 + (-PI * w).exp()).sqrt(),
+}
+
+
+def stated_ratio(name: str, r: int, base: int, ell0: int) -> tuple[Decimal, int]:
+    """(g, p) of a family's law past ell0 as families.py states it, in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        lam = PI * PI * r / Decimal(base).ln()
+        if name == "uniform":
+            return Decimal(1), 1
+        if name == "half_gaussian":
+            return (-lam / 2).exp(), 0
+        y1 = 2 * lam * (ell0 + 1)
+        slack = (1 + Decimal(1) / ell0) / (1 - (-2 * y1).exp())
+        return min(Decimal(1), slack.sqrt() * (-lam).exp()), 0
+
+
+def law_holds(name: str, r: int, base: int, ell0: int, c: Decimal, g: Decimal, p: int) -> bool:
+    """exact(l) <= c * exact(ell0) * g**(l - ell0) * (ell0/l)**p for l in ell0..ell0 + 200,
+    up to 1e-30 relative: the exponential's first ratio is tight to e^(-2y) at
+    ell0, below the oracle's 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        log_base = Decimal(base).ln()
+        anchor = c * exact(name, 2 * PI * r * ell0 / log_base) * (1 + Decimal("1e-30"))
+        return all(
+            exact(name, 2 * PI * r * ell / log_base) <= anchor * g ** (ell - ell0) * (Decimal(ell0) / ell) ** p
+            for ell in range(ell0, ell0 + 201)
+        )
+
+
+def test_each_stated_law_holds_for_the_exact_moduli_and_needs_its_c():
+    for name, kernel in KERNELS.items():
+        family = families.get_family(name)
+        for base in (2, 10, 1000, 10**6):
+            for r in (1, 3):
+                for ell0 in (1, 2, 8):
+                    g, p = stated_ratio(name, r, base, ell0)
+                    with localcontext() as ctx:
+                        ctx.prec = DIGITS
+                        exact_w = 2 * PI * r * ell0 / Decimal(base).ln()
+                        c = C[name](exact_w)
+                    where = (name, base, r, ell0)
+                    assert law_holds(name, r, base, ell0, c, g, p), where
+                    # with c = 1 the uniform law fails at every ell0, and the
+                    # half-Gaussian one wherever its slack passes the tolerance
+                    if name == "uniform" or (name == "half_gaussian" and c - 1 > Decimal("1e-25")):
+                        assert not law_holds(name, r, base, ell0, Decimal(1), g, p), where
+                    # the kernel: its (g, p) within (16 + 6*lam)u of the
+                    # stated law's, where g is e^(-lam), lam < 1 - ln g, times
+                    # a slack factor and lam carries 6u (the closure's
+                    # rounding is ROADMAP item 4); its anchor at or above
+                    # c * the exact modulus, capped at 1
+                    w = 2.0 * math.pi * float(r * ell0) / math.log(base)
+                    [m] = kernel(None, np.array([w]), base).tolist()
+                    a, g_kernel, p_kernel = family.tail(None, float(r), base, ell0, w, m)
+                    lam = -math.log(float(g)) + 1.0
+                    assert p_kernel == p and abs(Decimal(g_kernel) - g) <= Decimal((16 + 6 * lam) * U) * g, where
+                    assert Decimal(a) >= min(Decimal(1), c * exact(name, exact_w)), where
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.integers(2, 10**6),
+    links=st.lists(LINKS, min_size=1, max_size=3),
+    L=st.sampled_from([1, 64, 200]),
+)
+def test_the_tails_lie_at_or_above_a_decimal_sum_of_the_exact_moduli(base, links, L):
+    links = [(links[0][0], 1), *links[1:]]
+    chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
+    L2 = max(2 * L, 256)
+    bounds = chains._moduli(chain, 1, L2)[0] * chains._round_up(len(links))
+    plain, weighted = chains._tails(chain, bounds, L)
+    # the oracle: the exact terms L+1..L2+50, closed past ell0 = L2 + 50 by
+    # the stated laws with the exact c, g and anchors
+    ell0 = L2 + 50
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        terms = [exact_product(chain, ell) for ell in range(L + 1, ell0 + 1)]
+        anchor, g_total, p_total = Decimal(1), Decimal(1), 0
+        log_base = Decimal(base).ln()
+        for family, r in chain._factors:
+            w = 2 * PI * abs(r) * ell0 / log_base
+            g, p = stated_ratio(family.name, abs(r), base, ell0)
+            anchor *= C[family.name](w) * exact(family.name, w)
+            g_total *= g
+            p_total += p
+        for tail, weight, p in ((plain, Decimal(0), p_total), (weighted, Decimal(1), p_total + 1)):
+            scale = 1 / (PI * ell0) if weight else Decimal(1)
+            if g_total < 1:
+                rest = anchor * scale * g_total / (1 - g_total)
+            elif p >= 2:
+                rest = anchor * scale * ell0 / (p - 1)
+            else:
+                assert tail == math.inf, (base, links, L)
+                continue
+            total = 2 * (sum(t / (PI * ell) if weight else t for ell, t in enumerate(terms, L + 1)) + rest)
+            # below 2**-1022 each term may lie under the exact one by the
+            # absolute error its links state, as in the moduli check above
+            slack = 2 * (L2 - L) * (sum(SUBNORMAL[f.name] for f, _ in chain._factors) + len(links)) * LEAST
+            assert Decimal(tail) >= total - slack, (base, links, L, tail, total)
 
 
 # ------------------------------------------------------------------ the phase

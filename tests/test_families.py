@@ -1,4 +1,4 @@
-"""Scale-family exact Mellin values, majorants and samplers, checked against
+"""Scale-family exact Mellin values, tail laws and samplers, checked against
 the density, CDF and quadrature oracles in tests/oracles.py."""
 
 import math
@@ -131,7 +131,7 @@ def test_benford_is_absorbing_at_matched_base():
         fam = get_family("benford", base)
         for ell in (1, 2, 5, -3):
             assert mellin_at(fam, ell, base) == 0.0 + 0.0j
-            assert fam.majorant(abs(ell), base) == 0.0
+        assert tail(fam, 1, base, 256) == (0.0, 0.0, 0)
 
 
 def test_benford_foreign_base_closed_form():
@@ -149,11 +149,32 @@ def test_mellin_modulus_below_one_for_nonzero_frequency():
             assert abs(mellin_at(fam, ell, BASE)) < 1.0, (name, ell)
 
 
-def test_majorant_dominates_modulus():
-    for name in FAMILY_NAMES:
-        fam = get_family(name, BASE)
-        for ell in list(range(1, 65)) + [128, 333]:
-            assert abs(mellin_at(fam, ell, BASE)) <= fam.majorant(ell, BASE), (name, ell)
+def tail(fam, r, base, ell0):
+    """(A, g, p) of a link with |R| = r past ell0, from its certified modulus there."""
+    [m] = fam.certified_modulus(np.array([float(r * ell0)]), base).tolist()
+    w = 2.0 * math.pi * float(r * ell0) / math.log(base)
+    return fam.tail(fam.base, float(r), base, ell0, w, m)
+
+
+TAIL_FAMILIES = [get_family(name) for name in ("exponential", "uniform", "half_gaussian")] + [
+    get_family("benford", 2)
+]
+
+
+def test_the_tail_law_bounds_every_modulus_past_ell0():
+    # |M f|(r*l) <= A * g**(l - ell0) * (ell0/l)**p for l >= ell0, up to the
+    # certified moduli's own rounding allowance (the decimal oracle checks
+    # the law against the exact moduli)
+    for fam in TAIL_FAMILIES:
+        for r in (1, 2, 3):
+            for ell0 in (1, 2, 5, 64):
+                a, g, p = tail(fam, r, BASE, ell0)
+                if a >= 1.0:  # capped: the chain tails take (1, 0)
+                    continue
+                for ell in range(ell0, ell0 + 300):
+                    bound = a * g ** (ell - ell0) * (ell0 / ell) ** p
+                    got = abs(mellin_at(fam, r * ell, BASE))
+                    assert got <= bound * (1.0 + 1e-11) + 1e-300, (fam.name, r, ell0, ell)
 
 
 def test_certified_modulus_frozen_values():
@@ -188,47 +209,35 @@ def test_certified_modulus_of_a_benford_base_whose_modulus_vanishes():
     assert (got > 0.0).all() and (got < 1e-14).all()
 
 
-def test_majorant_nonincreasing_and_capped():
-    for name in FAMILY_NAMES:
-        fam = get_family(name, BASE)
+def test_the_anchor_is_capped_at_1_nonincreasing_and_above_the_modulus():
+    for fam in TAIL_FAMILIES:
         prev = 1.0
-        for ell in range(1, 200):
-            m = fam.majorant(ell, BASE)
-            assert 0.0 <= m <= prev + 1e-16, (name, ell)
-            prev = m
+        for ell0 in range(1, 200):
+            a, _, _ = tail(fam, 1, BASE, ell0)
+            assert 0.0 <= a <= prev + 1e-16, (fam.name, ell0)
+            if fam.name != "benford":
+                [m] = fam.certified_modulus(np.array([float(ell0)]), BASE)
+                assert a >= m, (fam.name, ell0)
+            prev = a
 
 
-def decay(fam, r, base, ell0):
-    return fam.decay(fam.base, r, base, ell0)
-
-
-def test_decay_shapes():
-    assert decay(get_family("uniform"), 1, BASE, 64) == (1.0, 1)
-    assert decay(get_family("benford", BASE), 1, BASE, 64) == (0.0, 0)
-    g, p = decay(get_family("exponential"), 1, BASE, 64)
+def test_tail_law_shapes():
+    assert tail(get_family("uniform"), 1, BASE, 64)[1:] == (1.0, 1)
+    assert tail(get_family("benford", BASE), 1, BASE, 64) == (0.0, 0.0, 0)
+    _, g, p = tail(get_family("exponential"), 1, BASE, 64)
     assert p == 0 and 0.0 < g < 1.0
-    g, p = decay(get_family("half_gaussian"), 1, BASE, 64)
+    _, g, p = tail(get_family("half_gaussian"), 1, BASE, 64)
     assert p == 0 and 0.0 < g < 1.0
     # a benford family at another base decays harmonically
-    assert decay(get_family("benford", BASE), 1, 10**200, 64) == (1.0, 1)
-
-
-def test_decay_is_a_valid_ratio_bound_once_the_cap_is_off():
-    # majorant(r*(l+1)) <= majorant(r*l) * g * (l/(l+1))**p for l >= ell0
-    for name in ("exponential", "uniform", "half_gaussian"):
-        fam = get_family(name, BASE)
-        for r in (1, 2, 3):
-            assert fam.majorant(r * 64, BASE) < 1.0
-            g, p = decay(fam, r, BASE, 64)
-            for ell in range(64, 400):
-                lhs = fam.majorant(r * (ell + 1), BASE)
-                rhs = fam.majorant(r * ell, BASE) * g * (ell / (ell + 1)) ** p
-                assert lhs <= rhs * (1.0 + 1e-12) + 1e-300, (name, r, ell)
+    assert tail(get_family("benford", BASE), 1, 10**200, 64)[1:] == (1.0, 1)
+    # the exponential's law holds for its exact modulus, so its anchor is m
+    [m] = get_family("exponential").certified_modulus(np.array([64.0]), BASE)
+    assert tail(get_family("exponential"), 1, BASE, 64)[0] == m
 
 
 def test_the_tails_claim_no_decay_while_the_cap_binds():
-    # At these absurd bases min(1, .) still caps the majorant at L2 = 256,
-    # so the tails must not close with the decay law, which would claim g < 1
+    # At these absurd bases min(1, .) still caps the anchor at L2 = 256, so
+    # the tails must not close with the ratio law, which would claim g < 1
     # (half-Gaussian) or a degree p = 2 (two uniform links).
     from benford_chains import chains
 
@@ -237,7 +246,8 @@ def test_the_tails_claim_no_decay_while_the_cap_binds():
         (10**700, [("uniform", 1), ("uniform", 1)], "uniform"),
     ]:
         fam = get_family(capped)
-        assert fam.majorant(256, base) == 1.0 and decay(fam, 1, base, 256) != (1.0, 0)
+        a, g, p = tail(fam, 1, base, 256)
+        assert a == 1.0 and (g, p) != (1.0, 0)
         chain = chains.ChainSpec(base, tuple(chains.ChainLink(f, p) for f, p in links))
         assert chains.deviation_bound(chain, chains.FoldInterval(0.1, 0.6), 128).tail == math.inf
     # At base 10 the same chains close

@@ -32,7 +32,7 @@ PUBLIC = [
     "digit_stats", "exponential_chain_bound", "first_digit", "first_digit_probabilities",
     "fold_probability", "gamma_abs_on_line", "gamma_real", "get_family", "load_chain",
     "make_rng", "mantissa", "mellin_at", "parse_chain", "product_batch", "sample_batch",
-    "spectrum_majorant", "two_sample_ks", "uniform_chain_cdf_bound",
+    "two_sample_ks", "uniform_chain_cdf_bound",
     "uniform_chain_cdf_terms", "uniform_chain_density", "zeta_minus_one",
 ]
 
@@ -188,6 +188,9 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         benford_chains.no_such_name  # noqa: B018
     assert not hasattr(benford_chains, "ScaleFamily")
+    # the tails close from the certified moduli: no majorant is left
+    assert not hasattr(benford_chains, "spectrum_majorant")
+    assert not hasattr(chains, "spectrum_majorant") and not hasattr(benford_chains.Family, "majorant")
 
 
 @pytest.mark.parametrize("home,name", MOVED, ids=[f"{m.__name__}.{n}" for m, n in MOVED])

@@ -1,9 +1,9 @@
 """Each query evaluates the chain's certified moduli once: deviation_bound
 and fold_probability make one pass over 1..max(2L, 256), whose first L
 moduli feed the bound's sum or the fold's series and whose rest is the
-explicit tail; the majorants only close the tail past L2, one vector call
-per family at |R| * L2, and none where some link's majorant there is
-provably 0.0.  A digit table computes no tail, and a base-2 table or a
+explicit tail; the tail past L2 closes from each link's certified modulus
+at |R| * L2, one more modulus call per family, and none where some link's
+modulus there is provably 0.0.  A digit table computes no tail, and a base-2 table or a
 fold of width 0 or 1 computes no spectrum at all.  The phases of a fold or
 a digit table take one arg_gamma call, whatever Gamma families the chain
 holds, and a bound takes none."""
@@ -23,7 +23,7 @@ from benford_chains.chains import (
     first_digit_probabilities,
     fold_probability,
 )
-from benford_chains.families import FAMILY_NAMES, Family, get_family
+from benford_chains.families import FAMILY_NAMES, get_family
 from benford_chains.specfun import arg_gamma
 
 LINKS = [("exponential", 1), ("uniform", -2), ("half_gaussian", 3), ("exponential", -1), ("uniform", 1)]
@@ -31,22 +31,32 @@ LINKS = [("exponential", 1), ("uniform", -2), ("half_gaussian", 3), ("exponentia
 
 @pytest.fixture
 def spy(monkeypatch):
-    """(passes, majorants): each _moduli call as (first, last), and each
-    majorant call as (family, sorted arguments)."""
-    passes, majorants = [], []
-    moduli, majorant = chains._moduli, Family.majorant
+    """(passes, closures): each _moduli call as (first, last), and each
+    modulus kernel call outside them as (family, sorted w)."""
+    passes, closures, inside = [], [], []
+    moduli = chains._moduli
 
     def spying_moduli(chain, first, last):
         passes.append((first, last))
-        return moduli(chain, first, last)
+        inside.append(True)
+        try:
+            return moduli(chain, first, last)
+        finally:
+            inside.pop()
 
-    def spying_majorant(family, ells, base):
-        majorants.append((family.name, sorted(np.ravel(ells).tolist())))
-        return majorant(family, ells, base)
+    def spying(name, kernel):
+        def modulus(own, w, base):
+            if not inside:
+                closures.append((name, sorted(np.ravel(w).tolist())))
+            return kernel(own, w, base)
+
+        return modulus
 
     monkeypatch.setattr(chains, "_moduli", spying_moduli)
-    monkeypatch.setattr(Family, "majorant", spying_majorant)
-    return passes, majorants
+    for name, family in list(families._TABLE.items()):
+        monkeypatch.setitem(families._TABLE, name, family._replace(modulus=spying(name, family.modulus)))
+    monkeypatch.setattr(families, "_benford_modulus", spying("benford", families._benford_modulus))
+    return passes, closures
 
 
 def build(base, links):
@@ -60,27 +70,27 @@ def bits(values) -> list[int]:
 @pytest.mark.parametrize("L", [1, 64, 200, 1024])
 @pytest.mark.parametrize("query", [deviation_bound, fold_probability])
 def test_a_bound_or_a_fold_makes_one_moduli_pass(spy, query, L):
-    passes, majorants = spy
+    passes, closures = spy
     query(build(10, LINKS), FoldInterval(0.1, 0.45), L)
     assert passes == [(1, max(2 * L, 256))]
     # the exponential links at base 10 leave w(|R| * L2) >= 480: no closure
-    assert majorants == []
+    assert closures == []
 
 
-def test_a_digit_table_makes_one_moduli_pass_and_no_majorant_call(spy):
-    passes, majorants = spy
+def test_a_digit_table_makes_one_moduli_pass_and_no_closure(spy):
+    passes, closures = spy
     first_digit_probabilities(build(10, LINKS), 64)
     assert passes == [(1, 64)]
-    assert majorants == []
+    assert closures == []
 
 
 def test_a_base_2_table_and_a_width_0_or_1_fold_compute_no_spectrum(spy):
-    passes, majorants = spy
+    passes, closures = spy
     assert first_digit_probabilities(build(2, LINKS), 64) == [1.0]
     chain = build(10, LINKS)
     assert fold_probability(chain, FoldInterval(0.0, 1.0), 64) == (1.0, 0.0)
     assert fold_probability(chain, FoldInterval(0.3, 0.3), 64) == (0.0, 0.0)
-    assert passes == [] and majorants == []
+    assert passes == [] and closures == []
 
 
 # At L2 = 256 the threshold w(256) = 2*pi*256/ln B >= zero_beyond falls
@@ -101,23 +111,24 @@ def test_a_base_2_table_and_a_width_0_or_1_fold_compute_no_spectrum(spy):
 )
 @pytest.mark.parametrize("L", [1, 64, 1024])
 def test_the_closure_is_skipped_only_where_it_is_provably_zero(spy, base, links, closes_at_256, L):
-    _, majorants = spy
+    _, closures = spy
     chain = build(base, links)
     L2 = max(2 * L, 256)
     bounds = chains._moduli(chain, 1, L2)[0] * chains._round_up(len(links))
     expected = full.tails(chain, L)
-    majorants.clear()
+    closures.clear()
     tails = chains._tails(chain, bounds, L)
     assert bits(tails) == bits(expected)
     closes = closes_at_256 if L2 == 256 else all(f == "uniform" for f, _ in links)
     if closes:
-        # one call per family, in the _factors order, at |R| * L2 for its links
+        # one modulus call per family, in the _factors order, at w(|R| * L2)
+        # of its links, formed as _moduli forms it
         expected = {}
         for family, r in chain._factors:
-            expected.setdefault(family.name, []).append(float(abs(r) * L2))
-        assert majorants == [(name, sorted(args)) for name, args in expected.items()]
+            expected.setdefault(family.name, []).append(2.0 * math.pi * float(abs(r) * L2) / math.log(base))
+        assert closures == [(name, sorted(w)) for name, w in expected.items()]
     else:
-        assert majorants == []
+        assert closures == []
         explicit = bounds[L:]
         weighted = explicit / (math.pi * np.arange(L + 1.0, L + explicit.size + 1.0))
         assert bits(tails) == bits([2.0 * math.fsum(explicit.tolist()), 2.0 * math.fsum(weighted.tolist())])
@@ -127,9 +138,10 @@ def with_foreign_benford(chain, own):
     """chain with a benford factor of base own appended: a chain spec gives
     every benford link the chain's base, and one in another base leaves the
     spectrum nonzero."""
-    chain.__dict__["_factors"] = tuple(sorted(
+    factors = tuple(sorted(
         (*chain._factors, (get_family("benford", own), 2)), key=lambda fr: (fr[0].name, fr[1])
     ))
+    chain.__dict__.update(_factors=factors, _blocks=chains._family_blocks(factors))
     return chain
 
 

@@ -41,6 +41,14 @@ its per_term digests at L = 64 and 1024 and its bound stdout at both --lmax,
 are pinned in GAMMA_REPINNED and CLI_GAMMA_REPINNED, and every earlier pin
 stays as a check within the same slack.
 
+The tails then closed past max(2L, 256) from each link's certified modulus
+there, times the constant c of its family's ratio law, in place of the
+family majorants.  The fold errors and tails that moved, those of the
+chains with uniform links at L = 64 and 1024, are pinned in
+ANCHOR_REPINNED and CLI_ANCHOR_REPINNED, and the seeded stream in
+STREAM_PINNED; every earlier pin stays as the same check, and no fold
+probability, digit table or modulus moved.
+
 PYTHONPATH=src python tests/test_pinned_outputs.py --print prints each pin
 key's value today in the tables' literal syntax, marking the keys that
 differ from their effective pin, so a re-pin copies the marked entries.
@@ -477,6 +485,44 @@ GAMMA_REPINNED = {
     ),
 }
 
+# (chain, L) -> all six entries since the tails closed from each link's
+# certified modulus at max(2L, 256) times its constant c, where any moved;
+# the other entries keep their bits.  Only fold errors and tails moved.
+ANCHOR_REPINNED = {
+    ("single_uniform", 64): (
+        "inf",
+        "inf",
+        "19e9f6c5a93af0e515ae7d56de962bcd6ba6bc6aa37c1251a1d84d097e65fa43",
+        "0x1.62d591a1d8477p-3",
+        "0x1.da511c9937d5fp-9",
+        "ccd59b7393535a383e8f424833e08f29f7b055cbd554a08785fc60627f1ef451",
+    ),
+    ("single_uniform", 1024): (
+        "inf",
+        "inf",
+        "79b54ed7e800fa93ae75389e6741c224221e069410560fcd18b72656d781ecd1",
+        "0x1.62dcf5c5d16e3p-3",
+        "0x1.dd9ff362bdaf2p-13",
+        "f30713fc16e7370a9735057c76639947af9dafdfe96e596e39396dbc1fbb81fe",
+    ),
+    ("uniform_pair", 64): (
+        "0x1.1abe13d2afa67p-5",
+        "0x1.f13f7a5208380p-11",
+        "8271d0801824ff7b43a848b247e0a71f867d66cab1769bd85af52a3647884c74",
+        "0x1.61a1874728742p-2",
+        "0x1.3a03aea22f592p-19",
+        "1a1a81e5fe0970e981f17508c11c2c5e53459860f68a4801f4acf85c1b9961e1",
+    ),
+    ("uniform_pair", 1024): (
+        "0x1.1abdbda47bb3bp-5",
+        "0x1.f4b6e3b6949acp-15",
+        "f07ad63f67521451d463eb99a2500949823bc9e33c3db2f8153891e450d9ccdb",
+        "0x1.61a18c2063424p-2",
+        "0x1.3e9c02dabcce3p-27",
+        "e0b7a9df97d8b3a6ea24dda704efb5cda2580e5bcb38943ce3343dd377b06f00",
+    ),
+}
+
 # (chain, command, --lmax) -> sha256 of stdout, run on ./chain.json
 CLI_PINNED = {
     ("mixed_negative", "bound", 64): "8d77d2a4228deb028d2490daab0745633d20bf31337b1646a30ee851ab0f72c3",
@@ -529,9 +575,18 @@ CLI_GAMMA_REPINNED = {
 }
 
 
+# Pins of the stdout since the tails closed from the anchors.
+CLI_ANCHOR_REPINNED = {
+    ("uniform_pair", "bound", 64): "42a489fef801cf30d111d7fc24e456635368e14eeb130b3ffe054087de2e6c6a",
+    ("uniform_pair", "bound", 1024): "4e40b0c7ebeb959799abae5056007cd9aeae7b71b874392cf929002815bdb206",
+    ("uniform_pair", "fold", 64): "46b4b3ad3d056ed80918dd4443fa30296d8f682b9f4ad3aef3a3a95ca9f8434d",
+    ("uniform_pair", "fold", 1024): "5ba6cc28e71e6ddb93edc890d2c5eb8b05b38aae5e3405fcea96167aeac0449e",
+}
+
+
 def cli_pin(key):
     """The stdout pin of a (chain, command, --lmax) key today."""
-    for pins in (CLI_GAMMA_REPINNED, CLI_TAIL_REPINNED, CLI_POLAR_REPINNED, CLI_BOUND_REPINNED):
+    for pins in (CLI_ANCHOR_REPINNED, CLI_GAMMA_REPINNED, CLI_TAIL_REPINNED, CLI_POLAR_REPINNED, CLI_BOUND_REPINNED):
         if key in pins:
             return pins[key]
     return CLI_PINNED[key]
@@ -575,7 +630,8 @@ def analytic_pins(name, L):
     before = (value, previous[1], moduli, *previous[3:])
     polar = POLAR_REPINNED.get(key, before)
     tail = TAIL_REPINNED.get(key, polar)
-    return [PINNED[key], previous, before, polar, tail, GAMMA_REPINNED.get(key, tail)]
+    gamma = GAMMA_REPINNED.get(key, tail)
+    return [PINNED[key], previous, before, polar, tail, gamma, ANCHOR_REPINNED.get(key, gamma)]
 
 
 def analytic_results(name, L):
@@ -725,11 +781,17 @@ def test_digit_table_equals_fold_on_each_digit_bitwise(name, L):
 # of each BoundResult.moduli pins every bit of the stream at once.
 STREAM_SEED = 20261020
 STREAM_QUERIES = 1200
-STREAM_PINNED = "14043e4336be06c5de07db02b14b98f13ff4b11b76a69b89c3766fddb14378da"
+# Re-pinned when the tails closed from the anchors, from 14043e43...78da;
+# STREAM_PROBABILITIES_PINNED, frozen before that move, checks that only
+# bound values, tails and fold errors moved.
+STREAM_PINNED = "a3ecf10edc0ce577789bf2d6efa8ef0871c3ec2ba0d81b8e0ca07e9bbc544f7e"
+STREAM_PROBABILITIES_PINNED = "d9b9e994add89e76a3dd62055d31c8e85896cc75cc7d3eb5b05fa8b2179d663f"
 
 
-def stream_digest(seed=STREAM_SEED, count=STREAM_QUERIES):
-    """sha256 over the results of the seeded analytic query stream."""
+def stream_digest(seed=STREAM_SEED, count=STREAM_QUERIES, tails=True):
+    """sha256 over the results of the seeded analytic query stream; with
+    tails False, over its digit tables, fold probabilities and bound moduli
+    only, leaving out the bound values and tails and the fold errors."""
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(count):
@@ -745,16 +807,24 @@ def stream_digest(seed=STREAM_SEED, count=STREAM_QUERIES):
             continue
         iv = FoldInterval(*sorted((rng.random(), rng.random())))
         if kind == "fold":
-            h.update(repr(fold_probability(ch, iv, L)).encode())
+            prob, err = fold_probability(ch, iv, L)
+            h.update(repr((prob, err) if tails else prob).encode())
             continue
         bound = deviation_bound(ch, iv, L)
-        h.update(repr(bound).encode())
+        if tails:
+            h.update(repr(bound).encode())
         h.update(bound.moduli.tobytes())
     return h.hexdigest()
 
 
 def test_the_seeded_analytic_stream_is_bitwise_pinned():
     assert stream_digest() == STREAM_PINNED
+
+
+def test_the_anchored_tails_move_no_probability_or_modulus_of_the_stream():
+    # frozen before the tails closed from the certified moduli: only bound
+    # values, tails and fold errors moved
+    assert stream_digest(tails=False) == STREAM_PROBABILITIES_PINNED
 
 
 # ------------------------------------------------------------ empirical path

@@ -1,8 +1,8 @@
 """The frequencies where a Gamma family provably computes zero.
 
 Each family's zero_beyond is the angular frequency w = 2*pi*|R*l|/ln B at
-and beyond which its mellin_exact, certified_modulus and majorant return
-exactly 0.0, and chains._moduli, the one pass of every query, skips those
+and beyond which its mellin_exact and certified_modulus return exactly
+0.0, so a tail anchored there is 0.0 too, and chains._moduli, the one pass of every query, skips those
 frequencies before any kernel call.  The skipped entries were exact zeros,
 so every output keeps the bits of the full-length loop in
 tests/full_spectrum.py."""
@@ -22,7 +22,6 @@ from benford_chains.chains import (
     deviation_bound,
     first_digit_probabilities,
     fold_probability,
-    spectrum_majorant,
 )
 from benford_chains.families import get_family
 
@@ -44,7 +43,6 @@ def assert_zero_at(family, x, base):
         m = family.mellin_exact(sign * x, base)
         assert not m.real.any() and not m.imag.any(), (family, base, sign)
     assert not family.certified_modulus(x, base).any(), (family, base)
-    assert not family.majorant(x, base).any(), (family, base)
 
 
 def chain_of(base, links):
@@ -87,7 +85,17 @@ def test_zero_beyond_lies_within_15_of_the_last_nonzero_value(name):
     w = np.linspace(family.zero_beyond - 15.0, family.zero_beyond, 15001)
     assert np.abs(family.mellin_exact(scaled(w, 10), 10)).any()
     assert family.certified_modulus(scaled(w, 10), 10).any()
-    assert family.majorant(scaled(w, 10), 10).any()
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("name", CUT_FAMILIES)
+def test_a_tail_anchored_past_zero_beyond_is_zero(name, base):
+    # chains._tails skips the closure there; anchored, it would close to 0.0
+    family = get_family(name, base)
+    for w in (family.zero_beyond + np.linspace(0.0, 50.0, 101)).tolist():
+        [m] = family.modulus(family.base, np.array([w]), base).tolist()
+        for r in (1, 2, 7):
+            assert family.tail(family.base, float(r), base, 256, w, m)[0] == 0.0, (w, r)
 
 
 def test_uniform_and_benford_are_never_cut():
@@ -202,4 +210,3 @@ def test_a_frequency_past_every_cut_gives_zero_at_any_size(ell):
     for links in ([("exponential", 1)], [("uniform", 1), ("benford", 1)]):
         chain = chain_of(10, links)
         assert chain_spectrum(chain, ell) == chain_spectrum(chain, -ell) == 0j
-        assert spectrum_majorant(chain, ell) == 0.0

@@ -22,7 +22,6 @@ from benford_chains.chains import (
     deviation_bound,
     first_digit_probabilities,
     fold_probability,
-    spectrum_majorant,
 )
 from benford_chains.families import FAMILY_NAMES, get_family, mellin_at
 from benford_chains.specfun import arg_gamma, gamma_abs_on_line
@@ -208,8 +207,7 @@ def test_family_kernels_agree_with_their_scalar_views(name, base):
     fam = get_family(name, 10)
     ells = np.arange(-40, 41)
     values = fam.mellin_exact(ells, base)
-    majorants = fam.majorant(np.abs(ells[ells != 0]), base)
-    assert values.shape == ells.shape and majorants.shape == (80,)
+    assert values.shape == ells.shape
     for ell, v in zip(ells.tolist(), values):
         assert mellin_at(fam, ell, base) == v
         # the polar value and scipy's Gamma are within 2e-12 of the exact
@@ -217,8 +215,12 @@ def test_family_kernels_agree_with_their_scalar_views(name, base):
         # carries an absolute 10u
         tiny = 12.0 * U if name == "benford" and base != 10 else 1e-300
         assert v == pytest.approx(ref.mellin(fam, ell, base), rel=4e-12, abs=tiny)
-    for ell, m in zip(np.abs(ells[ells != 0]).tolist(), majorants):
-        assert m == pytest.approx(ref.majorant(fam, ell, base), rel=1e-14, abs=1e-300)
+    # the tail anchors, from the certified moduli, against the reference's
+    # own moduli times each family's constant c
+    for ell in range(1, 41):
+        [m] = fam.certified_modulus(np.array([float(ell)]), base).tolist()
+        a, _, _ = fam.tail(fam.base, 1.0, base, ell, 2.0 * math.pi * ell / math.log(base), m)
+        assert a == pytest.approx(ref.anchor(fam, ell, base), rel=4e-12, abs=1e-300)
 
 
 def test_uniform_kernel_is_the_scalar_quotient_within_its_rounding():
@@ -280,13 +282,13 @@ def test_numpy_spectrum_matches_the_scalar_code(base, links, L, ends):
         assert close(complex(r, i), c, rel=2e-12)
     for ell in (1, L):
         assert chain_spectrum(chain, -ell) == complex(re[ell - 1], -im[ell - 1])
-        assert same(spectrum_majorant(chain, ell), ref.spectrum_majorant(chain, ell))
 
     # The bound's moduli moved for every chain with the certified closed-form
     # moduli, so they compare within 1e-12.  The tails moved to those moduli
-    # up to max(2L, 256): they compare within 1e-12 with the tails from the
-    # reference's own |c_l|, and lie below its majorant tails within the
-    # rounding slack; so does the value.
+    # up to max(2L, 256) and to their anchors past it: they compare within
+    # 1e-12 with the tails from the reference's own |c_l| and anchors, and
+    # lie below its majorant tails within the rounding slack; so does the
+    # value.
     new_b, old_b = deviation_bound(chain, interval, L), ref.deviation_bound(chain, interval, L)
     assert [ell for ell, _ in new_b.per_term] == [ell for ell, _ in old_b.per_term]
     for new, old in zip(new_b.per_term, old_b.per_term):

@@ -27,7 +27,6 @@ from benford_chains.chains import (
     deviation_bound,
     first_digit_probabilities,
     fold_probability,
-    spectrum_majorant,
 )
 from benford_chains.families import FAMILY_NAMES, get_family
 
@@ -46,10 +45,11 @@ def build(base, links, foreign):
     if foreign is not None:
         # A chain spec gives every benford link the chain's base; a benford
         # factor in another base has a spectrum that never vanishes.
-        chain.__dict__["_factors"] = tuple(
+        factors = tuple(
             (get_family("benford", foreign) if family.name == "benford" else family, r)
             for family, r in chain._factors
         )
+        chain.__dict__.update(_factors=factors, _blocks=chains._family_blocks(factors))
     return chain
 
 
@@ -97,7 +97,9 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
     for ell in {1, min(S + 1, L), L}:
         for signed in (ell, -ell):
             assert cbits(chain_spectrum(chain, signed)) == cbits(full.chain_spectrum(chain, signed))
-        assert bits(spectrum_majorant(chain, ell)) == bits(full.spectrum_majorant(chain, ell))
+    # both tails, closed from the anchors of the links at max(2L, 256)
+    bounds = prefix(chain, max(2 * L, 256))[0] * chains._round_up(len(chain.links))
+    assert bits(chains._tails(chain, bounds, L)) == bits(full.tails(chain, L))
 
     try:
         value, tail, per_term = full.deviation_bound(chain, interval, L)
@@ -135,14 +137,14 @@ def test_the_support_prefix_keeps_every_bit(base, links, foreign, L, ends):
 )
 def test_the_tails_vanish_where_the_products_do(base, links):
     # Around the last nonzero modulus the explicit tail holds a single
-    # nonzero term or none, and the majorant product at L2 underflows, so
+    # nonzero term or none, and the anchor product at L2 underflows, so
     # nothing closes the sum past L2: from L = S on the tail is exactly 0.
     chain = ChainSpec(base, tuple(ChainLink(f, p) for f, p in links))
     S = prefix(chain, 20000)[0].size
     assert S < 20000
     for L in range(S - 3, S + 3):
         L2 = max(2 * L, 256)
-        assert spectrum_majorant(chain, L2) == 0.0
+        assert math.prod(a for a, _, _ in full.anchors(chain, L2)) == 0.0
         bounds, _ = prefix(chain, L2)
         bounds *= chains._round_up(len(chain.links))
         new = chains._tails(chain, bounds, L)
@@ -223,16 +225,14 @@ def test_numpy_integer_L_gives_the_python_int_result(L):
 
 
 @pytest.mark.parametrize("ell", [1.5, 2.0, True, np.float64(3.0), "1", None])
-@pytest.mark.parametrize("entry", [chain_spectrum, spectrum_majorant])
-def test_ell_must_be_an_integer(entry, ell):
+def test_ell_must_be_an_integer(ell):
     with pytest.raises(ValueError, match="ell must be an integer"):
-        entry(CHAIN, ell)
+        chain_spectrum(CHAIN, ell)
 
 
 @pytest.mark.parametrize("ell", [np.int64(3), np.int8(-3), np.uint32(0)])
 def test_numpy_integer_ell_gives_the_python_int_value(ell):
     assert cbits(chain_spectrum(CHAIN, ell)) == cbits(chain_spectrum(CHAIN, int(ell)))
-    assert spectrum_majorant(CHAIN, ell) == spectrum_majorant(CHAIN, int(ell))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])
