@@ -8,8 +8,18 @@ outputs.  All floats are printed with 17 significant digits so outputs
 round-trip doubles exactly and identical command lines give byte-
 identical bytes.
 
-Exit codes: 0 success, 2 invalid input or chain spec, 3 a failed internal
-spectrum check (SpectrumCheckError).
+Exit codes: 0 success; 2 invalid input or chain spec, or output that
+could not be written (a failed write or flush of stdout, after --help too);
+3 a failed internal spectrum check (SpectrumCheckError).  Each failure
+prints one "error: ..." line to stderr.
+
+main(argv, out) runs one command in process and returns its exit code; it
+never ends the process.  run(), the console script and the __main__ block,
+calls main(), flushes stdout and stderr, and ends the process with
+os._exit: by then every output is written and every file main opened is
+closed, so the interpreter's teardown (module cleanup and a last garbage
+collection over numpy's objects, about 20 ms a child) has nothing left to
+do.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from typing import NoReturn
 
 # Only the math-only module loads with the CLI.  Each command imports the
 # rest of what it runs when it runs, so bound-exp, bound-uniform and
@@ -34,7 +46,7 @@ from ._closed import (
     uniform_chain_density,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # Integer flag limits (lo, hi) by argparse dest, checked in main before any
 # file is read.  The library checks the rest (--grid >= 2, --n, --seed).
@@ -108,8 +120,20 @@ def _csv_header(config: dict, columns: str, out) -> None:
     out.write(columns + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose --help text fails as loudly as any output.
+
+    argparse drops a failed write of its own messages; main reports this
+    one, so --help to a full device exits 2 whether stdout is buffered or
+    not.  The subcommand parsers are of this class too.
+    """
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="benford-chains",
         description="Benford deviation bounds, fold probabilities, and audits "
         "for chained scale-family distributions.",
@@ -334,17 +358,25 @@ _DISPATCH = {
 
 
 def main(argv=None, out=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    """Run one command (argv, default sys.argv[1:]) and return its exit code.
+
+    Output goes to out (default sys.stdout) and is flushed before the
+    return, so a failed write exits 2 like any other error.
+    """
     if out is None:
         out = sys.stdout
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad command line
+            code = exc.code if isinstance(exc.code, int) else 2
+            if code == 0:
+                sys.stdout.flush()  # the --help text
+            return code
         _check_limits(args)
-        return _DISPATCH[args.command](args, out)
+        code = _DISPATCH[args.command](args, out)
+        out.flush()
+        return code
     except SpectrumCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -353,5 +385,16 @@ def main(argv=None, out=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """main() on sys.argv, then end the process without interpreter teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # main already reported a failed stdout; stderr has no one to tell
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

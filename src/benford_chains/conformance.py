@@ -135,9 +135,17 @@ def _digit_stats(parts, base: int, grid: np.ndarray, drop_bad: bool):
 
     Each part is counted in views of a block or less, each checked once.
     Unless drop_bad, the first other entry raises ValueError; otherwise a
-    dirty block is filtered on its own, so no mask or copy spans a part.
+    dirty block is filtered on its own, so no mask spans a block.
     """
     step = max(BLOCK_SIZE, grid.size, base)
+    if step > BLOCK_SIZE:
+        # Each block pays a grid and a digit search of up to step points
+        # however few values it holds.  When the grid or the base sets the
+        # step, short parts (audit's, one per 1 MiB of CSV) are packed
+        # into blocks of step values first, so the searches stay
+        # ceil(n/step); at BLOCK_SIZE they cost no more than a block's
+        # sort, and the parts are counted as they come.
+        parts = _packed(parts, step)
 
     def blocks():  # (offset in all the parts, view)
         offset = 0
@@ -180,6 +188,27 @@ def _digit_stats(parts, base: int, grid: np.ndarray, drop_bad: bool):
         empirical_cdf=tuple((below / n).tolist()),
     )
     return stats, skipped
+
+
+def _packed(parts, size: int):
+    """The values of parts, 1-D arrays, in arrays of size values, the last
+    one shorter.
+
+    A block that lies in one part is a view of it, so a single part comes
+    out cut as blocks() cuts it; a block across parts is one copy of its
+    pieces.  Fewer than size values are held between blocks.
+    """
+    held, count = [], 0
+    for part in parts:
+        while part.size:
+            take, part = part[: size - count], part[size - count :]
+            held.append(take)
+            count += take.size
+            if count == size:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def audit_dataset(

@@ -1,20 +1,24 @@
 """End-to-end command-line behavior: output formats, determinism, exit codes."""
 
 import argparse
+import ast
 import csv
+import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benford_chains import _rows, cli
+from benford_chains import _column, _rows, cli, conformance
 from benford_chains.chains import SpectrumCheckError, exponential_chain_bound, uniform_chain_density
 from benford_chains.families import _TABLE
 from benford_chains.montecarlo import BLOCK_SIZE, RNG_ALGORITHM
@@ -557,3 +561,153 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["value"] == exponential_chain_bound(2, 10)
+
+
+# --- run(): the process path ends with os._exit after a flush -------------
+
+SRC = Path(cli.__file__).resolve().parents[1]
+# The __main__ block as `python -m` runs it, under an atexit hook that only
+# the interpreter's teardown would call.
+MAIN_BLOCK = ("import atexit, runpy, sys; atexit.register(sys.stderr.write, 'teardown\\n'); "
+              "runpy.run_module('benford_chains.cli', run_name='__main__')")
+RUN = "from benford_chains.cli import run; run()"
+SPECTRUM_FAILURE = (
+    "from benford_chains.cli import run; from benford_chains.families import _TABLE; "
+    "_TABLE['uniform'] = _TABLE['uniform']._replace(modulus=lambda own, w, base: w); run()"
+)
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+def child(args, unbuffered, **kwargs):
+    """A fresh interpreter on the package sources, PYTHONUNBUFFERED unset or 1."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE,
+                          timeout=120, **kwargs)
+
+
+CHILD_COMMANDS = {
+    "bound-exp": ["bound-exp", "--n", "3"],
+    "bound": ["bound", "--chain", "{chain}"],
+    "fold": ["fold", "--chain", "{chain}", "--a", "0.1", "--b", "0.4"],
+    "digits": ["digits", "--chain", "{chain}"],
+    "density-uniform": ["density-uniform", "--n", "2", "--k", "1", "--points", "100000"],
+    # three blocks, so the helper thread has run when the process ends
+    "simulate": ["simulate", "--chain", "{chain}", "--samples", str(2 * BLOCK_SIZE + 5),
+                 "--seed", "7", "--out", "{draws}"],
+    "audit": ["audit", "--input", "{data}", "--column", "value"],
+}
+
+
+@BUFFERING
+@pytest.mark.parametrize("command", list(CHILD_COMMANDS))
+def test_a_child_writes_what_main_writes_in_process_and_skips_teardown(command, unbuffered, tmp_path):
+    spec = tmp_path / "exp2.json"
+    spec.write_text(EXP2)
+    draws = tmp_path / "draws.csv"
+    data = tmp_path / "data.csv"
+    run_json(["simulate", "--chain", str(spec), "--samples", "3000", "--seed", "1", "--out", str(data)])
+    argv = [a.format(chain=spec, draws=draws, data=data) for a in CHILD_COMMANDS[command]]
+    code, text = run(argv)
+    csv_bytes = draws.read_bytes() if command == "simulate" else None
+
+    proc = child(["-c", MAIN_BLOCK, *argv], unbuffered)
+    assert (proc.returncode, proc.stdout) == (code, text.encode())
+    assert proc.stderr == b""  # no error, and no teardown ran
+    if command == "simulate":
+        assert draws.read_bytes() == csv_bytes
+
+
+@BUFFERING
+@pytest.mark.parametrize("case", ["usage", "bad chain", "spectrum check"])
+def test_run_exits_with_mains_error_code(case, unbuffered, tmp_path):
+    bad, unif1 = tmp_path / "bad.json", tmp_path / "u1.json"
+    bad.write_text(BAD_FAMILY)
+    unif1.write_text(UNIF1)
+    code, argv, message = {
+        "usage": (RUN, ["bound-exp"], b"the following arguments are required: --n"),
+        "bad chain": (RUN, ["bound", "--chain", str(bad)], b"error: "),
+        "spectrum check": (SPECTRUM_FAILURE, ["bound", "--chain", str(unif1)], b"spectrum modulus grows"),
+    }[case]
+    proc = child(["-c", code, *argv], unbuffered)
+    assert proc.returncode == (3 if case == "spectrum check" else 2)
+    assert proc.stdout == b""
+    assert message in proc.stderr
+    assert proc.stderr.count(b"\n") == (2 if case == "usage" else 1)  # usage line + message, or one error line
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@BUFFERING
+@pytest.mark.parametrize("argv", [["bound-exp", "--n", "3"], ["digits", "--chain", "{chain}"], ["--help"]],
+                         ids=["bound-exp", "digits", "help"])
+def test_output_that_cannot_be_written_exits_two_with_one_error_line(argv, unbuffered, tmp_path):
+    spec = tmp_path / "exp2.json"
+    spec.write_text(EXP2)
+    argv = [a.format(chain=spec) for a in argv]
+    with open("/dev/full", "wb") as full:
+        proc = child(["-m", "benford_chains.cli", *argv], unbuffered, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def test_main_reports_a_failed_flush_of_its_output(capsys):
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    assert cli.main(["bound-exp", "--n", "3"], out=Full()) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_the_console_script_is_what_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["benford-chains"].partition(":")
+    assert module == cli.__name__
+    block = next(node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+    assert getattr(cli, name) is cli.run
+
+
+def test_only_run_ends_the_process():
+    exits = [(path.stem, node.lineno)
+             for path in sorted(SRC.joinpath("benford_chains").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os._exit", "_exit")]
+    lines, first = inspect.getsourcelines(cli.run)
+    assert [stem for stem, _ in exits] == ["cli"]
+    assert first < exits[0][1] < first + len(lines)
+
+
+def test_a_fine_grid_packs_the_parts_of_a_long_csv(tmp_path, monkeypatch):
+    # a 1 MiB read is one part, about 130000 of these rows; --grid 10**6
+    # sets the step, so the parts are packed into blocks of grid + 1 values
+    grid_size = 10**6
+    step = grid_size + 1
+    cells = np.char.mod("%.5g", np.exp(np.random.default_rng(5).normal(0.0, 4.0, 4099))).astype(object)
+    cells[::37] = "x"  # a dirty row in every block
+    rows = np.resize(cells, 1_400_003)
+    data = tmp_path / "long.csv"
+    data.write_text("value\n" + "\n".join(rows) + "\n")
+    parts = list(_column._parts(str(data), "value", None, True))
+    assert len(parts) > 4
+    values = np.concatenate(parts)
+    expected = conformance.audit_dataset(values, 10, grid_size=grid_size)  # one part, cut in views
+
+    searches = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, side="left", sorter=None):
+        if np.ndim(v) and len(v) == step:
+            searches.append(len(a))
+        return searchsorted(a, v, side=side, sorter=sorter)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    doc = run_json(["audit", "--input", str(data), "--column", "value", "--grid", str(grid_size)])
+    monkeypatch.undo()
+    assert doc["report"] == json.loads(cli._to_json(expected.to_json_dict()))
+    assert len(searches) <= math.ceil(values.size / step) + 1

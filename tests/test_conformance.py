@@ -18,6 +18,7 @@ from benford_chains.conformance import (
     benford_cdf,
     benford_digit_prob,
     digit_stats,
+    _packed,
     two_sample_ks,
 )
 from benford_chains.families import get_family
@@ -139,6 +140,19 @@ def test_digit_stats_in_blocks_equals_one_sort(base, grid_size):
     stats = digit_stats(x, base, grid_size)
     assert stats.count == x.size
     assert (stats.digit_counts, stats.empirical_cdf) == _one_sort_digit_stats(x, base, grid_size)
+
+
+def test_packed_blocks_are_views_of_one_part_and_copies_across_parts():
+    size = 10
+    x = np.arange(34.0)
+    blocks = list(_packed(iter((x,)), size))  # as _digit_stats cuts one part
+    assert [b.size for b in blocks] == [10, 10, 10, 4]
+    assert all(np.shares_memory(b, x) for b in blocks)
+    parts = [x[:3], x[3:3], x[3:9], x[9:31], x[31:]]
+    blocks = list(_packed(iter(parts), size))
+    assert [b.size for b in blocks] == [10, 10, 10, 4]
+    assert np.array_equal(np.concatenate(blocks), x)
+    assert np.shares_memory(blocks[1], x)  # x[10:20] lies in one part
 
 
 def test_digit_stats_names_a_bad_value_past_the_first_block():

@@ -57,10 +57,13 @@ MOVED = [
 FIXTURE = {"base": 10, "links": [{"family": "exponential", "power": 1}, {"family": "uniform", "power": 2}]}
 
 # Runs `python -m benford_chains.cli` once per argv list, in order, and prints
-# the exit code and the loaded numpy and package modules after each.
+# the exit code and the loaded numpy and package modules after each.  The
+# __main__ block ends the process with os._exit; here it raises SystemExit,
+# so that one child runs every argv.
 CLI_CHILD = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, json, os, runpy, sys
 
+os._exit = sys.exit
 report = []
 for argv in json.loads(sys.argv[1]):
     sys.argv = ["benford-chains", *argv]
@@ -159,7 +162,8 @@ def test_the_math_only_module_imports_only_math():
 
 
 def test_the_cli_imports_only_the_standard_library_and_the_math_only_module_at_load():
-    assert top_level_imports(SOURCE / "cli.py") == ["__future__", "argparse", "json", "math", "sys", "._closed"]
+    assert top_level_imports(SOURCE / "cli.py") == ["__future__", "argparse", "json", "math", "os", "sys", "typing",
+                                                  "._closed"]
 
 
 # --------------------------------------------------------------- public API
