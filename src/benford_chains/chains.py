@@ -20,16 +20,23 @@ link those past its zero_beyond.  Each family's modulus kernel then runs
 once on its rows, and the pass keeps only the support prefix c_1..c_S up
 to the last nonzero product; every c_l past S is exactly zero because a
 factor is, so no output bit depends on the cut.  The fold and the digit
-table take their phases from the same rows, cut at S: one arg_gamma call
-for every exponential and half-Gaussian row, one kernel call per other family.
+table run their series over the significant prefix c_1..c_K only, K the
+least k <= min(L, S) whose later certified moduli sum to below _FOLD_FLOOR
+(2**-110): an exponential link's modulus, about e^(-pi*w/2), stays a
+nonzero double out to w ~ 474, far past the terms that reach an output
+bit.  They take their phases from the same rows, cut at K: one arg_gamma
+call for every exponential and half-Gaussian row, one kernel call per
+other family.  The fold's error carries the dropped terms c_{K+1}..c_L in
+both tails.
 
 * deviation_bound: a rigorous upper bound on |P(Y_n in [a,b]) - (b-a)|,
   truncating the spectrum at |l| <= L and bounding the rest with the
   tails.  It takes |c_l| from the families' closed-form moduli, rounded
   up, and needs no phase.
 * fold_probability: the semi-analytic value of P(Y_n in [a,b]) itself,
-  from the truncated Fourier series, with an error that adds a bound on
-  the series' rounding (_fold_rounding) to the tails.
+  from the truncated Fourier series over the significant prefix, with an
+  error that adds a bound on the series' rounding (_fold_rounding) to the
+  tails, which start at K + 1.
 * first_digit_probabilities: the fold probability of every leading-digit
   interval [log_B d, log_B(d+1)], all from one spectrum.
 
@@ -99,6 +106,21 @@ _DIGIT_TABLE_MAX_COST = 2**24
 # pages.  In blocks of 2**15 terms a base-10 table at L = 1024 ran 20-40%
 # slower than one interval at a time, and in blocks of 4096 as fast.
 _FOLD_BLOCK_TERMS = 4096
+# The fold series stops at K, the least k <= L whose dropped certified
+# moduli m_{k+1}..m_L sum to below this floor, and the error bounds the
+# dropped terms as part of both tails.  Each moves the sum by at most
+# 2*m_l*min(b - a, 1/(pi*l)), so together they move it, and the
+# width-scaled plain tail, by less than 2**-109 * (b - a).  The error is at
+# least its rounding part u*(b - a), u = 2**-53, so they stay below half an
+# ulp of it.  A floor on each dropped term alone would do as well where an
+# exponential or half-Gaussian factor decays geometrically, the sum being
+# about its first term, but not for the power law of many uniform links:
+# six uniform links with powers 8 or 9 then dropped some 500 terms below
+# 2**-110, and 40 of 432 narrow folds of such chains moved their error
+# bits.  A floor of 2**-64 moved the error bits of 1541 of 6000 bench
+# folds.  A factor that is not monotone (a foreign-base benford link)
+# loses no modulus at or above the floor.
+_FOLD_FLOOR = 2.0**-110
 
 @dataclass(frozen=True)
 class ChainLink:
@@ -359,13 +381,14 @@ def chain_spectrum(chain: ChainSpec, ell: int) -> complex:
     return complex(re[0], im[0] if ell > 0 else -im[0])
 
 
-def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
-    """Two-sided bounds (plain, weighted) on the spectrum beyond |l| = L.
+def _tails(chain: ChainSpec, moduli: np.ndarray, L: int, K: int | None = None) -> tuple[float, float]:
+    """Two-sided bounds (plain, weighted) on the spectrum beyond |l| = K.
 
-    plain bounds sum_{|l| > L} |c_l|; weighted bounds the same sum with
-    each term carrying the extra 1/(pi*|l|) that bounds the fold integral
-    |I_l|.  The terms up to L2 = max(2L, 256) are moduli[L:], upper bounds
-    on |c_l| on the support prefix of 1..L2.  Past L2 the rest is closed
+    K defaults to L; a fold passes its significant prefix K <= L.  plain
+    bounds sum_{|l| > K} |c_l|; weighted bounds the same sum with each term
+    carrying the extra 1/(pi*|l|) that bounds the fold integral |I_l|.  The
+    terms up to L2 = max(2L, 256) are moduli[K:], upper bounds on |c_l| on
+    the support prefix of 1..L2.  Past L2 the rest is closed
     from each link's certified modulus at w(|R| * L2), w formed as _moduli
     forms it.  Where a link's modulus there is provably 0.0 (an own-base
     benford link, or w >= zero_beyond) the rest is exactly 0 and no modulus
@@ -378,8 +401,9 @@ def _tails(chain: ChainSpec, moduli: np.ndarray, L: int) -> tuple[float, float]:
     p >= 2, exactly 0 where A underflows, and honestly infinity otherwise.
     """
     L2 = max(2 * L, 256)
-    explicit = moduli[L:]
-    weighted = explicit / (math.pi * _frequencies(L + 1, L + explicit.size))
+    K = L if K is None else K
+    explicit = moduli[K:]
+    weighted = explicit / (math.pi * _frequencies(K + 1, K + explicit.size))
     log_base = math.log(chain.base)
     w = [_TWO_PI * float(abs(r) * L2) / log_base for _, r in chain._factors]
     if any(
@@ -470,12 +494,19 @@ def _cis(ells: np.ndarray, xs) -> np.ndarray:
     return np.exp(y)
 
 
+def _significant(moduli: np.ndarray) -> int:
+    """K, the length of the significant prefix of moduli: the least K whose
+    dropped terms moduli[K:] sum to less than _FOLD_FLOOR."""
+    # The running sums from the last term back never decrease.
+    dropped = np.add.accumulate(moduli[::-1])
+    return moduli.size - int(np.searchsorted(dropped, _FOLD_FLOOR))
+
+
 def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray, w: np.ndarray) -> list[float]:
     """Truncated fold series on [edges[k], edges[k+1]], sharing one spectrum.
 
-    moduli are the certified moduli of c_1, c_2, ... on the support prefix,
-    cut at L (the zero terms past it would leave the sum as it is), and w
-    their rows from _moduli.  Each l adds
+    moduli are the certified moduli of c_1..c_K, the significant prefix
+    (_significant), and w their rows from _moduli.  Each l adds
     z = c_l * I_l, I_l = (e^(2 pi i b l) - e^(2 pi i a l))/(2 pi i l), and
     then c_{-l} * I_{-l} = conj(z), in that order and not as 2*Re(z), which
     rounds differently; the quotient and the product are spelled out in real
@@ -511,8 +542,11 @@ def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray, w: np
 
 
 # Rounding error of the fold series against the exact truncated sum, with
-# u = 2**-53 and M_l >= |c_l| the certified moduli rounded up.  For l = 1..S
-# the series adds Re(c_l * I_l) twice, I_l = (e_b - e_a)/(2*pi*i*l) with
+# u = 2**-53 and M_l >= |c_l| the certified moduli rounded up.  The bound
+# sums over l = 1..S, S = min(L, the support), a superset of the terms
+# 1..K the series runs (_FOLD_FLOOR), so it still bounds that series;
+# every term it counts only adds to it.  For l = 1..S the series adds
+# Re(c_l * I_l) twice, I_l = (e_b - e_a)/(2*pi*i*l) with
 # e_x = e^(2*pi*i*x*l), and then adds the sum to the width b - a.
 # * I_l.  The phase (2*pi*x)*l takes three roundings (math.pi 0.35u and two
 #   multiplies): an absolute 2.4u*2*pi*x*l, which no |I_l| scales down.
@@ -546,10 +580,11 @@ def _fold_series(chain: ChainSpec, edges: list[float], moduli: np.ndarray, w: np
 def _fold_rounding(chain: ChainSpec, interval: FoldInterval, moduli: np.ndarray, prob: float) -> float:
     """A bound on the rounding error of the fold series over c_1..c_S, S = moduli.size.
 
-    moduli are the certified moduli rounded up, the terms the series ran
-    over.  With S = 0 the probability is the width b - a as computed and
-    the bound is 0.0, so the rounding of that subtraction, at most
-    u*(b - a), is left uncounted there.
+    moduli are the certified moduli rounded up on the support prefix, cut
+    at L: the terms the series ran over and those it dropped (_FOLD_FLOOR).
+    With S = 0 the probability is the width b - a as computed and the bound
+    is 0.0, so the rounding of that subtraction, at most u*(b - a), is left
+    uncounted there.
     """
     S = moduli.size
     if not S:
@@ -568,19 +603,24 @@ def fold_probability(
 ) -> tuple[float, float]:
     """P(Y_n mod 1 in [a,b]) from the truncated Fourier series.
 
-    Returns (probability, error).  The error is the smaller of two rigorous
-    tails, the width-scaled plain tail and the tail weighted by
-    |I_l| <= 1/(pi*l), plus a bound on the series' rounding.  Widths 0 and
-    1 are exact, with error 0.0 and no spectrum.
+    Returns (probability, error).  The series runs over the significant
+    prefix c_1..c_K, K the least k <= L whose dropped certified moduli
+    m_{k+1}..m_L sum to below _FOLD_FLOOR (2**-110).  The error is the
+    smaller of two rigorous tails beyond K, the width-scaled plain tail and
+    the tail weighted by |I_l| <= 1/(pi*l), plus a bound on the series'
+    rounding.  So the dropped terms enter both tails with their rounded-up
+    moduli, and probability +- error still brackets the series truncated
+    at L.  Widths 0 and 1 are exact, with error 0.0 and no spectrum.
     """
     L = _check_L(L)
     width = interval.width
     if width in (0.0, 1.0):
         return width, 0.0
     m, w = _moduli(chain, 1, max(2 * L, 256))
-    [prob] = _fold_series(chain, [interval.a, interval.b], m[:L], w[:, :L])
+    K = _significant(m[:L])
+    [prob] = _fold_series(chain, [interval.a, interval.b], m[:K], w[:, :K])
     bounds = m * _round_up(len(chain.links))
-    tail_plain, tail_weighted = _tails(chain, bounds, L)
+    tail_plain, tail_weighted = _tails(chain, bounds, L, K)
     rounding = _fold_rounding(chain, interval, bounds[:L], prob)
     return prob, min(width * tail_plain, tail_weighted) + rounding
 
@@ -588,8 +628,9 @@ def fold_probability(
 def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
     """Leading-digit probabilities: fold over [log_B d, log_B(d+1)].
 
-    A table costs about (base - 1) * (L + 128) series terms; above 2**24
-    (about 2 s) it raises ValueError before any work.
+    The series runs over the significant prefix, as fold_probability's
+    does.  A table costs at most (base - 1) * (L + 128) series terms; above
+    2**24 (about 2 s) it raises ValueError before any work.
     """
     L = _check_L(L)
     cost = (chain.base - 1) * (L + _DIGIT_INTERVAL_COST)
@@ -602,4 +643,6 @@ def first_digit_probabilities(chain: ChainSpec, L: int = 64) -> list[float]:
         return [1.0]
     log_base = math.log(chain.base)
     edges = [math.log(d) / log_base for d in range(1, chain.base + 1)]
-    return _fold_series(chain, edges, *_moduli(chain, 1, L))
+    m, w = _moduli(chain, 1, L)
+    K = _significant(m)
+    return _fold_series(chain, edges, m[:K], w[:, :K])

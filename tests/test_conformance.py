@@ -18,6 +18,8 @@ from benford_chains.conformance import (
     benford_cdf,
     benford_digit_prob,
     digit_stats,
+    _benford_cdfs,
+    _grid,
     _packed,
     two_sample_ks,
 )
@@ -226,6 +228,24 @@ def test_audit_scale_invariance():
     for c in (2.7, math.pi):
         rotated = audit_dataset(values * c, 10)
         assert abs(rotated.sup_deviation - base_report.sup_deviation) < 2.0 / 1000.0
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 1000])
+@pytest.mark.parametrize("grid_size", [2, 1000, 4097])
+def test_the_audit_cdf_has_the_bits_of_benford_cdf_at_every_grid_point(base, grid_size):
+    # one pass of benford_cdf's formulas, the log of the base taken once
+    grid = tuple(_grid(base, grid_size).tolist())
+    theory = _benford_cdfs(grid, base)
+    expected = [benford_cdf(s, base) for s in grid]
+    assert theory.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("base", [3, 10, 16])
+def test_the_audit_sup_deviation_has_the_bits_of_the_per_point_cdf(base):
+    values = np.exp(np.random.default_rng(base).normal(0.0, 3.0, 20_000))
+    report = audit_dataset(values, base, grid_size=10_007)
+    theory = np.array([benford_cdf(s, base) for s in report.stats.mantissa_grid])
+    assert report.sup_deviation == float(np.max(np.abs(np.asarray(report.stats.empirical_cdf) - theory)))
 
 
 def test_point_mass_fails_audit():

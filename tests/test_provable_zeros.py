@@ -182,12 +182,14 @@ def test_a_chain_cut_to_l_1_that_computes_zero_there_has_S_0(monkeypatch):
 
 def test_at_L_1024_a_fold_evaluates_at_most_90_phase_gamma_points_and_a_bound_none(monkeypatch):
     # R = 6, 3, 1: the cut keeps l <= floor(480 ln 10 / (12 pi)) + 1 = 30,
-    # and the phases run on the support prefix of the moduli only.  With
+    # and the support of the moduli is l <= 17, where the product underflows.
+    # The phases run on the significant prefix only.  With
     # w_k = 2 pi R_k l / ln 10 the product of the |Gamma(1 + i w_k)| is
     # about prod sqrt(2 pi w_k) * e^(-pi (w_1 + w_2 + w_3) / 2)
-    # = e^(-10 pi^2 l / ln 10 + ...) = e^(-42.86 l + 10.0) near l = 17:
-    # e^-718.7 (subnormal) at l = 17 and e^-761.5 < 2^-1074 at l = 18, so
-    # the support is l <= 17, three phase points each
+    # = e^(-10 pi^2 l / ln 10 + ...): m_1 = e^-37.2 = 7.3e-17 and
+    # m_2 = e^-79.0 = 5.0e-35 < 2^-110 = 7.7e-34, falling from there on, so
+    # K = 1, three phase points (one per link) where the underflow support
+    # took 3 * 17
     points = []
     original = families.arg_gamma
 
@@ -201,7 +203,7 @@ def test_at_L_1024_a_fold_evaluates_at_most_90_phase_gamma_points_and_a_bound_no
     assert points == []
     fold_probability(chain, FoldInterval(0.0, 0.5), 1024)
     [count] = points
-    assert count == 3 * 17
+    assert count == 3 * 1
 
 
 @pytest.mark.parametrize("ell", [2**63, 10**30, 10**300])
